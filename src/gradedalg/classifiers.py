@@ -16,9 +16,11 @@ from .subobjects import (
     IDEAL,
     SUBMODULE,
     SubobjectHandle,
+    annihilator,
     colon,
     enumerate_graded_subobjects,
     graded_radical,
+    span,
     subobject,
 )
 
@@ -107,7 +109,7 @@ def classify_ideal(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
 # ---------------------------------------------------------------------------
 
 def _module_data(n: SubobjectHandle):
-    """Per-(module, N) tables: masks of zN for every ring element z."""
+    """Per-(module, N) table: the mask of zN for every ring element z."""
     gm = n.ctx
     cache = gm._caches.setdefault("submodule_data", {})
     if n.members not in cache:
@@ -120,10 +122,7 @@ def _module_data(n: SubobjectHandle):
             for x in members:
                 m |= 1 << row[x]
             zmask.append(m)
-        nmask = 0
-        for x in members:
-            nmask |= 1 << x
-        cache[n.members] = (tuple(zmask), nmask)
+        cache[n.members] = tuple(zmask)
     return cache[n.members]
 
 
@@ -157,7 +156,6 @@ def classify_submodule(
     n: SubobjectHandle,
     predicate: str,
     g: int | None = None,
-    lattice=None,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> PredicateVerdict:
     """Definitional classification of a non-zero graded submodule.
@@ -184,21 +182,20 @@ def classify_submodule(
 
     gring = gm.gring
     mul = gring.ring.mul
-    zmask, nmask = _module_data(n)
+    zmask = _module_data(n)
     zero_mask = 1 << gm.module.zero
 
     if predicate == "second":
         verdict = PredicateVerdict(True)
         for a in gring.hom:
             m = zmask[a]
-            if m != zero_mask and m != nmask:
+            if m != zero_mask and m != n.mask:
                 verdict = PredicateVerdict(False, {"a": a})
                 break
         cache[key] = verdict
         return verdict
 
-    if lattice is None:
-        lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
+    lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
 
     if predicate == "g-2a-coprimary":
         scalars = tuple(sorted(gring.grading.components[g]))
@@ -250,7 +247,7 @@ def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
     gring = gm.gring
     mul = gring.ring.mul
     powers = gring.ring.power_sets
-    zmask, _ = _module_data(n)
+    zmask = _module_data(n)
     zero_mask = 1 << gm.module.zero
 
     verdict = None
@@ -277,21 +274,16 @@ def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
     return verdict
 
 
-def is_graded_comultiplication_module(
-    gm, lattice=None, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> PredicateVerdict:
+def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMENTS) -> PredicateVerdict:
     """True iff every graded submodule N equals (0 :_M Ann_R(N))."""
     cache = gm._caches.setdefault("module_verdicts", {})
     if "comultiplication" in cache:
         return cache["comultiplication"]
-    if lattice is None:
-        lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
+    lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
     act = gm.module.action
     zero = gm.module.zero
     verdict = None
     for nh in lattice:
-        from .subobjects import annihilator
-
         ann = annihilator(nh).sorted_members
         back = {m for m in range(gm.module.size) if all(act[a][m] == zero for a in ann)}
         if back != nh.members:
@@ -317,13 +309,9 @@ def recheck_coprimary_violation(n: SubobjectHandle, x: int, y: int, k: Subobject
     xy = ring.mul[x][y]
     xy_n = frozenset(act[xy][m] for m in n.members)
     if k is None:
-        from .subobjects import span
-
         k = span(xy_n, SUBMODULE, gm)
     if not xy_n <= k.members:
         return False  # hypothesis fails; not a violation
-    from .subobjects import annihilator
-
     if xy in annihilator(n).members:
         return False
     grad = graded_radical(colon(k, n)).members
@@ -338,8 +326,6 @@ def recheck_strong_violation(n: SubobjectHandle, x: int, y: int, k: SubobjectHan
     xy_n = frozenset(act[xy][m] for m in n.members)
     if not xy_n <= k.members:
         return False
-    from .subobjects import annihilator
-
     if xy in annihilator(n).members:
         return False
     xn = frozenset(act[x][m] for m in n.members)

@@ -425,3 +425,23 @@ def validate_axioms(structure) -> ValidationReport:
         return ValidationReport("module", failures)
 
     raise TypeError(f"cannot validate {type(structure).__name__}")
+
+
+def first_invalid(group: GradingGroup, ring: FiniteRing, module: FiniteModule):
+    """Validate a grading group, ring and module once each; return the first
+    failing :class:`ValidationReport`, or None when all three are valid.
+
+    The module is skipped when it is the ring acting on itself (it shares the
+    ring's add and mul tables): its additive group is the ring's, r(m+m') is
+    distributivity, (r+r')m is distributivity plus commutativity, (rr')m is
+    associativity and the unital action is one-identity.
+    """
+    structures = [group, ring]
+    if not (module.ring is ring and module.add is ring.add and module.action is ring.mul
+            and module.zero == ring.zero):
+        structures.append(module)
+    for structure in structures:
+        report = validate_axioms(structure)
+        if not report.ok:
+            return report
+    return None

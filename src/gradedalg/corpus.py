@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import DEFAULT_MAX_ELEMENTS, make_group, make_module, make_ring, validate_axioms
+from .core import DEFAULT_MAX_ELEMENTS, first_invalid, make_group, make_module, make_ring
 from .errors import GradedAlgError
 from .grading import GradedModule, GradedRing, groupring_natural, module_same_as_ring, module_trivial, ring_trivial
 from .subobjects import IDEAL, SUBMODULE, enumerate_graded_subobjects, span
@@ -46,10 +46,9 @@ class Corpus:
 
 
 def _validated(entry: CorpusEntry) -> CorpusEntry:
-    for structure in (entry.gring.grading.group, entry.gring.ring, entry.gmodule.module):
-        report = validate_axioms(structure)
-        if not report.ok:
-            raise GradedAlgError(f"corpus entry {entry.name}: {report.failures}")
+    report = first_invalid(entry.gring.grading.group, entry.gring.ring, entry.gmodule.module)
+    if report is not None:
+        raise GradedAlgError(f"corpus entry {entry.name}: {report.failures}")
     return entry
 
 

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteModule, FiniteRing, GradingGroup
+from .core import FiniteModule, FiniteRing, GradingGroup, make_group
 from .errors import GradingInvalid
 
 
@@ -39,20 +39,12 @@ class Grading:
 
     def degree_of(self, x: int):
         """Degree of a homogeneous element (identity for 0), else None."""
-        if x == _carrier_zero(self.carrier):
+        if x == self.carrier.zero:
             return self.group.identity
         for g, comp in enumerate(self.components):
             if x in comp:
                 return g
         return None
-
-
-def _carrier_zero(carrier) -> int:
-    return carrier.zero
-
-
-def _carrier_add(carrier):
-    return carrier.add
 
 
 def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Grading | None = None) -> Grading:
@@ -72,8 +64,8 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     if not is_ring and ring_grading is not None and ring_grading.group is not group:
         raise GradingInvalid("grading-group-mismatch")
 
-    add = _carrier_add(carrier)
-    zero = _carrier_zero(carrier)
+    add = carrier.add
+    zero = carrier.zero
     n = carrier.size
 
     components = []
@@ -142,11 +134,6 @@ def decompose(x: int, grading: Grading) -> dict:
     return {g: p for g, p in enumerate(grading.decomposition[x])}
 
 
-def homogeneous_elements(grading: Grading) -> frozenset:
-    """The union of all components: h(R) or h(M)."""
-    return grading.homogeneous_set
-
-
 def is_homogeneous(x: int, grading: Grading):
     """(True, degree) if x lies in some component, else (False, None).
 
@@ -181,7 +168,8 @@ class GradedRing:
 
     @cached_property
     def _caches(self) -> dict:
-        # scratch space for memoized classification results
+        # the memo for data derived from this carrier; each key covers every
+        # other input of the memoized value
         return {}
 
 
@@ -207,6 +195,7 @@ class GradedModule:
 
     @cached_property
     def _caches(self) -> dict:
+        # same contract as GradedRing._caches
         return {}
 
 
@@ -218,8 +207,6 @@ def trivial_assignment(carrier, group: GradingGroup) -> dict:
 
 
 def ring_trivial(ring: FiniteRing, group: GradingGroup | None = None) -> GradedRing:
-    from .core import make_group
-
     group = group if group is not None else make_group("trivial")
     grading = attach_grading(ring, group, trivial_assignment(ring, group))
     return GradedRing(ring, grading)

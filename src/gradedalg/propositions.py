@@ -132,11 +132,10 @@ def _hom_family(entry: CorpusEntry):
     return fams
 
 
-def _entry_cache(entry: CorpusEntry, key: str, builder):
-    cache = getattr(entry, "_scratch", None)
-    if cache is None:
-        cache = {}
-        entry._scratch = cache
+def _memo(entry: CorpusEntry, key, builder):
+    """Memoize ``builder()`` in the module's carrier memo; ``key`` must cover
+    every input other than the module."""
+    cache = entry.gmodule._caches
     if key not in cache:
         cache[key] = builder()
     return cache[key]
@@ -249,13 +248,13 @@ def _check_scalar_multiple(entry: CorpusEntry):
 
 def _check_hom_image(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    homs = _entry_cache(entry, "hom_family", lambda: _hom_family(entry))
+    homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
     for n in _nonzero_subs(entry):
         if not _is_coprimary(n):
             skip["N-not-coprimary"] += 1
             continue
         for f in homs:
-            ker = _entry_cache(entry, ("kernel", f.mapping), lambda: hom_kernel(f))
+            ker = _memo(entry, ("kernel", f.mapping), lambda: hom_kernel(f))
             if n.members <= ker.members:
                 skip["N-inside-kernel"] += 1
                 continue
@@ -267,7 +266,7 @@ def _check_hom_image(entry: CorpusEntry):
 
 def _check_hom_preimage(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    homs = _entry_cache(entry, "hom_family", lambda: _hom_family(entry))
+    homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
     whole = whole_subobject(SUBMODULE, entry.gmodule)
     for f in homs:
         fm = hom_image(f, whole)
@@ -301,7 +300,7 @@ def _check_characterization_equiv(entry: CorpusEntry):
 def _check_localization(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     for sname, s in sorted(entry.mulsets.items()):
-        loc = _entry_cache(entry, ("loc", sname), lambda: localize_module(entry.gmodule, s))
+        loc = _memo(entry, ("loc", s), lambda: localize_module(entry.gmodule, s))
         for n in _nonzero_subs(entry):
             if not _is_coprimary(n):
                 skip["N-not-coprimary"] += 1
@@ -317,7 +316,7 @@ def _check_localization(entry: CorpusEntry):
 
 
 def _ixn_mask(entry, i, x, n, in_handle):
-    cache = _entry_cache(entry, "ixn", dict)
+    cache = _memo(entry, "ixn", dict)
     key = (i.members, x, n.members)
     if key not in cache:
         act = entry.gmodule.module.action
@@ -340,12 +339,10 @@ def _check_ideal_lemma(entry: CorpusEntry):
             if not classify_submodule(n, "g-2a-coprimary", g=g).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
-            zmask, _ = _module_data(n)
+            zmask = _module_data(n)
             ann = annihilator(n).members
             for i in ideals:
-                in_handle = _entry_cache(
-                    entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product")
-                )
+                in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
                 ig = ideal_component(i, g)
                 for x in comp:
                     w = _ixn_mask(entry, i, x, n, in_handle)
@@ -379,15 +376,13 @@ def _check_two_ideal_theorem(entry: CorpusEntry):
             if not classify_submodule(n, "g-2a-coprimary", g=g).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
-            zmask, _ = _module_data(n)
+            zmask = _module_data(n)
             ann = annihilator(n).members
             for i in ideals:
-                in_handle = _entry_cache(
-                    entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product")
-                )
+                in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
                 ig = ideal_component(i, g)
                 for j in ideals:
-                    ijn = _entry_cache(
+                    ijn = _memo(
                         entry,
                         ("IJN", i.members, j.members, n.members),
                         lambda: combine(j, in_handle, "ideal_product"),

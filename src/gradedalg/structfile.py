@@ -13,19 +13,20 @@ Grammar (one directive per line, ``#`` starts a comment):
 Element tokens are integers or parenthesized integer tuples like ``(1,0,0)``.
 ``groupring`` takes its grading group from the ``group`` directive; ``natural``
 grading means by-degree for group rings and is an alias of ``trivial``
-otherwise.  The result is a fully validated corpus entry.
+otherwise.  Every group, ring and module size is checked against
+``max_elements`` before its tables are built.  The result is a fully
+validated corpus entry.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from .constructions import _check_denominators
-from .core import DEFAULT_MAX_ELEMENTS, make_group, make_module, make_ring, validate_axioms
+from .core import DEFAULT_MAX_ELEMENTS, first_invalid, make_group, make_module, make_ring
 from .corpus import CorpusEntry
 from .errors import InvalidDenominators, StructureParseError
 from .grading import (
-    GradedModule,
-    GradedRing,
     groupring_natural,
     module_same_as_ring,
     module_trivial,
@@ -57,6 +58,13 @@ def _lookup(carrier, label, lineno: int) -> int:
     return idx
 
 
+def _check_size(what: str, size: int, max_elements: int, lineno: int) -> None:
+    if size > max_elements:
+        raise StructureParseError(
+            f"{what} would have {size} elements, above the size cap {max_elements}", line=lineno
+        )
+
+
 def parse_structure_text(
     text: str, name: str = "<structure>", max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> CorpusEntry:
@@ -81,9 +89,13 @@ def parse_structure_text(
                 if shape == "trivial":
                     group = make_group("trivial")
                 elif shape == "cyclic":
-                    group = make_group(("cyclic", int(args[1])))
+                    n = int(args[1])
+                    _check_size("group", n, max_elements, lineno)
+                    group = make_group(("cyclic", n))
                 elif shape == "product":
-                    group = make_group(("product", int(args[1]), int(args[2])))
+                    n1, n2 = int(args[1]), int(args[2])
+                    _check_size("group", n1 * n2, max_elements, lineno)
+                    group = make_group(("product", ("cyclic", n1), ("cyclic", n2)))
                 else:
                     raise StructureParseError(f"unknown group shape {shape!r}", line=lineno)
             except (IndexError, ValueError):
@@ -94,16 +106,20 @@ def parse_structure_text(
             shape = args[0]
             if shape == "zmod":
                 try:
-                    ring = make_ring(("zmod", int(args[1])))
+                    n = int(args[1])
                 except (IndexError, ValueError):
                     raise StructureParseError("zmod needs a modulus", line=lineno) from None
+                _check_size("ring", n, max_elements, lineno)
+                ring = make_ring(("zmod", n))
             elif shape == "groupring":
                 if group is None:
                     raise StructureParseError("groupring needs a prior group directive", line=lineno)
                 try:
-                    ring = make_ring(("groupring", int(args[1]), group))
+                    p = int(args[1])
                 except (IndexError, ValueError):
                     raise StructureParseError("groupring needs a coefficient modulus", line=lineno) from None
+                _check_size("ring", p ** group.size, max_elements, lineno)
+                ring = make_ring(("groupring", p, group))
             else:
                 raise StructureParseError(f"unknown ring shape {shape!r}", line=lineno)
             ring_kind = shape
@@ -126,6 +142,7 @@ def parse_structure_text(
                     raise StructureParseError("directsum needs integer sizes", line=lineno) from None
                 if not sizes:
                     raise StructureParseError("directsum needs at least one summand", line=lineno)
+                _check_size("module", math.prod(sizes), max_elements, lineno)
                 module = make_module(("directsum", *sizes), ring)
             else:
                 raise StructureParseError(f"unknown module shape {shape!r}", line=lineno)
@@ -144,22 +161,17 @@ def parse_structure_text(
     if grading_mode is None:
         grading_mode = "trivial"
 
-    if ring_kind == "groupring" and grading_mode == "natural":
-        gring = groupring_natural(ring, group)
-    else:
-        gring = ring_trivial(ring, group)
-    if ring_kind == "groupring" and grading_mode == "natural" and module is not None and module.size == ring.size:
+    natural = ring_kind == "groupring" and grading_mode == "natural"
+    gring = groupring_natural(ring, group) if natural else ring_trivial(ring, group)
+    if natural and module.size == ring.size:
         gmodule = module_same_as_ring(module, gring)
     else:
         gmodule = module_trivial(module, gring)
 
-    for structure in (ring, module):
-        report = validate_axioms(structure)
-        if not report.ok:
-            axiom, witness = report.failures[0]
-            raise StructureParseError(
-                f"structure axiom failed: {axiom} at {witness}", line=module_lineno
-            )
+    report = first_invalid(group, ring, module)
+    if report is not None:
+        axiom, witness = report.failures[0]
+        raise StructureParseError(f"structure axiom failed: {axiom} at {witness}", line=module_lineno)
 
     entry = CorpusEntry(name, gring, gmodule, max_elements=max_elements)
 

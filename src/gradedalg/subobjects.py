@@ -173,12 +173,6 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
 
-def scalar_image(r: int, n: SubobjectHandle) -> frozenset:
-    """The raw element set r*N (no homogeneity requirement; internal helper)."""
-    act = n.carrier.mul if n.kind == IDEAL else n.carrier.action
-    return frozenset(act[r][m] for m in n.members)
-
-
 def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
     """(K :_R N) = {r in R : r*N subset K}, an ideal of the scalar ring."""
     if k.kind != SUBMODULE or n.kind != SUBMODULE or k.ctx is not n.ctx:
@@ -285,15 +279,10 @@ def enumerate_graded_subobjects(ctx, kind: str, max_elements: int = DEFAULT_MAX_
     the lattice is walked by repeatedly joining homogeneous cyclic spans.
     Results are memoized on the carrier.
     """
-    gens_source = ctx if kind == IDEAL else ctx
     cache = ctx._caches.setdefault("graded_subobjects", {})
     key = (kind, max_elements)
     if key not in cache:
-        if kind == IDEAL:
-            generators = ctx.hom
-        else:
-            generators = ctx.hom  # homogeneous module elements
-        cache[key] = _enumerate_by_generators(ctx, kind, generators, max_elements)
+        cache[key] = _enumerate_by_generators(ctx, kind, ctx.hom, max_elements)
     return cache[key]
 
 

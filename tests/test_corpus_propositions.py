@@ -1,17 +1,23 @@
 import pytest
 
+import gradedalg.core
 from gradedalg import (
     PROPOSITION_IDS,
+    Corpus,
+    CorpusEntry,
     StructureParseError,
     UnknownProposition,
     build_standard_corpus,
     classify_submodule,
     coprimary_via_characterization,
     is_graded_comultiplication_module,
+    make_module,
+    make_ring,
     recheck_coprimary_violation,
     search_counterexample,
     verify_proposition,
 )
+from gradedalg.grading import module_same_as_ring, ring_trivial
 
 CORPUS = build_standard_corpus()
 
@@ -148,3 +154,32 @@ def test_search_parenthesized_expression():
         "(2a-coprimary or second) and not (strong-2a-second)", CORPUS
     )
     assert found is not None
+
+
+def test_cold_corpus_build_validates_each_structure_once(monkeypatch):
+    calls = []
+    original = gradedalg.core.validate_axioms
+    monkeypatch.setattr(gradedalg.core, "validate_axioms", lambda s: calls.append(s) or original(s))
+    build_standard_corpus.__wrapped__()
+    # 12 groups, 12 rings and the 4 modules that are not a ring acting on itself
+    assert len(calls) == 28
+
+
+def _z12_entry(denominators, gmodule=None):
+    if gmodule is None:
+        ring = make_ring(("zmod", 12))
+        gmodule = module_same_as_ring(make_module(("self",), ring), ring_trivial(ring))
+    return CorpusEntry("zmod12", gmodule.gring, gmodule, mulsets={"S": denominators})
+
+
+def test_localization_memo_is_keyed_by_denominators():
+    # same module and mulset name, different denominators: a memo keyed by
+    # the name would hand the second entry the first entry's localization
+    sets = ((1, 3, 9), (1, 5))
+    alone = [verify_proposition("localization", Corpus([_z12_entry(s)])).to_machine() for s in sets]
+    assert alone[0] != alone[1]
+    shared = _z12_entry(sets[0]).gmodule
+    reports = [
+        verify_proposition("localization", Corpus([_z12_entry(s, shared)])).to_machine() for s in sets
+    ]
+    assert reports == alone

@@ -2,6 +2,8 @@ import io
 
 import pytest
 
+import gradedalg.core
+import gradedalg.structfile
 from gradedalg import StructureParseError, parse_structure_text, run_cli
 
 EXAMPLE = """\
@@ -43,6 +45,12 @@ def test_parse_groupring_structure():
     entry = parse_structure_text(GROUPRING)
     assert entry.gring.ring.size == 4
     assert len(entry.gring.grading.components[1]) == 2
+
+
+def test_parse_product_group_structure():
+    entry = parse_structure_text("group product 2 2\nring groupring 2\ngrading natural\nmodule self\n")
+    assert entry.gring.ring.size == 16
+    assert [len(c) for c in entry.gring.grading.components] == [2, 2, 2, 2]
 
 
 def test_parse_mulset_and_ideal():
@@ -98,6 +106,48 @@ def test_cli_validate(tmp_path):
     assert code == 0 and "ok" in out
 
 
+def test_cli_validate_product_group_at_the_cap(tmp_path):
+    path = _write(tmp_path, "group product 2 2\nring groupring 2\ngrading natural\nmodule self\n")
+    code, out = _run(["--max-elements", "16", "--report", "machine", "validate", path])
+    assert code == 0 and "ring_size=16" in out
+
+
+@pytest.mark.parametrize("modulus", [600, 100000])
+def test_cli_validate_rejects_oversized_ring_before_building_it(tmp_path, monkeypatch, capsys, modulus):
+    def refuse(spec):
+        raise AssertionError("ring tables built for an oversized ring")
+
+    monkeypatch.setattr(gradedalg.structfile, "make_ring", refuse)
+    path = _write(tmp_path, f"ring zmod {modulus}\nmodule self\n")
+    code, _ = _run(["validate", path])
+    assert code == 2
+    assert "line 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("group cyclic 4\nring groupring 3\nmodule self\n", 2),  # 3^4 = 81 elements
+        ("ring zmod 16\nmodule directsum 16 2\n", 2),
+        ("group product 4 5\nring zmod 2\nmodule self\n", 1),
+    ],
+)
+def test_size_cap_is_checked_per_directive(text, line):
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure_text(text, max_elements=16)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, expected", [(GROUPRING, 2), (EXAMPLE, 3)])
+def test_cli_validate_checks_each_structure_once(tmp_path, monkeypatch, text, expected):
+    # group and ring always; the module only when it is not the ring acting on itself
+    calls = []
+    original = gradedalg.core.validate_axioms
+    monkeypatch.setattr(gradedalg.core, "validate_axioms", lambda s: calls.append(s) or original(s))
+    code, _ = _run(["validate", _write(tmp_path, text)])
+    assert code == 0 and len(calls) == expected
+
+
 def test_cli_classify_strong_false(tmp_path):
     path = _write(tmp_path, EXAMPLE)
     code, out = _run(
@@ -127,6 +177,9 @@ def test_cli_verify_single_prop():
     code, out = _run(["--report", "machine", "verify", "--prop", "ann-2AP"])
     assert code == 0
     assert out.startswith("prop=ann-2AP status=pass ")
+    # --threads is accepted and ignored: the suite report is the same bytes
+    suite = [_run(["--threads", t, "--report", "machine", "verify", "--suite", "all"]) for t in ("1", "4")]
+    assert suite[0] == suite[1] and suite[0][1]
 
 
 def test_cli_verify_unknown_prop_exits_2():
