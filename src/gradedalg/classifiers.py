@@ -5,6 +5,16 @@ additionally quantify over the full lattice of graded submodules (definitional
 forms) or avoid it (characterization form).  All verdicts are deterministic:
 the first counterexample in canonical order is reported, and every false
 verdict carries a witness that re-checks against the definition.
+
+The seven (x, y, third) predicates share one kernel, ``_first_violation``:
+the first scalar pair whose ``hyp[xy] & ~esc[x] & ~esc[y]`` is non-zero.
+For 2-absorbing(-primary) ideals bit j stands for c = hom[j]: hyp[z] holds
+the c with zc in P (0 when z is in P) and esc[z] the c with zc in the escape
+set.  Prime and primary use one bit.  For submodules bit i stands for the
+lattice's i-th K: ``contains[r]`` holds the K with rN inside K, ``good[r]``
+the K with r in Grad(K :_R N), and hyp[z] is contains[z] (0 when zN = 0).
+Bits follow the canonical order of hom(R) and of the lattice, so the lowest
+set bit of the first violating pair is the witness the nested loops found.
 """
 from __future__ import annotations
 
@@ -38,6 +48,34 @@ class PredicateVerdict:
 
 
 # ---------------------------------------------------------------------------
+# the first-violation kernel
+# ---------------------------------------------------------------------------
+
+def _first_violation(xs, ys, mul, hyp, escx, escy):
+    """First (x, y, i) in canonical order, x over ``xs`` then y over ``ys``,
+    whose ``hyp[xy] & ~escx[x] & ~escy[y]`` is non-zero, with i its lowest set
+    bit; None when every pair escapes."""
+    for x in xs:
+        row = mul[x]
+        keep = ~escx[x]
+        for y in ys:
+            bits = hyp[row[y]] & keep & ~escy[y]
+            if bits:
+                return x, y, (bits & -bits).bit_length() - 1
+    return None
+
+
+def _product_bits(gring, members) -> tuple:
+    """For every ring element z, the bitset of the positions j with
+    z * hom[j] in ``members``."""
+    mul = gring.ring.mul
+    hom = gring.hom
+    return tuple(
+        sum(1 << j for j, c in enumerate(hom) if row[c] in members) for row in mul
+    )
+
+
+# ---------------------------------------------------------------------------
 # ideal predicates
 # ---------------------------------------------------------------------------
 
@@ -62,54 +100,34 @@ def classify_ideal(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
     if key in cache:
         return cache[key]
 
-    mul = gring.ring.mul
     hom = gring.hom
     pm = p.members
-    verdict = None
-
+    escape = pm if predicate in ("prime", "2-absorbing") else graded_radical(p).members
     if predicate in ("prime", "primary"):
-        escape = pm if predicate == "prime" else graded_radical(p).members
-        for a in hom:
-            row = mul[a]
-            if a in pm:
-                continue
-            for b in hom:
-                if row[b] in pm and b not in escape:
-                    verdict = PredicateVerdict(False, {"a": a, "b": b})
-                    break
-            if verdict is not None:
-                break
+        inside = tuple(int(z in pm) for z in range(gring.ring.size))
+        esc = tuple(int(z in escape) for z in range(gring.ring.size))
+        hit = _first_violation(hom, hom, gring.ring.mul, inside, inside, esc)
+        witness = None if hit is None else {"a": hit[0], "b": hit[1]}
     else:
-        escape = pm if predicate == "2-absorbing" else graded_radical(p).members
-        for a in hom:
-            arow = mul[a]
-            for b in hom:
-                ab = arow[b]
-                if ab in pm:
-                    continue  # conclusion holds for every c
-                abrow = mul[ab]
-                brow = mul[b]
-                for c in hom:
-                    if abrow[c] in pm and arow[c] not in escape and brow[c] not in escape:
-                        verdict = PredicateVerdict(False, {"a": a, "b": b, "c": c})
-                        break
-                if verdict is not None:
-                    break
-            if verdict is not None:
-                break
+        col = _product_bits(gring, pm)
+        hyp = tuple(0 if z in pm else bits for z, bits in enumerate(col))
+        esc = col if predicate == "2-absorbing" else _product_bits(gring, escape)
+        hit = _first_violation(hom, hom, gring.ring.mul, hyp, esc, esc)
+        witness = None if hit is None else {"a": hit[0], "b": hit[1], "c": hom[hit[2]]}
 
-    if verdict is None:
-        verdict = PredicateVerdict(True)
+    verdict = PredicateVerdict(hit is None, witness)
     cache[key] = verdict
     return verdict
 
 
 # ---------------------------------------------------------------------------
-# per-submodule scratch data
+# per-submodule tables
 # ---------------------------------------------------------------------------
 
-def _module_data(n: SubobjectHandle):
-    """Per-(module, N) table: the mask of zN for every ring element z."""
+def _module_data(n: SubobjectHandle) -> dict:
+    """Per-(module, N) record in the carrier memo.  ``"zmask"`` holds the mask
+    of zN for every ring element z; ``_contains_bits`` and ``_good_bits`` add
+    bitsets over the carrier's canonical graded-submodule lattice."""
     gm = n.ctx
     cache = gm._caches.setdefault("submodule_data", {})
     if n.members not in cache:
@@ -122,8 +140,33 @@ def _module_data(n: SubobjectHandle):
             for x in members:
                 m |= 1 << row[x]
             zmask.append(m)
-        cache[n.members] = tuple(zmask)
+        cache[n.members] = {"zmask": tuple(zmask)}
     return cache[n.members]
+
+
+def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
+    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``."""
+    data = _module_data(n)
+    if "contains" not in data:
+        masks = [k.mask for k in lattice]
+        data["contains"] = tuple(
+            sum(1 << i for i, km in enumerate(masks) if w & km == w) for w in data["zmask"]
+        )
+    return data["contains"]
+
+
+def _good_bits(n: SubobjectHandle, lattice) -> tuple:
+    """``good[r]``: bit i set iff r is in Grad(lattice[i] :_R N)."""
+    data = _module_data(n)
+    if "good" not in data:
+        zmask = data["zmask"]
+        zero_mask = 1 << n.ctx.module.zero
+        good = [0] * len(zmask)
+        for i, k in enumerate(lattice):
+            for r in _grad_colon_members(n, k, zmask, zero_mask):
+                good[r] |= 1 << i
+        data["good"] = tuple(good)
+    return data["good"]
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -181,55 +224,21 @@ def classify_submodule(
         return cache[key]
 
     gring = gm.gring
-    mul = gring.ring.mul
-    zmask = _module_data(n)
+    zmask = _module_data(n)["zmask"]
     zero_mask = 1 << gm.module.zero
 
     if predicate == "second":
-        verdict = PredicateVerdict(True)
-        for a in gring.hom:
-            m = zmask[a]
-            if m != zero_mask and m != n.mask:
-                verdict = PredicateVerdict(False, {"a": a})
-                break
-        cache[key] = verdict
-        return verdict
-
-    lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
-
-    if predicate == "g-2a-coprimary":
-        scalars = tuple(sorted(gring.grading.components[g]))
+        a = next((a for a in gring.hom if zmask[a] not in (zero_mask, n.mask)), None)
+        verdict = PredicateVerdict(a is None, None if a is None else {"a": a})
     else:
-        scalars = gring.hom
-
-    coprimary = predicate in ("2a-coprimary-def", "g-2a-coprimary")
-    verdict = None
-    for x in scalars:
-        xrow = mul[x]
-        for y in scalars:
-            w = zmask[xrow[y]]
-            if w == zero_mask:
-                continue  # xy kills N: conclusion holds for every K
-            for k in lattice:
-                km = k.mask
-                if w & km != w:
-                    continue  # hypothesis xyN <= K fails
-                if coprimary:
-                    grad = _grad_colon_members(n, k, zmask, zero_mask)
-                    if x in grad or y in grad:
-                        continue
-                else:
-                    if zmask[x] & km == zmask[x] or zmask[y] & km == zmask[y]:
-                        continue
-                verdict = PredicateVerdict(False, {"x": x, "y": y, "K": k})
-                break
-            if verdict is not None:
-                break
-        if verdict is not None:
-            break
-
-    if verdict is None:
-        verdict = PredicateVerdict(True)
+        lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
+        scalars = gring.hom if g is None else tuple(sorted(gring.grading.components[g]))
+        contains = _contains_bits(n, lattice)
+        hyp = tuple(0 if w == zero_mask else bits for w, bits in zip(zmask, contains))
+        esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
+        hit = _first_violation(scalars, scalars, gring.ring.mul, hyp, esc, esc)
+        witness = None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]}
+        verdict = PredicateVerdict(hit is None, witness)
     cache[key] = verdict
     return verdict
 
@@ -247,21 +256,19 @@ def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
     gring = gm.gring
     mul = gring.ring.mul
     powers = gring.ring.power_sets
-    zmask = _module_data(n)
+    zmask = _module_data(n)["zmask"]
     zero_mask = 1 << gm.module.zero
 
     verdict = None
     for x in gring.hom:
         xrow = mul[x]
-        xpow = tuple(sorted(powers[x]))
         for y in gring.hom:
             w = zmask[xrow[y]]
             if w == zero_mask:
                 continue  # xy in Ann(N)
-            if any(zmask[p] & w == zmask[p] for p in xpow):
+            if any(zmask[p] & w == zmask[p] for p in powers[x]):
                 continue
-            ypow = tuple(sorted(powers[y]))
-            if any(zmask[p] & w == zmask[p] for p in ypow):
+            if any(zmask[p] & w == zmask[p] for p in powers[y]):
                 continue
             verdict = PredicateVerdict(False, {"x": x, "y": y})
             break

@@ -11,10 +11,12 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from .classifiers import (
-    _grad_colon_members,
-    _module_data,
+    _contains_bits,
+    _good_bits,
     classify_ideal,
     classify_submodule,
     coprimary_via_characterization,
@@ -319,16 +321,12 @@ def _check_localization(entry: CorpusEntry):
     return inst, bad, skip
 
 
-def _ixn_mask(entry, i, x, n, in_handle):
-    cache = _memo(entry, "ixn", dict)
-    key = (i.members, x, n.members)
-    if key not in cache:
-        act = entry.gmodule.module.action
-        m = 0
-        for v in in_handle.members:
-            m |= 1 << act[x][v]
-        cache[key] = m
-    return cache[key]
+def _bit_indices(bits):
+    """Indices of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _check_ideal_lemma(entry: CorpusEntry):
@@ -336,35 +334,35 @@ def _check_ideal_lemma(entry: CorpusEntry):
     gm = entry.gmodule
     ideals = entry.graded_ideals()
     subs = entry.graded_submodules()
-    zero_mask = 1 << gm.module.zero
+    full = (1 << len(subs)) - 1
+    mul = gm.gring.ring.mul
+    misses = 0
     for g in range(gm.group.size):
         comp = tuple(sorted(gm.gring.grading.components[g]))
         for n in _nonzero_subs(entry):
             if not classify_submodule(n, "g-2a-coprimary", g=g).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
-            zmask = _module_data(n)
+            good = _good_bits(n, subs)
             ann = annihilator(n).members
             for i in ideals:
                 in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+                ixn = _contains_bits(in_handle, subs)  # ixn[x]: the K containing IxN
                 ig = ideal_component(i, g)
+                ig_good = reduce(and_, (good[y] for y in ig), full)
                 for x in comp:
-                    w = _ixn_mask(entry, i, x, n, in_handle)
-                    for k in subs:
-                        if w & k.mask != w:
-                            skip["hypothesis-IxN-not-in-K"] += 1
-                            continue
-                        inst += 1
-                        grad = _grad_colon_members(n, k, zmask, zero_mask)
-                        if x in grad or ig <= grad:
-                            continue
-                        mul = gm.gring.ring.mul
-                        if all(mul[y][x] in ann for y in ig):
-                            continue
-                        bad.append({
+                    hyp = ixn[x]
+                    found = hyp.bit_count()
+                    inst += found
+                    misses += len(subs) - found
+                    bits = hyp & ~(good[x] | ig_good)
+                    if bits and not all(mul[y][x] in ann for y in ig):
+                        bad.extend({
                             "entry": entry.name, "g": g, "N": _members_label(n),
-                            "I": _members_label(i), "x": x, "K": _members_label(k),
-                        })
+                            "I": _members_label(i), "x": x, "K": _members_label(subs[k]),
+                        } for k in _bit_indices(bits))
+    if misses:  # a reason counted 0 times would still be printed
+        skip["hypothesis-IxN-not-in-K"] += misses
     return inst, bad, skip
 
 
@@ -373,40 +371,34 @@ def _check_two_ideal_theorem(entry: CorpusEntry):
     gm = entry.gmodule
     ideals = entry.graded_ideals()
     subs = entry.graded_submodules()
-    zero_mask = 1 << gm.module.zero
+    full = (1 << len(subs)) - 1
     mul = gm.gring.ring.mul
+    misses = 0
     for g in range(gm.group.size):
+        comps = [ideal_component(i, g) for i in ideals]
         for n in _nonzero_subs(entry):
             if not classify_submodule(n, "g-2a-coprimary", g=g).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
-            zmask = _module_data(n)
+            good = _good_bits(n, subs)
+            comp_good = [reduce(and_, (good[y] for y in ig), full) for ig in comps]
             ann = annihilator(n).members
-            for i in ideals:
+            for i, ig, ig_good in zip(ideals, comps, comp_good):
                 in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
-                ig = ideal_component(i, g)
-                for j in ideals:
-                    ijn = _memo(
-                        entry,
-                        ("IJN", i.members, j.members, n.members),
-                        lambda: combine(j, in_handle, "ideal_product"),
-                    )
-                    jg = ideal_component(j, g)
-                    w = ijn.mask
-                    for k in subs:
-                        if w & k.mask != w:
-                            skip["hypothesis-IJN-not-in-K"] += 1
-                            continue
-                        inst += 1
-                        grad = _grad_colon_members(n, k, zmask, zero_mask)
-                        if ig <= grad or jg <= grad:
-                            continue
-                        if all(mul[a][b] in ann for a in ig for b in jg):
-                            continue
-                        bad.append({
+                ixn = _contains_bits(in_handle, subs)
+                for j, jg, jg_good in zip(ideals, comps, comp_good):
+                    hyp = reduce(and_, (ixn[y] for y in j.members), full)  # the K containing IJN
+                    found = hyp.bit_count()
+                    inst += found
+                    misses += len(subs) - found
+                    bits = hyp & ~(ig_good | jg_good)
+                    if bits and not all(mul[a][b] in ann for a in ig for b in jg):
+                        bad.extend({
                             "entry": entry.name, "g": g, "N": _members_label(n),
-                            "I": _members_label(i), "J": _members_label(j), "K": _members_label(k),
-                        })
+                            "I": _members_label(i), "J": _members_label(j), "K": _members_label(subs[k]),
+                        } for k in _bit_indices(bits))
+    if misses:
+        skip["hypothesis-IJN-not-in-K"] += misses
     return inst, bad, skip
 
 

@@ -1,16 +1,25 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedalg import (
     IDEAL,
+    IDEAL_PREDICATES,
     SUBMODULE,
     PreconditionViolation,
+    build_standard_corpus,
     classify_ideal,
     classify_submodule,
+    colon,
     coprimary_via_characterization,
+    enumerate_graded_subobjects,
+    graded_radical,
     is_graded_comultiplication_module,
     make_group,
     make_module,
     make_ring,
+    parse_structure_text,
     recheck_coprimary_violation,
     recheck_strong_violation,
     span,
@@ -155,3 +164,113 @@ def test_comultiplication_modules():
     v = is_graded_comultiplication_module(plane)
     assert not v.value
     assert v.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the bitset kernel against the naive loops
+# ---------------------------------------------------------------------------
+
+def oracle_classify_ideal(p, predicate):
+    """Naive loops over homogeneous (a, b) or (a, b, c), in canonical order."""
+    mul = p.ctx.ring.mul
+    hom = p.ctx.hom
+    pm = p.members
+    escape = pm if predicate in ("prime", "2-absorbing") else graded_radical(p).members
+    if predicate in ("prime", "primary"):
+        for a in hom:
+            if a in pm:
+                continue
+            for b in hom:
+                if mul[a][b] in pm and b not in escape:
+                    return False, {"a": a, "b": b}
+        return True, None
+    for a in hom:
+        for b in hom:
+            ab = mul[a][b]
+            if ab in pm:
+                continue
+            for c in hom:
+                if mul[ab][c] in pm and mul[a][c] not in escape and mul[b][c] not in escape:
+                    return False, {"a": a, "b": b, "c": c}
+    return True, None
+
+
+def oracle_classify_submodule(n, predicate, g=None):
+    """Naive loops over the scalar a ("second") or over scalars x, y and the
+    lattice K, in canonical order, with the colon and graded radical computed
+    from their definitions."""
+    gm = n.ctx
+    mul = gm.gring.ring.mul
+    act = gm.module.action
+    lattice = enumerate_graded_subobjects(gm, SUBMODULE)
+    scalars = sorted(gm.gring.grading.components[g]) if predicate == "g-2a-coprimary" else gm.gring.hom
+    images = [frozenset(act[r][m] for m in n.members) for r in range(gm.gring.ring.size)]
+    if predicate == "second":
+        for a in gm.gring.hom:
+            if images[a] not in ({gm.module.zero}, n.members):
+                return False, {"a": a}
+        return True, None
+    grads = {}
+
+    def escapes(r, k):
+        if predicate == "strong-2a-second":
+            return images[r] <= k.members
+        if k not in grads:
+            grads[k] = graded_radical(colon(k, n)).members
+        return r in grads[k]
+
+    for x in scalars:
+        for y in scalars:
+            w = images[mul[x][y]]
+            if w == {gm.module.zero}:
+                continue
+            for k in lattice:
+                if w <= k.members and not escapes(x, k) and not escapes(y, k):
+                    return False, {"x": x, "y": y, "K": k}
+    return True, None
+
+
+def _assert_kernel_matches_oracle(gm):
+    gring = gm.gring
+    for p in enumerate_graded_subobjects(gring, IDEAL):
+        if p.is_whole:
+            continue
+        for predicate in IDEAL_PREDICATES:
+            v = classify_ideal(p, predicate)
+            assert (v.value, v.witness) == oracle_classify_ideal(p, predicate), (predicate, p)
+    cases = [("second", None), ("strong-2a-second", None), ("2a-coprimary-def", None)]
+    cases += [("g-2a-coprimary", g) for g in range(gm.group.size)]
+    for n in enumerate_graded_subobjects(gm, SUBMODULE):
+        if n.is_zero:
+            continue
+        for predicate, g in cases:
+            v = classify_submodule(n, predicate, g=g)
+            assert (v.value, v.witness) == oracle_classify_submodule(n, predicate, g), (predicate, g, n)
+            if not v.value and predicate != "second":
+                w = v.witness
+                recheck = recheck_strong_violation if predicate == "strong-2a-second" else recheck_coprimary_violation
+                assert recheck(n, w["x"], w["y"], w["K"])
+
+
+@pytest.mark.parametrize("entry", build_standard_corpus(), ids=lambda e: e.name)
+def test_kernel_matches_oracle_on_standard_corpus(entry):
+    _assert_kernel_matches_oracle(entry.gmodule)
+
+
+_ZMOD_SELF = st.integers(2, 64).map(lambda n: f"ring zmod {n}\nmodule self\n")
+# at most 64 elements over the smallest ring that acts, Z/lcm: a larger
+# modulus only repeats scalars and makes the naive loops slow
+_DIRECTSUM = (
+    st.lists(st.integers(2, 32), min_size=1, max_size=3)
+    .filter(lambda ds: math.prod(ds) <= 64)
+    .map(lambda ds: f"ring zmod {math.lcm(*ds)}\nmodule directsum {' '.join(map(str, ds))}\n")
+)
+_GROUPRING = st.tuples(st.sampled_from((2, 3)), st.sampled_from((2, 3))).map(
+    lambda pk: f"group cyclic {pk[1]}\nring groupring {pk[0]}\ngrading natural\nmodule self\n"
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=st.one_of(_ZMOD_SELF, _DIRECTSUM, _GROUPRING))
+def test_kernel_matches_oracle_on_generated_structures(text):
+    _assert_kernel_matches_oracle(parse_structure_text(text).gmodule)

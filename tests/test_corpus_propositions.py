@@ -1,18 +1,27 @@
+from collections import Counter
+
 import pytest
 
 import gradedalg.core
+import gradedalg.propositions
 from gradedalg import (
     PROPOSITION_IDS,
     SUBMODULE,
     Corpus,
     CorpusEntry,
+    PredicateVerdict,
     StructureParseError,
     UnknownProposition,
+    annihilator,
     build_standard_corpus,
     classify_submodule,
+    colon,
+    combine,
     coprimary_via_characterization,
+    graded_radical,
     hom_image,
     hom_preimage,
+    ideal_component,
     identity_hom,
     is_graded_comultiplication_module,
     make_module,
@@ -239,3 +248,113 @@ def test_localization_memo_is_keyed_by_denominators():
         verify_proposition("localization", Corpus([_z12_entry(s, shared)])).to_machine() for s in sets
     ]
     assert reports == alone
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the bitset checkers against the naive per-K loops
+# ---------------------------------------------------------------------------
+
+def _is_g_coprimary(n, g):
+    return classify_submodule(n, "g-2a-coprimary", g=g).value
+
+
+def oracle_ideal_lemma(entry, guard=_is_g_coprimary):
+    """Naive loops over g, N, I, x in R_g and K, with the colon and graded
+    radical computed from their definitions."""
+    inst, skip, bad = 0, Counter(), []
+    gm = entry.gmodule
+    mul = gm.gring.ring.mul
+    act = gm.module.action
+    subs = entry.graded_submodules()
+    for g in range(gm.group.size):
+        for n in entry.graded_submodules():
+            if n.is_zero:
+                continue
+            if not guard(n, g):
+                skip["N-not-g-coprimary"] += 1
+                continue
+            grads = {k: graded_radical(colon(k, n)).members for k in subs}
+            ann = annihilator(n).members
+            for i in entry.graded_ideals():
+                in_members = combine(i, n, "ideal_product").members
+                ig = ideal_component(i, g)
+                for x in sorted(gm.gring.grading.components[g]):
+                    ixn = {act[x][m] for m in in_members}
+                    for k in subs:
+                        if not ixn <= k.members:
+                            skip["hypothesis-IxN-not-in-K"] += 1
+                            continue
+                        inst += 1
+                        if x in grads[k] or ig <= grads[k]:
+                            continue
+                        if all(mul[y][x] in ann for y in ig):
+                            continue
+                        bad.append({
+                            "entry": entry.name, "g": g, "N": _members_label(n),
+                            "I": _members_label(i), "x": x, "K": _members_label(k),
+                        })
+    return inst, bad, skip
+
+
+def oracle_two_ideal_theorem(entry, guard=_is_g_coprimary):
+    inst, skip, bad = 0, Counter(), []
+    gm = entry.gmodule
+    mul = gm.gring.ring.mul
+    subs = entry.graded_submodules()
+    ideals = entry.graded_ideals()
+    for g in range(gm.group.size):
+        for n in entry.graded_submodules():
+            if n.is_zero:
+                continue
+            if not guard(n, g):
+                skip["N-not-g-coprimary"] += 1
+                continue
+            grads = {k: graded_radical(colon(k, n)).members for k in subs}
+            ann = annihilator(n).members
+            for i in ideals:
+                ig = ideal_component(i, g)
+                for j in ideals:
+                    jg = ideal_component(j, g)
+                    ijn = combine(j, combine(i, n, "ideal_product"), "ideal_product").members
+                    for k in subs:
+                        if not ijn <= k.members:
+                            skip["hypothesis-IJN-not-in-K"] += 1
+                            continue
+                        inst += 1
+                        if ig <= grads[k] or jg <= grads[k]:
+                            continue
+                        if all(mul[a][b] in ann for a in ig for b in jg):
+                            continue
+                        bad.append({
+                            "entry": entry.name, "g": g, "N": _members_label(n),
+                            "I": _members_label(i), "J": _members_label(j), "K": _members_label(k),
+                        })
+    return inst, bad, skip
+
+
+_ORACLES = {"ideal-lemma": oracle_ideal_lemma, "two-ideal-theorem": oracle_two_ideal_theorem}
+
+
+@pytest.mark.parametrize("prop_id", sorted(_ORACLES))
+def test_bitset_checker_matches_oracle_on_standard_corpus(prop_id):
+    for entry in CORPUS:
+        report = verify_proposition(prop_id, Corpus([entry]))
+        inst, bad, skip = _ORACLES[prop_id](entry)
+        assert (report.instances, report.violations, report.skipped) == (inst, bad, skip), entry.name
+
+
+@pytest.mark.parametrize("prop_id", sorted(_ORACLES))
+def test_bitset_checker_reports_violations_like_oracle(prop_id, monkeypatch):
+    # with the g-coprimary hypothesis forced open, non-coprimary N enter the
+    # checkers and violate the conclusion: the violation records and their
+    # order must match the naive loops
+    monkeypatch.setattr(gradedalg.propositions, "classify_submodule", lambda n, p, g=None: PredicateVerdict(True))
+    total = 0
+    for entry in CORPUS:
+        if entry.gmodule.module.size > 36:
+            continue
+        report = verify_proposition(prop_id, Corpus([entry]))
+        inst, bad, skip = _ORACLES[prop_id](entry, guard=lambda n, g: True)
+        assert (report.instances, report.violations, report.skipped) == (inst, bad, skip), entry.name
+        total += len(bad)
+    assert total > 0

@@ -1,4 +1,9 @@
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +212,27 @@ def test_cli_custom_corpus_dir(tmp_path):
     )
     assert code == 0
     assert "status=pass" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_tracer_wraps_the_package_without_changing_the_report(tmp_path):
+    # bench/traced.py wraps package functions by name and calls their memo-key
+    # functions with the package's own arguments: a renamed or re-signed
+    # function must fail here, not in the benchmark
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    args = ["--report", "machine", "verify", "--prop", "two-ideal-theorem"]
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, "bench/traced.py", str(trace), *args], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    plain = subprocess.run(
+        [sys.executable, "-c", "from gradedalg.cli import main; main()", *args],
+        cwd=ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0
+    assert traced.stdout == plain.stdout
+    stats = json.loads(trace.read_text())["stats"]
+    assert stats["propositions.two-ideal-theorem"]["instances"] == 49606
