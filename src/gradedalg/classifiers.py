@@ -180,15 +180,10 @@ def _require_classifiable(n: SubobjectHandle):
 
 def _grad_colon_members(n: SubobjectHandle, k: SubobjectHandle, zmask, zero_mask_k) -> frozenset:
     """Grad((K :_R N)) member set, via the rN-mask view of the colon."""
-    gm = n.ctx
-    cache = gm._caches.setdefault("grad_colon", {})
-    key = (n.members, k.members)
-    if key not in cache:
-        km = k.mask
-        col = {r for r in range(gm.gring.ring.size) if zmask[r] & km == zmask[r]}
-        handle = subobject(IDEAL, gm.gring, col)
-        cache[key] = graded_radical(handle).members
-    return cache[key]
+    gring = n.ctx.gring
+    km = k.mask
+    col = {r for r in range(gring.ring.size) if zmask[r] & km == zmask[r]}
+    return graded_radical(subobject(IDEAL, gring, col)).members
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _negation(add, zero) -> tuple:
+    """neg[i] = the first j with add[i][j] == zero."""
+    return tuple(row.index(zero) for row in add)
+
+
 @dataclass(frozen=True, eq=False)
 class GradingGroup:
     """A finite group given by a full Cayley table."""
@@ -67,13 +72,7 @@ class FiniteRing:
 
     @cached_property
     def neg(self) -> tuple:
-        out = [None] * self.size
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.add[i][j] == self.zero:
-                    out[i] = j
-                    break
-        return tuple(out)
+        return _negation(self.add, self.zero)
 
     @cached_property
     def power_sets(self) -> tuple:
@@ -113,13 +112,7 @@ class FiniteModule:
 
     @cached_property
     def neg(self) -> tuple:
-        out = [None] * self.size
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.add[i][j] == self.zero:
-                    out[i] = j
-                    break
-        return tuple(out)
+        return _negation(self.add, self.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -317,44 +310,59 @@ class ValidationReport:
         return not self.failures
 
 
-def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray):
-    bad = np.argwhere(lhs != rhs)
-    if bad.size == 0:
+def _first_mismatch(lhs: np.ndarray, rhs):
+    bad = lhs != rhs
+    if not bad.any():
         return None
-    return tuple(int(v) for v in bad[0])
+    return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+def _law_mismatch(rows):
+    """First mismatch of a law over three elements, checked one first-axis row
+    at a time: ``rows`` yields the (lhs, rhs) arrays of row 0, 1, ...; the
+    witness is the row index followed by the first mismatch in that row."""
+    for i, (lhs, rhs) in enumerate(rows):
+        mm = _first_mismatch(lhs, rhs)
+        if mm is not None:
+            return (i, *mm)
+    return None
+
+
+def _assoc_rows(act, mul):
+    # (rr')m == r(r'm); with act = mul = T it is the associativity of T
+    return ((act[mul[r]], act[r].take(act)) for r in range(len(mul)))
+
+
+def _distrib_rows(act, add):
+    # r(m+m') == rm + rm'; with act = mul it is ring distributivity
+    return ((act[r].take(add), add[act[r]][:, act[r]]) for r in range(len(act)))
+
+
+def _record(failures, axiom: str, mismatch) -> None:
+    if mismatch is not None:
+        failures.append((axiom, mismatch))
 
 
 def _check_abelian_group(failures, add: np.ndarray, zero: int, tag: str):
     n = add.shape[0]
-    # add[add[a,b],c] vs add[a, add[b,c]]
-    left = add[add, :]
-    right = add[np.arange(n)[:, None, None], add[None, :, :]]
-    mm = _first_mismatch(left, right)
-    if mm is not None:
-        failures.append((f"{tag}-add-associativity", mm))
-    mm = _first_mismatch(add, add.T)
-    if mm is not None:
-        failures.append((f"{tag}-add-commutativity", mm))
-    mm = _first_mismatch(add[:, zero], np.arange(n))
-    if mm is not None:
-        failures.append((f"{tag}-zero-identity", mm))
-    for i in range(n):
-        if zero not in add[i]:
-            failures.append((f"{tag}-add-inverse", (i,)))
-            break
+    _record(failures, f"{tag}-add-associativity", _law_mismatch(_assoc_rows(add, add)))
+    _record(failures, f"{tag}-add-commutativity", _first_mismatch(add, add.T))
+    _record(failures, f"{tag}-zero-identity", _first_mismatch(add[:, zero], np.arange(n)))
+    _record(failures, f"{tag}-add-inverse", _first_mismatch((add == zero).any(axis=1), True))
 
 
 def validate_axioms(structure) -> ValidationReport:
-    """Exhaustively check every structural axiom; failures carry witnesses."""
+    """Exhaustively check every structural axiom; failures carry witnesses.
+
+    Each law over three elements is checked row by row over its first
+    argument, so memory is O(n^2) rather than O(n^3).  A failure's witness is
+    the law's first mismatch in C order, e.g. ``(a, b, c)``.
+    """
+    failures = []
     if isinstance(structure, GradingGroup):
-        failures = []
         op = np.asarray(structure.op, dtype=np.int32)
         n = structure.size
-        left = op[op, :]
-        right = op[np.arange(n)[:, None, None], op[None, :, :]]
-        mm = _first_mismatch(left, right)
-        if mm is not None:
-            failures.append(("group-associativity", mm))
+        _record(failures, "group-associativity", _law_mismatch(_assoc_rows(op, op)))
         e = structure.identity
         if _first_mismatch(op[e], np.arange(n)) is not None or _first_mismatch(
             op[:, e], np.arange(n)
@@ -366,62 +374,33 @@ def validate_axioms(structure) -> ValidationReport:
         return ValidationReport("group", failures)
 
     if isinstance(structure, FiniteRing):
-        failures = []
         n = structure.size
         add = np.asarray(structure.add, dtype=np.int32)
         mul = np.asarray(structure.mul, dtype=np.int32)
         _check_abelian_group(failures, add, structure.zero, "ring")
-        left = mul[mul, :]
-        right = mul[np.arange(n)[:, None, None], mul[None, :, :]]
-        mm = _first_mismatch(left, right)
-        if mm is not None:
-            failures.append(("mul-associativity", mm))
-        mm = _first_mismatch(mul, mul.T)
-        if mm is not None:
-            failures.append(("mul-commutativity", mm))
-        # a*(b+c) == a*b + a*c
-        lhs = mul[np.arange(n)[:, None, None], add[None, :, :]]
-        rhs = add[mul[:, :, None], mul[:, None, :]]
-        mm = _first_mismatch(lhs, rhs)
-        if mm is not None:
-            failures.append(("distributivity", mm))
+        _record(failures, "mul-associativity", _law_mismatch(_assoc_rows(mul, mul)))
+        _record(failures, "mul-commutativity", _first_mismatch(mul, mul.T))
+        _record(failures, "distributivity", _law_mismatch(_distrib_rows(mul, add)))
         if structure.one == structure.zero:
             failures.append(("one-nonzero", None))
-        mm = _first_mismatch(mul[structure.one], np.arange(n))
-        if mm is not None:
-            failures.append(("one-identity", mm))
+        _record(failures, "one-identity", _first_mismatch(mul[structure.one], np.arange(n)))
         return ValidationReport("ring", failures)
 
     if isinstance(structure, FiniteModule):
-        failures = []
         ring = structure.ring
         add = np.asarray(structure.add, dtype=np.int32)
         radd = np.asarray(ring.add, dtype=np.int32)
         rmul = np.asarray(ring.mul, dtype=np.int32)
         act = np.asarray(structure.action, dtype=np.int32)
-        nr = ring.size
         _check_abelian_group(failures, add, structure.zero, "module")
-        # r(m+m') == rm + rm'
-        lhs = act[np.arange(nr)[:, None, None], add[None, :, :]]
-        rhs = add[act[:, :, None], act[:, None, :]]
-        mm = _first_mismatch(lhs, rhs)
-        if mm is not None:
-            failures.append(("action-distributes-over-module-add", mm))
+        _record(failures, "action-distributes-over-module-add",
+                _law_mismatch(_distrib_rows(act, add)))
         # (r+r')m == rm + r'm
-        lhs = act[radd, :]
-        rhs = add[act[:, None, :], act[None, :, :]]
-        mm = _first_mismatch(lhs, rhs)
-        if mm is not None:
-            failures.append(("action-distributes-over-ring-add", mm))
-        # (rr')m == r(r'm)
-        lhs = act[rmul, :]
-        rhs = act[np.arange(nr)[:, None, None], act[None, :, :]]
-        mm = _first_mismatch(lhs, rhs)
-        if mm is not None:
-            failures.append(("action-associativity", mm))
-        mm = _first_mismatch(act[ring.one], np.arange(structure.size))
-        if mm is not None:
-            failures.append(("unital-action", mm))
+        ring_add_rows = ((act[radd[r]], add[act[r], act]) for r in range(ring.size))
+        _record(failures, "action-distributes-over-ring-add", _law_mismatch(ring_add_rows))
+        _record(failures, "action-associativity", _law_mismatch(_assoc_rows(act, rmul)))
+        _record(failures, "unital-action",
+                _first_mismatch(act[ring.one], np.arange(structure.size)))
         return ValidationReport("module", failures)
 
     raise TypeError(f"cannot validate {type(structure).__name__}")

@@ -25,7 +25,7 @@ import re
 from .constructions import _check_denominators
 from .core import DEFAULT_MAX_ELEMENTS, first_invalid, make_group, make_module, make_ring
 from .corpus import CorpusEntry
-from .errors import InvalidDenominators, StructureParseError
+from .errors import InvalidDenominators, InvalidDescriptor, StructureParseError
 from .grading import (
     groupring_natural,
     module_same_as_ring,
@@ -65,6 +65,14 @@ def _check_size(what: str, size: int, max_elements: int, lineno: int) -> None:
         )
 
 
+def _build(make, lineno: int, *args):
+    """Call a table constructor; a bad descriptor becomes a line-numbered error."""
+    try:
+        return make(*args)
+    except InvalidDescriptor as exc:
+        raise StructureParseError(str(exc), line=lineno) from None
+
+
 def parse_structure_text(
     text: str, name: str = "<structure>", max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> CorpusEntry:
@@ -91,11 +99,11 @@ def parse_structure_text(
                 elif shape == "cyclic":
                     n = int(args[1])
                     _check_size("group", n, max_elements, lineno)
-                    group = make_group(("cyclic", n))
+                    group = _build(make_group, lineno, ("cyclic", n))
                 elif shape == "product":
                     n1, n2 = int(args[1]), int(args[2])
                     _check_size("group", n1 * n2, max_elements, lineno)
-                    group = make_group(("product", ("cyclic", n1), ("cyclic", n2)))
+                    group = _build(make_group, lineno, ("product", ("cyclic", n1), ("cyclic", n2)))
                 else:
                     raise StructureParseError(f"unknown group shape {shape!r}", line=lineno)
             except (IndexError, ValueError):
@@ -110,7 +118,7 @@ def parse_structure_text(
                 except (IndexError, ValueError):
                     raise StructureParseError("zmod needs a modulus", line=lineno) from None
                 _check_size("ring", n, max_elements, lineno)
-                ring = make_ring(("zmod", n))
+                ring = _build(make_ring, lineno, ("zmod", n))
             elif shape == "groupring":
                 if group is None:
                     raise StructureParseError("groupring needs a prior group directive", line=lineno)
@@ -119,7 +127,7 @@ def parse_structure_text(
                 except (IndexError, ValueError):
                     raise StructureParseError("groupring needs a coefficient modulus", line=lineno) from None
                 _check_size("ring", p ** group.size, max_elements, lineno)
-                ring = make_ring(("groupring", p, group))
+                ring = _build(make_ring, lineno, ("groupring", p, group))
             else:
                 raise StructureParseError(f"unknown ring shape {shape!r}", line=lineno)
             ring_kind = shape
@@ -143,7 +151,7 @@ def parse_structure_text(
                 if not sizes:
                     raise StructureParseError("directsum needs at least one summand", line=lineno)
                 _check_size("module", math.prod(sizes), max_elements, lineno)
-                module = make_module(("directsum", *sizes), ring)
+                module = _build(make_module, lineno, ("directsum", *sizes), ring)
             else:
                 raise StructureParseError(f"unknown module shape {shape!r}", line=lineno)
             module_lineno = lineno

@@ -143,6 +143,26 @@ def test_size_cap_is_checked_per_directive(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ring zmod 1\nmodule self\n", 1),
+        ("ring zmod 12\nmodule directsum 5\n", 2),
+        ("group cyclic 0\nring zmod 2\nmodule self\n", 1),
+        ("group cyclic 2\nring groupring 4\nmodule self\n", 2),
+        ("group cyclic 2\nring groupring 2\nmodule directsum 2\n", 3),
+    ],
+    ids=["zmod-1", "directsum-5-over-zmod-12", "cyclic-0", "groupring-4", "directsum-over-groupring"],
+)
+def test_bad_descriptor_is_line_numbered(tmp_path, capsys, text, line):
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure_text(text)
+    assert exc.value.line == line
+    code, _ = _run(["validate", _write(tmp_path, text)])
+    assert code == 2
+    assert f"error: line {line}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, expected", [(GROUPRING, 2), (EXAMPLE, 3)])
 def test_cli_validate_checks_each_structure_once(tmp_path, monkeypatch, text, expected):
     # group and ring always; the module only when it is not the ring acting on itself
