@@ -201,3 +201,7 @@ def run_cli(argv, out=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,6 +8,7 @@ exhaustively by :func:`validate_axioms`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,6 +120,33 @@ class FiniteModule:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _digits(radices):
+    """Mixed-radix digits and place values: row i of the digit array holds the
+    digits of element i, the last one varying fastest (the itertools.product
+    order of the labels), so element i is ``digits[i] @ places``."""
+    radices = tuple(radices)
+    places = [math.prod(radices[t + 1:]) for t in range(len(radices))]
+    return np.indices(radices).reshape(len(radices), math.prod(radices)).T, places
+
+
+def _product_table(t1, t2, s2: int) -> np.ndarray:
+    """The componentwise table of two tables under the product index convention
+    (i1, i2) -> i1*s2 + i2, where s2 is the size of the carrier t2's values
+    lie in: serves group op, ring add and mul, module add and action."""
+    t1, t2 = np.asarray(t1, dtype=np.int64), np.asarray(t2, dtype=np.int64)
+    out = t1[:, None, :, None] * s2 + t2[None, :, None, :]
+    return out.reshape(t1.shape[0] * t2.shape[0], t1.shape[1] * t2.shape[1])
+
+
+def _table(a: np.ndarray) -> tuple:
+    """A table as a tuple of tuples of ints.  Its values are elements of the
+    carrier its columns index; each row is mapped through one shared tuple of
+    those ints, so the table holds no per-cell int objects (a whole-array
+    ``tolist()`` would make about n^2 of them)."""
+    ints = tuple(range(a.shape[1]))
+    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in a)
+
+
 def make_group(spec) -> GradingGroup:
     """Build a grading group from a descriptor.
 
@@ -136,34 +164,18 @@ def make_group(spec) -> GradingGroup:
         n = spec[1]
         if not isinstance(n, int) or n <= 0:
             raise InvalidDescriptor(f"cyclic order must be a positive integer, got {n!r}")
-        labels = tuple(range(n))
-        op = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        inverse = tuple((-i) % n for i in range(n))
-        return GradingGroup(labels, op, 0, inverse)
+        a = np.arange(n)
+        return GradingGroup(tuple(range(n)), _table((a[:, None] + a) % n), 0,
+                            tuple((-i) % n for i in range(n)))
     if kind == "product":
         g1 = make_group(spec[1])
         g2 = make_group(spec[2])
-        labels = tuple(itertools.product(g1.labels, g2.labels))
         n2 = g2.size
-
-        def idx(i, j):
-            return i * n2 + j
-
-        op = tuple(
-            tuple(
-                idx(g1.op[i1][j1], g2.op[i2][j2])
-                for j1 in range(g1.size)
-                for j2 in range(g2.size)
-            )
-            for i1 in range(g1.size)
-            for i2 in range(g2.size)
-        )
-        inverse = tuple(
-            idx(g1.inverse[i1], g2.inverse[i2])
-            for i1 in range(g1.size)
-            for i2 in range(g2.size)
-        )
-        return GradingGroup(labels, op, idx(g1.identity, g2.identity), inverse)
+        # the inverse is the product of the one-row tables of the inverses
+        inverse = _table(_product_table([g1.inverse], [g2.inverse], n2))[0]
+        return GradingGroup(tuple(itertools.product(g1.labels, g2.labels)),
+                            _table(_product_table(g1.op, g2.op, n2)),
+                            g1.identity * n2 + g2.identity, inverse)
     raise InvalidDescriptor(f"unknown group descriptor kind: {kind!r}")
 
 
@@ -183,53 +195,30 @@ def make_ring(spec) -> FiniteRing:
         n = spec[1]
         if not isinstance(n, int) or n < 2:
             raise InvalidDescriptor(f"zmod modulus must be >= 2, got {n!r}")
-        labels = tuple(range(n))
-        add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
-        return FiniteRing(labels, add, mul, 0, 1 % n)
+        a = np.arange(n)
+        return FiniteRing(tuple(range(n)), _table((a[:, None] + a) % n),
+                          _table(a[:, None] * a % n), 0, 1 % n)
     if kind == "groupring":
         p, group = spec[1], make_group(spec[2])
         if not _is_prime(p):
             raise InvalidDescriptor(f"group ring coefficient modulus must be prime, got {p!r}")
         k = group.size
-        labels = tuple(itertools.product(range(p), repeat=k))
-        index = {lab: i for i, lab in enumerate(labels)}
-        add = tuple(
-            tuple(index[tuple((a[t] + b[t]) % p for t in range(k))] for b in labels)
-            for a in labels
-        )
-        mul_rows = []
-        for a in labels:
-            row = []
-            for b in labels:
-                out = [0] * k
-                for i in range(k):
-                    if a[i]:
-                        for j in range(k):
-                            if b[j]:
-                                out[group.op[i][j]] += a[i] * b[j]
-                row.append(index[tuple(c % p for c in out)])
-            mul_rows.append(tuple(row))
-        one = [0] * k
-        one[group.identity] = 1
-        return FiniteRing(labels, add, tuple(mul_rows), index[(0,) * k], index[tuple(one)])
+        d, places = _digits((p,) * k)
+        op = np.asarray(group.op)
+        # coefficient g of a*b is the sum of a_i b_j over op[i][j] == g
+        add = sum((d[:, None, g] + d[None, :, g]) % p * w for g, w in enumerate(places))
+        mul = sum((d @ (op == g) @ d.T) % p * w for g, w in enumerate(places))
+        return FiniteRing(tuple(itertools.product(range(p), repeat=k)), _table(add),
+                          _table(mul), 0, places[group.identity])
     if kind == "product":
         r1 = make_ring(spec[1])
         r2 = make_ring(spec[2])
-        labels = tuple(itertools.product(r1.labels, r2.labels))
         n2 = r2.size
         # index convention relied on by product gradings/submodules: (i1, i2) -> i1*n2 + i2
-        add = tuple(
-            tuple(r1.add[i1][j1] * n2 + r2.add[i2][j2] for j1 in range(r1.size) for j2 in range(n2))
-            for i1 in range(r1.size)
-            for i2 in range(n2)
-        )
-        mul = tuple(
-            tuple(r1.mul[i1][j1] * n2 + r2.mul[i2][j2] for j1 in range(r1.size) for j2 in range(n2))
-            for i1 in range(r1.size)
-            for i2 in range(n2)
-        )
-        return FiniteRing(labels, add, mul, r1.zero * n2 + r2.zero, r1.one * n2 + r2.one)
+        return FiniteRing(tuple(itertools.product(r1.labels, r2.labels)),
+                          _table(_product_table(r1.add, r2.add, n2)),
+                          _table(_product_table(r1.mul, r2.mul, n2)),
+                          r1.zero * n2 + r2.zero, r1.one * n2 + r2.one)
     raise InvalidDescriptor(f"unknown ring descriptor kind: {kind!r}")
 
 
@@ -258,39 +247,23 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
                 raise InvalidDescriptor(
                     f"action-ill-defined: summand order {m} does not divide ring modulus {n}"
                 )
-        labels = tuple(itertools.product(*(range(m) for m in ms)))
-        index = {lab: i for i, lab in enumerate(labels)}
-        add = tuple(
-            tuple(index[tuple((a[t] + b[t]) % ms[t] for t in range(len(ms)))] for b in labels)
-            for a in labels
-        )
-        action = tuple(
-            tuple(index[tuple((r * x[t]) % ms[t] for t in range(len(ms)))] for x in labels)
-            for r in range(n)
-        )
-        return FiniteModule(ring, labels, add, index[(0,) * len(ms)], action)
+        d, places = _digits(ms)
+        r = np.arange(n)[:, None]
+        add, action = np.zeros((len(d), len(d)), np.int64), np.zeros((n, len(d)), np.int64)
+        for t, (m, w) in enumerate(zip(ms, places)):
+            add += (d[:, None, t] + d[None, :, t]) % m * w
+            action += r * d[None, :, t] % m * w
+        return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))),
+                            _table(add), 0, _table(action))
     if kind == "product":
         m1, m2 = spec[1], spec[2]
         n2 = m2.size
         expected = tuple(itertools.product(m1.ring.labels, m2.ring.labels))
         if ring.labels != expected:
             raise InvalidDescriptor("product module requires the product of the factor rings")
-        labels = tuple(itertools.product(m1.labels, m2.labels))
-        add = tuple(
-            tuple(m1.add[i1][j1] * n2 + m2.add[i2][j2] for j1 in range(m1.size) for j2 in range(n2))
-            for i1 in range(m1.size)
-            for i2 in range(n2)
-        )
-        action = tuple(
-            tuple(
-                m1.action[r1][i1] * n2 + m2.action[r2][i2]
-                for i1 in range(m1.size)
-                for i2 in range(n2)
-            )
-            for r1 in range(m1.ring.size)
-            for r2 in range(m2.ring.size)
-        )
-        return FiniteModule(ring, labels, add, m1.zero * n2 + m2.zero, action)
+        return FiniteModule(ring, tuple(itertools.product(m1.labels, m2.labels)),
+                            _table(_product_table(m1.add, m2.add, n2)), m1.zero * n2 + m2.zero,
+                            _table(_product_table(m1.action, m2.action, n2)))
     raise InvalidDescriptor(f"unknown module descriptor kind: {kind!r}")
 
 
@@ -356,27 +329,30 @@ def validate_axioms(structure) -> ValidationReport:
 
     Each law over three elements is checked row by row over its first
     argument, so memory is O(n^2) rather than O(n^3).  A failure's witness is
-    the law's first mismatch in C order, e.g. ``(a, b, c)``.
+    the law's first mismatch in C order, e.g. ``(a, b, c)``.  The tables are
+    held in the narrowest unsigned dtype that fits every index; the checks
+    only gather and compare, so verdicts and witnesses do not depend on it.
     """
     failures = []
     if isinstance(structure, GradingGroup):
-        op = np.asarray(structure.op, dtype=np.int32)
         n = structure.size
+        op = np.asarray(structure.op, dtype=np.min_scalar_type(n))
         _record(failures, "group-associativity", _law_mismatch(_assoc_rows(op, op)))
         e = structure.identity
         if _first_mismatch(op[e], np.arange(n)) is not None or _first_mismatch(
             op[:, e], np.arange(n)
         ) is not None:
             failures.append(("group-identity", (e,)))
-        inv = np.asarray(structure.inverse, dtype=np.int32)
+        inv = np.asarray(structure.inverse, dtype=op.dtype)
         if _first_mismatch(op[np.arange(n), inv], np.full(n, e)) is not None:
             failures.append(("group-inverse", None))
         return ValidationReport("group", failures)
 
     if isinstance(structure, FiniteRing):
         n = structure.size
-        add = np.asarray(structure.add, dtype=np.int32)
-        mul = np.asarray(structure.mul, dtype=np.int32)
+        dtype = np.min_scalar_type(n)
+        add = np.asarray(structure.add, dtype=dtype)
+        mul = np.asarray(structure.mul, dtype=dtype)
         _check_abelian_group(failures, add, structure.zero, "ring")
         _record(failures, "mul-associativity", _law_mismatch(_assoc_rows(mul, mul)))
         _record(failures, "mul-commutativity", _first_mismatch(mul, mul.T))
@@ -388,10 +364,11 @@ def validate_axioms(structure) -> ValidationReport:
 
     if isinstance(structure, FiniteModule):
         ring = structure.ring
-        add = np.asarray(structure.add, dtype=np.int32)
-        radd = np.asarray(ring.add, dtype=np.int32)
-        rmul = np.asarray(ring.mul, dtype=np.int32)
-        act = np.asarray(structure.action, dtype=np.int32)
+        dtype = np.min_scalar_type(max(structure.size, ring.size))
+        add = np.asarray(structure.add, dtype=dtype)
+        radd = np.asarray(ring.add, dtype=dtype)
+        rmul = np.asarray(ring.mul, dtype=dtype)
+        act = np.asarray(structure.action, dtype=dtype)
         _check_abelian_group(failures, add, structure.zero, "module")
         _record(failures, "action-distributes-over-module-add",
                 _law_mismatch(_distrib_rows(act, add)))

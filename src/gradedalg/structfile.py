@@ -11,6 +11,7 @@ Grammar (one directive per line, ``#`` starts a comment):
     mulset NAME TOK ...
 
 Element tokens are integers or parenthesized integer tuples like ``(1,0,0)``.
+Each of ``group``, ``ring``, ``grading`` and ``module`` may appear once.
 ``groupring`` takes its grading group from the ``group`` directive; ``natural``
 grading means by-degree for group rings and is an alias of ``trivial``
 otherwise.  Every group, ring and module size is checked against
@@ -81,7 +82,7 @@ def parse_structure_text(
     ring_kind = None
     grading_mode = None
     module = None
-    module_lineno = 0
+    first_line = {}  # group/ring/grading/module -> the line that set it
     pending = []  # (lineno, directive, args) for submodule/ideal/mulset lines
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -89,6 +90,13 @@ def parse_structure_text(
         if not parts:
             continue
         directive, args = parts[0], parts[1:]
+        if directive in first_line:
+            # a later group or ring would not match the ring or module built on the first
+            raise StructureParseError(
+                f"{directive} already set on line {first_line[directive]}", line=lineno
+            )
+        if directive in ("group", "ring", "grading", "module"):
+            first_line[directive] = lineno
         if directive == "group":
             if not args:
                 raise StructureParseError("group needs a shape", line=lineno)
@@ -102,6 +110,9 @@ def parse_structure_text(
                     group = _build(make_group, lineno, ("cyclic", n))
                 elif shape == "product":
                     n1, n2 = int(args[1]), int(args[2])
+                    if min(n1, n2) < 1:
+                        # each factor is built before the product
+                        raise StructureParseError("group product sizes must be positive", line=lineno)
                     _check_size("group", n1 * n2, max_elements, lineno)
                     group = _build(make_group, lineno, ("product", ("cyclic", n1), ("cyclic", n2)))
                 else:
@@ -154,7 +165,6 @@ def parse_structure_text(
                 module = _build(make_module, lineno, ("directsum", *sizes), ring)
             else:
                 raise StructureParseError(f"unknown module shape {shape!r}", line=lineno)
-            module_lineno = lineno
         elif directive in ("submodule", "ideal", "mulset"):
             pending.append((lineno, directive, args))
         else:
@@ -179,7 +189,7 @@ def parse_structure_text(
     report = first_invalid(group, ring, module)
     if report is not None:
         axiom, witness = report.failures[0]
-        raise StructureParseError(f"structure axiom failed: {axiom} at {witness}", line=module_lineno)
+        raise StructureParseError(f"structure axiom failed: {axiom} at {witness}", line=first_line["module"])
 
     entry = CorpusEntry(name, gring, gmodule, max_elements=max_elements)
 
@@ -208,6 +218,9 @@ def parse_structure_text(
 
 
 def parse_structure_file(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CorpusEntry:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructureParseError(f"cannot read {path}: {exc}") from None
     return parse_structure_text(text, name=str(path), max_elements=max_elements)

@@ -1,9 +1,11 @@
 import dataclasses
+import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedalg import (
     InvalidDescriptor,
@@ -294,3 +296,243 @@ def test_validate_axioms_memory_is_below_n_cubed(build):
         tracemalloc.stop()
     assert report.ok
     assert peak < n ** 3, f"validate_axioms peaked at {peak} bytes on {n} elements"
+
+
+# ---------------------------------------------------------------------------
+# table builders against per-element oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_make_group(spec):
+    """The group builder as it was before the numpy rewrite: nested loops."""
+    if spec == "trivial":
+        return GradingGroup(("e",), ((0,),), 0, (0,))
+    if spec[0] == "cyclic":
+        n = spec[1]
+        op = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        return GradingGroup(tuple(range(n)), op, 0, tuple((-i) % n for i in range(n)))
+    g1, g2 = _oracle_make_group(spec[1]), _oracle_make_group(spec[2])
+    n2 = g2.size
+
+    def idx(i, j):
+        return i * n2 + j
+
+    op = tuple(
+        tuple(idx(g1.op[i1][j1], g2.op[i2][j2]) for j1 in range(g1.size) for j2 in range(n2))
+        for i1 in range(g1.size)
+        for i2 in range(n2)
+    )
+    inverse = tuple(idx(g1.inverse[i1], g2.inverse[i2]) for i1 in range(g1.size) for i2 in range(n2))
+    return GradingGroup(tuple(itertools.product(g1.labels, g2.labels)), op,
+                        idx(g1.identity, g2.identity), inverse)
+
+
+@functools.cache
+def _oracle_make_ring(spec):
+    """The ring builder as it was before the numpy rewrite: per-element dict
+    lookups and nested loops (memoised, since F2[C9] takes seconds)."""
+    if spec[0] == "zmod":
+        n = spec[1]
+        add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
+        return FiniteRing(tuple(range(n)), add, mul, 0, 1 % n)
+    if spec[0] == "groupring":
+        p, group = spec[1], _oracle_make_group(spec[2])
+        k = group.size
+        labels = tuple(itertools.product(range(p), repeat=k))
+        index = {lab: i for i, lab in enumerate(labels)}
+        add = tuple(
+            tuple(index[tuple((a[t] + b[t]) % p for t in range(k))] for b in labels)
+            for a in labels
+        )
+        mul_rows = []
+        for a in labels:
+            row = []
+            for b in labels:
+                out = [0] * k
+                for i in range(k):
+                    if a[i]:
+                        for j in range(k):
+                            if b[j]:
+                                out[group.op[i][j]] += a[i] * b[j]
+                row.append(index[tuple(c % p for c in out)])
+            mul_rows.append(tuple(row))
+        one = [0] * k
+        one[group.identity] = 1
+        return FiniteRing(labels, add, tuple(mul_rows), index[(0,) * k], index[tuple(one)])
+    r1, r2 = _oracle_make_ring(spec[1]), _oracle_make_ring(spec[2])
+    n2 = r2.size
+    add = tuple(
+        tuple(r1.add[i1][j1] * n2 + r2.add[i2][j2] for j1 in range(r1.size) for j2 in range(n2))
+        for i1 in range(r1.size)
+        for i2 in range(n2)
+    )
+    mul = tuple(
+        tuple(r1.mul[i1][j1] * n2 + r2.mul[i2][j2] for j1 in range(r1.size) for j2 in range(n2))
+        for i1 in range(r1.size)
+        for i2 in range(n2)
+    )
+    return FiniteRing(tuple(itertools.product(r1.labels, r2.labels)), add, mul,
+                      r1.zero * n2 + r2.zero, r1.one * n2 + r2.one)
+
+
+def _oracle_make_module(spec, ring):
+    """The module builder as it was before the numpy rewrite."""
+    if spec[0] == "directsum":
+        ms, n = spec[1:], ring.size
+        labels = tuple(itertools.product(*(range(m) for m in ms)))
+        index = {lab: i for i, lab in enumerate(labels)}
+        add = tuple(
+            tuple(index[tuple((a[t] + b[t]) % ms[t] for t in range(len(ms)))] for b in labels)
+            for a in labels
+        )
+        action = tuple(
+            tuple(index[tuple((r * x[t]) % ms[t] for t in range(len(ms)))] for x in labels)
+            for r in range(n)
+        )
+        return FiniteModule(ring, labels, add, index[(0,) * len(ms)], action)
+    m1, m2 = spec[1], spec[2]
+    n2 = m2.size
+    add = tuple(
+        tuple(m1.add[i1][j1] * n2 + m2.add[i2][j2] for j1 in range(m1.size) for j2 in range(n2))
+        for i1 in range(m1.size)
+        for i2 in range(n2)
+    )
+    action = tuple(
+        tuple(m1.action[r1][i1] * n2 + m2.action[r2][i2] for i1 in range(m1.size) for i2 in range(n2))
+        for r1 in range(m1.ring.size)
+        for r2 in range(m2.ring.size)
+    )
+    return FiniteModule(ring, tuple(itertools.product(m1.labels, m2.labels)), add,
+                        m1.zero * n2 + m2.zero, action)
+
+
+_GROUP_SPECS = st.one_of(
+    st.integers(1, 12).map(lambda n: ("cyclic", n)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda ab: ("product", ("cyclic", ab[0]), ("cyclic", ab[1]))),
+    st.just(("product", ("product", ("cyclic", 2), ("cyclic", 1)), ("cyclic", 3))),
+)
+_GROUPRING_SPECS = st.sampled_from([
+    ("groupring", p, g)
+    for p in (2, 3, 5)
+    for g in [("cyclic", n) for n in range(1, 10)]
+    + [("product", ("cyclic", a), ("cyclic", b)) for a in range(1, 5) for b in range(1, 5)]
+    if p ** _oracle_make_group(g).size <= 512
+])
+_SMALL_RING_SPECS = st.one_of(
+    st.integers(2, 8).map(lambda n: ("zmod", n)),
+    st.sampled_from([("groupring", 2, ("cyclic", 2)), ("groupring", 3, ("cyclic", 2))]),
+)
+_RING_SPECS = st.one_of(
+    st.integers(2, 64).map(lambda n: ("zmod", n)),
+    _GROUPRING_SPECS,
+    st.tuples(_SMALL_RING_SPECS, _SMALL_RING_SPECS).map(lambda rs: ("product", *rs)),
+)
+
+
+@st.composite
+def _directsum_specs(draw, max_ring=64, max_elements=64):
+    n = draw(st.integers(2, max_ring))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    sizes = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+    if np.prod(sizes) > max_elements:
+        sizes = sizes[:1]
+    return ("zmod", n), ("directsum", *sizes)
+
+
+def _assert_same_tables(got, want):
+    names = [f.name for f in dataclasses.fields(want) if f.name != "ring"]
+    assert {name: getattr(got, name) for name in names} == {name: getattr(want, name) for name in names}
+    for name in names:
+        value = getattr(got, name)
+        if name == "labels" or not isinstance(value, tuple):
+            assert type(value) is int or name == "labels"
+            continue
+        rows = value if isinstance(value[0], tuple) else (value,)
+        assert all(type(row) is tuple for row in rows)
+        assert all(type(v) is int for row in rows for v in row), name
+
+
+@given(_GROUP_SPECS)
+@settings(max_examples=60, deadline=None)
+def test_make_group_matches_per_element_oracle(spec):
+    _assert_same_tables(make_group(spec), _oracle_make_group(spec))
+
+
+@given(_RING_SPECS)
+@settings(max_examples=80, deadline=None)
+@example(("groupring", 2, ("cyclic", 9)))
+@example(("groupring", 3, ("product", ("cyclic", 1), ("cyclic", 5))))
+def test_make_ring_matches_per_element_oracle(spec):
+    _assert_same_tables(make_ring(spec), _oracle_make_ring(spec))
+
+
+@given(_directsum_specs())
+@settings(max_examples=60, deadline=None)
+@example((("zmod", 180), ("directsum", 4, 9, 5)))
+def test_make_directsum_module_matches_per_element_oracle(specs):
+    ring_spec, spec = specs
+    ring = make_ring(ring_spec)
+    _assert_same_tables(make_module(spec, ring), _oracle_make_module(spec, ring))
+
+
+@given(_directsum_specs(12, 12), _directsum_specs(12, 12))
+@settings(max_examples=30, deadline=None)
+def test_make_product_module_matches_per_element_oracle(specs1, specs2):
+    (r1, s1), (r2, s2) = specs1, specs2
+    m1, m2 = make_module(s1, make_ring(r1)), make_module(s2, make_ring(r2))
+    ring = make_ring(("product", r1, r2))
+    spec = ("product", m1, m2)
+    got = make_module(spec, ring)
+    assert got.ring is ring
+    _assert_same_tables(got, _oracle_make_module(spec, ring))
+    assert validate_axioms(got).ok
+
+
+def test_groupring_construction_memory_is_row_by_row():
+    # 512^2-cell tables as tuples of shared ints take about 4.3 MB and the
+    # build peaks near 9 MB; converting each whole array with tolist() makes
+    # about 262k fresh ints per table and peaks near 19 MB
+    c9 = make_group(("cyclic", 9))
+    tracemalloc.start()
+    try:
+        ring = make_ring(("groupring", 2, c9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.size == 512
+    assert peak < 12_000_000, f"make_ring peaked at {peak} bytes"
+
+
+def _corrupt(structure, field, i, j, v):
+    table = [list(row) for row in getattr(structure, field)]
+    table[i][j] = v
+    return dataclasses.replace(structure, **{field: tuple(tuple(row) for row in table)})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_ring(("zmod", 255)),
+        lambda: make_ring(("zmod", 256)),
+        lambda: make_ring(("zmod", 257)),
+        lambda: make_module(("directsum", 2, 3, 5), make_ring(("zmod", 300))),
+    ],
+    ids=["zmod-255", "zmod-256", "zmod-257", "directsum-2-3-5-over-zmod-300"],
+)
+def test_validate_axioms_matches_oracle_across_the_uint8_uint16_switch(build):
+    # zmod 255 is checked in uint8, the others in uint16; the module is small
+    # but its ring indices (up to 299) set the dtype
+    structure = build()
+    fields = ("add", "mul") if isinstance(structure, FiniteRing) else ("add", "action")
+    last = structure.size - 1
+    cells = [
+        (fields[0], 1, 2, 0),
+        (fields[1], 3, last, last),
+        (fields[1], len(getattr(structure, fields[1])) - 1, 0, 1),
+    ]
+    for field, i, j, v in cells:
+        broken = _corrupt(structure, field, i, j, v)
+        got, want = validate_axioms(broken), _oracle_validate_axioms(broken)
+        assert want.failures
+        assert (got.structure, got.failures) == (want.structure, want.failures)

@@ -256,3 +256,52 @@ def test_bench_tracer_wraps_the_package_without_changing_the_report(tmp_path):
     assert traced.stdout == plain.stdout
     stats = json.loads(trace.read_text())["stats"]
     assert stats["propositions.two-ideal-theorem"]["instances"] == 49606
+
+
+@pytest.mark.parametrize("module", ["gradedalg", "gradedalg.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    verified = run("--report", "machine", "verify", "--prop", "closure-lemma")
+    assert verified.returncode == 0, verified.stderr
+    assert verified.stdout.startswith("prop=closure-lemma status=pass instances=")
+    assert verified.stdout.count("\n") == 1
+    missing = run("validate", str(tmp_path / "missing.gstruct"))
+    assert missing.returncode == 2
+    # -m gradedalg.cli may also print runpy's warning that the package
+    # imported gradedalg.cli first
+    assert missing.stderr.splitlines()[-1].startswith("error: cannot read ")
+    assert "Traceback" not in missing.stderr
+
+
+def test_unreadable_structure_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.gstruct"
+    path.write_bytes(b"ring zmod \xff\xfe\n")
+    code, _ = _run(["validate", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read ")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # the group ring was built over C2; grading it by C3 used to raise an
+        # unnumbered GradingInvalid
+        ("group cyclic 2\nring groupring 2\ngroup cyclic 3\ngrading natural\nmodule self\n", 3),
+        # the module was built over Z/12 and used to be kept next to the Z/8 ring
+        ("ring zmod 12\nmodule directsum 4 3\nring zmod 8\n", 3),
+        ("ring zmod 12\ngrading trivial\nmodule self\ngrading natural\n", 4),
+        # a factor was built before the product size was known to be positive
+        ("group product 1000000000000 0\nring zmod 2\nmodule self\n", 1),
+        ("group product 0 5\nring zmod 2\nmodule self\n", 1),
+    ],
+    ids=["group-after-groupring", "ring-after-module", "grading-twice", "huge-factor-times-0", "factor-0"],
+)
+def test_conflicting_directives_are_line_numbered(text, line):
+    with pytest.raises(StructureParseError) as exc:
+        parse_structure_text(text)
+    assert exc.value.line == line
