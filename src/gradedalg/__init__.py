@@ -13,7 +13,6 @@ from .classifiers import (
     recheck_coprimary_violation,
     recheck_strong_violation,
 )
-from .cli import main, run_cli
 from .constructions import (
     GradedHom,
     hom_image,
@@ -68,7 +67,6 @@ from .subobjects import (
     colon,
     colon_by_element,
     combine,
-    enumerate_all_subobjects,
     enumerate_graded_subobjects,
     graded_radical,
     ideal_component,

@@ -33,9 +33,8 @@ from .constructions import (
     product_submodule,
 )
 from .corpus import Corpus, CorpusEntry
-from .errors import StructureParseError, UnknownProposition
+from .errors import PreconditionViolation, StructureParseError, UnknownProposition
 from .subobjects import (
-    IDEAL,
     SUBMODULE,
     annihilator,
     colon,
@@ -45,7 +44,6 @@ from .subobjects import (
     graded_radical,
     ideal_component,
     span,
-    subobject,
     whole_subobject,
 )
 
@@ -120,6 +118,29 @@ def _is_coprimary(n) -> bool:
     return coprimary_via_characterization(n).value
 
 
+def _coprimary(subs, skip: Counter, reason: str = "N-not-coprimary", weight: int = 1):
+    """Yield the 2-absorbing coprimary handles of ``subs``; every other handle
+    is tallied ``weight`` times under ``reason``."""
+    for n in subs:
+        if _is_coprimary(n):
+            yield n
+        else:
+            skip[reason] += weight
+
+
+def _g_coprimary(entry: CorpusEntry, skip: Counter):
+    """Yield ``(g, N, good, Ann(N))`` for every degree g and every non-zero
+    graded g-2-absorbing coprimary N, where ``good`` is ``_good_bits`` of N
+    over the graded submodules; every other (g, N) is tallied."""
+    subs = entry.graded_submodules()
+    for g in range(entry.gmodule.group.size):
+        for n in _nonzero_subs(entry):
+            if not classify_submodule(n, "g-2a-coprimary", g=g).value:
+                skip["N-not-g-coprimary"] += 1
+                continue
+            yield g, n, _good_bits(n, subs), annihilator(n).members
+
+
 def _hom_family(entry: CorpusEntry):
     """Canonical finite hom family as (scalar, hom) pairs: the identity
     (multiplication by one) plus every multiplication by a degree-e
@@ -143,6 +164,19 @@ def _memo(entry: CorpusEntry, key, builder):
     if key not in cache:
         cache[key] = builder()
     return cache[key]
+
+
+def _factor_pairs(entry: CorpusEntry, skip: Counter):
+    """Yield every pair (N1, N2) of non-zero graded factor submodules.  A zero
+    factor makes the factor annihilator improper, and the product statements
+    presume both factors non-zero, so pairs with one count as zero-factor."""
+    if entry.factors is None:
+        return
+    subs1, subs2 = (enumerate_graded_subobjects(gm, SUBMODULE, entry.max_elements) for gm in entry.factors)
+    skip["zero-factor"] += len(subs1) + len(subs2) - 1  # subs[0] is the zero submodule
+    for n1 in subs1[1:]:
+        for n2 in subs2[1:]:
+            yield n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +224,7 @@ def _check_closure_lemma(entry: CorpusEntry):
 def _check_colon_2ap(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     subs = entry.graded_submodules()
-    for n in _nonzero_subs(entry):
-        if not _is_coprimary(n):
-            skip["N-not-coprimary"] += len(subs)
-            continue
+    for n in _coprimary(_nonzero_subs(entry), skip, weight=len(subs)):
         for k in subs:
             if n.members <= k.members:
                 skip["N-contained-in-K"] += 1
@@ -206,38 +237,22 @@ def _check_colon_2ap(entry: CorpusEntry):
     return inst, bad, skip
 
 
-def _check_ann_2ap(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
-    for n in _nonzero_subs(entry):
-        if not _is_coprimary(n):
-            skip["N-not-coprimary"] += 1
-            continue
-        inst += 1
-        v = classify_ideal(annihilator(n), "2-absorbing-primary")
-        if not v.value:
-            bad.append({"entry": entry.name, "N": _members_label(n), "witness": v.witness})
-    return inst, bad, skip
-
-
-def _check_grad_ann_2a(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
-    for n in _nonzero_subs(entry):
-        if not _is_coprimary(n):
-            skip["N-not-coprimary"] += 1
-            continue
-        inst += 1
-        v = classify_ideal(graded_radical(annihilator(n)), "2-absorbing")
-        if not v.value:
-            bad.append({"entry": entry.name, "N": _members_label(n), "witness": v.witness})
-    return inst, bad, skip
+def _ann_checker(ideal_of, predicate: str):
+    """Checker of "N coprimary implies ``ideal_of(N)`` satisfies ``predicate``"."""
+    def check(entry: CorpusEntry):
+        inst, skip, bad = 0, Counter(), []
+        for n in _coprimary(_nonzero_subs(entry), skip):
+            inst += 1
+            v = classify_ideal(ideal_of(n), predicate)
+            if not v.value:
+                bad.append({"entry": entry.name, "N": _members_label(n), "witness": v.witness})
+        return inst, bad, skip
+    return check
 
 
 def _check_scalar_multiple(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    for n in _nonzero_subs(entry):
-        if not _is_coprimary(n):
-            skip["N-not-coprimary"] += 1
-            continue
+    for n in _coprimary(_nonzero_subs(entry), skip):
         ann = annihilator(n).members
         for a in entry.gmodule.gring.hom:
             if a in ann:
@@ -253,10 +268,7 @@ def _check_scalar_multiple(entry: CorpusEntry):
 def _check_hom_image(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
-    for n in _nonzero_subs(entry):
-        if not _is_coprimary(n):
-            skip["N-not-coprimary"] += 1
-            continue
+    for n in _coprimary(_nonzero_subs(entry), skip):
         for r, f in homs:
             ker = _memo(entry, ("kernel", f.mapping), lambda: hom_kernel(f))
             if n.members <= ker.members:
@@ -272,13 +284,11 @@ def _check_hom_image(entry: CorpusEntry):
 def _check_hom_preimage(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
+    ks = list(_coprimary(_nonzero_subs(entry), skip, "K-not-coprimary", len(homs)))
     whole = whole_subobject(SUBMODULE, entry.gmodule)
     for r, f in homs:
         fm = hom_image(f, whole)
-        for k in _nonzero_subs(entry):
-            if not _is_coprimary(k):
-                skip["K-not-coprimary"] += 1
-                continue
+        for k in ks:
             if not (k.members <= fm.members):
                 skip["K-not-inside-image"] += 1
                 continue
@@ -290,11 +300,8 @@ def _check_hom_preimage(entry: CorpusEntry):
 
 
 def _check_characterization_equiv(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
-    for n in entry.graded_submodules():
-        if n.is_zero:
-            skip["zero-submodule"] += 1
-            continue
+    inst, skip, bad = 0, Counter({"zero-submodule": 1}), []  # every lattice has one zero submodule
+    for n in _nonzero_subs(entry):
         inst += 1
         d = classify_submodule(n, "2a-coprimary-def")
         c = coprimary_via_characterization(n)
@@ -307,10 +314,7 @@ def _check_localization(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     for sname, s in sorted(entry.mulsets.items()):
         loc = _memo(entry, ("loc", s), lambda: localize_module(entry.gmodule, s))
-        for n in _nonzero_subs(entry):
-            if not _is_coprimary(n):
-                skip["N-not-coprimary"] += 1
-                continue
+        for n in _coprimary(_nonzero_subs(entry), skip):
             sn = localize_subobject(loc, n)
             if sn.is_zero:
                 skip["localizes-to-zero"] += 1
@@ -337,30 +341,24 @@ def _check_ideal_lemma(entry: CorpusEntry):
     full = (1 << len(subs)) - 1
     mul = gm.gring.ring.mul
     misses = 0
-    for g in range(gm.group.size):
-        comp = tuple(sorted(gm.gring.grading.components[g]))
-        for n in _nonzero_subs(entry):
-            if not classify_submodule(n, "g-2a-coprimary", g=g).value:
-                skip["N-not-g-coprimary"] += 1
-                continue
-            good = _good_bits(n, subs)
-            ann = annihilator(n).members
-            for i in ideals:
-                in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
-                ixn = _contains_bits(in_handle, subs)  # ixn[x]: the K containing IxN
-                ig = ideal_component(i, g)
-                ig_good = reduce(and_, (good[y] for y in ig), full)
-                for x in comp:
-                    hyp = ixn[x]
-                    found = hyp.bit_count()
-                    inst += found
-                    misses += len(subs) - found
-                    bits = hyp & ~(good[x] | ig_good)
-                    if bits and not all(mul[y][x] in ann for y in ig):
-                        bad.extend({
-                            "entry": entry.name, "g": g, "N": _members_label(n),
-                            "I": _members_label(i), "x": x, "K": _members_label(subs[k]),
-                        } for k in _bit_indices(bits))
+    for g, n, good, ann in _g_coprimary(entry, skip):
+        comp = sorted(gm.gring.grading.components[g])
+        for i in ideals:
+            in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+            ixn = _contains_bits(in_handle, subs)  # ixn[x]: the K containing IxN
+            ig = ideal_component(i, g)
+            ig_good = reduce(and_, (good[y] for y in ig), full)
+            for x in comp:
+                hyp = ixn[x]
+                found = hyp.bit_count()
+                inst += found
+                misses += len(subs) - found
+                bits = hyp & ~(good[x] | ig_good)
+                if bits and not all(mul[y][x] in ann for y in ig):
+                    bad.extend({
+                        "entry": entry.name, "g": g, "N": _members_label(n),
+                        "I": _members_label(i), "x": x, "K": _members_label(subs[k]),
+                    } for k in _bit_indices(bits))
     if misses:  # a reason counted 0 times would still be printed
         skip["hypothesis-IxN-not-in-K"] += misses
     return inst, bad, skip
@@ -374,29 +372,23 @@ def _check_two_ideal_theorem(entry: CorpusEntry):
     full = (1 << len(subs)) - 1
     mul = gm.gring.ring.mul
     misses = 0
-    for g in range(gm.group.size):
+    for g, n, good, ann in _g_coprimary(entry, skip):
         comps = [ideal_component(i, g) for i in ideals]
-        for n in _nonzero_subs(entry):
-            if not classify_submodule(n, "g-2a-coprimary", g=g).value:
-                skip["N-not-g-coprimary"] += 1
-                continue
-            good = _good_bits(n, subs)
-            comp_good = [reduce(and_, (good[y] for y in ig), full) for ig in comps]
-            ann = annihilator(n).members
-            for i, ig, ig_good in zip(ideals, comps, comp_good):
-                in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
-                ixn = _contains_bits(in_handle, subs)
-                for j, jg, jg_good in zip(ideals, comps, comp_good):
-                    hyp = reduce(and_, (ixn[y] for y in j.members), full)  # the K containing IJN
-                    found = hyp.bit_count()
-                    inst += found
-                    misses += len(subs) - found
-                    bits = hyp & ~(ig_good | jg_good)
-                    if bits and not all(mul[a][b] in ann for a in ig for b in jg):
-                        bad.extend({
-                            "entry": entry.name, "g": g, "N": _members_label(n),
-                            "I": _members_label(i), "J": _members_label(j), "K": _members_label(subs[k]),
-                        } for k in _bit_indices(bits))
+        comp_good = [reduce(and_, (good[y] for y in ig), full) for ig in comps]
+        for i, ig, ig_good in zip(ideals, comps, comp_good):
+            in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+            ixn = _contains_bits(in_handle, subs)
+            for j, jg, jg_good in zip(ideals, comps, comp_good):
+                hyp = reduce(and_, (ixn[y] for y in j.members), full)  # the K containing IJN
+                found = hyp.bit_count()
+                inst += found
+                misses += len(subs) - found
+                bits = hyp & ~(ig_good | jg_good)
+                if bits and not all(mul[a][b] in ann for a in ig for b in jg):
+                    bad.extend({
+                        "entry": entry.name, "g": g, "N": _members_label(n),
+                        "I": _members_label(i), "J": _members_label(j), "K": _members_label(subs[k]),
+                    } for k in _bit_indices(bits))
     if misses:
         skip["hypothesis-IJN-not-in-K"] += misses
     return inst, bad, skip
@@ -407,10 +399,7 @@ def _check_comultiplication(entry: CorpusEntry):
     if not is_graded_comultiplication_module(entry.gmodule).value:
         skip["module-not-comultiplication"] += len(_nonzero_subs(entry))
         return inst, bad, skip
-    for n in _nonzero_subs(entry):
-        if not _is_coprimary(n):
-            skip["N-not-coprimary"] += 1
-            continue
+    for n in _coprimary(_nonzero_subs(entry), skip):
         ann = annihilator(n)
         if graded_radical(ann).members != ann.members:
             skip["radical-annihilator-differs"] += 1
@@ -421,93 +410,59 @@ def _check_comultiplication(entry: CorpusEntry):
     return inst, bad, skip
 
 
-def _product_candidates(entry: CorpusEntry):
-    gm1, gm2 = entry.factors
-    subs1 = enumerate_graded_subobjects(gm1, SUBMODULE, entry.max_elements)
-    subs2 = enumerate_graded_subobjects(gm2, SUBMODULE, entry.max_elements)
-    return gm1, gm2, subs1, subs2
-
-
 def _check_product_part1(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    if entry.factors is None:
-        return inst, bad, skip
-    gm1, gm2, subs1, subs2 = _product_candidates(entry)
-    for n1 in subs1:
-        for n2 in subs2:
-            if n1.is_zero or n2.is_zero:
-                # a zero factor makes the factor annihilator improper; the
-                # product statement presumes both factors non-zero
-                skip["zero-factor"] += 1
-                continue
-            n = product_submodule(n1, n2, entry.gmodule)
-            if not _is_coprimary(n):
-                skip["N-not-coprimary"] += 1
-                continue
-            inst += 1
-            ok1 = classify_ideal(annihilator(n1), "primary").value
-            ok2 = classify_ideal(annihilator(n2), "primary").value
-            if not (ok1 and ok2):
-                bad.append({"entry": entry.name, "N1": _members_label(n1), "N2": _members_label(n2)})
+    factors = {product_submodule(n1, n2, entry.gmodule): (n1, n2) for n1, n2 in _factor_pairs(entry, skip)}
+    for n in _coprimary(factors, skip):
+        n1, n2 = factors[n]
+        inst += 1
+        ok1 = classify_ideal(annihilator(n1), "primary").value
+        ok2 = classify_ideal(annihilator(n2), "primary").value
+        if not (ok1 and ok2):
+            bad.append({"entry": entry.name, "N1": _members_label(n1), "N2": _members_label(n2)})
     return inst, bad, skip
 
 
 def _check_product_part2(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    if entry.factors is None:
-        return inst, bad, skip
-    gm1, gm2, subs1, subs2 = _product_candidates(entry)
-    for n1 in subs1:
-        for n2 in subs2:
-            if n1.is_zero or n2.is_zero:
-                skip["zero-factor"] += 1
-                continue
-            if not classify_ideal(annihilator(n1), "primary").value:
-                skip["Ann-N1-not-primary"] += 1
-                continue
-            if not classify_ideal(annihilator(n2), "primary").value:
-                skip["Ann-N2-not-primary"] += 1
-                continue
+    for n1, n2 in _factor_pairs(entry, skip):
+        if not classify_ideal(annihilator(n1), "primary").value:
+            skip["Ann-N1-not-primary"] += 1
+            continue
+        if not classify_ideal(annihilator(n2), "primary").value:
+            skip["Ann-N2-not-primary"] += 1
+            continue
+        n = product_submodule(n1, n2, entry.gmodule)
+        inst += 1
+        if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
+            bad.append({"entry": entry.name, "N1": _members_label(n1), "N2": _members_label(n2)})
+    return inst, bad, skip
+
+
+def _side_checker(side: int):
+    """Checker of "a coprimary factor N_side times the zero submodule of the
+    other factor has a 2-absorbing primary annihilator"."""
+    def check(entry: CorpusEntry):
+        inst, skip, bad = 0, Counter(), []
+        if entry.factors is None:
+            return inst, bad, skip
+        lattices = [enumerate_graded_subobjects(gm, SUBMODULE, entry.max_elements) for gm in entry.factors]
+        skip["zero-factor"] += 1  # lattices[side][0] is the zero submodule
+        for ni in _coprimary(lattices[side][1:], skip, "factor-not-coprimary"):
+            n1, n2 = (ni, lattices[1][0]) if side == 0 else (lattices[0][0], ni)
             n = product_submodule(n1, n2, entry.gmodule)
             inst += 1
             if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
-                bad.append({"entry": entry.name, "N1": _members_label(n1), "N2": _members_label(n2)})
-    return inst, bad, skip
-
-
-def _check_product_part3(entry: CorpusEntry, side: int = 0):
-    inst, skip, bad = 0, Counter(), []
-    if entry.factors is None:
+                bad.append({"entry": entry.name, "factor": _members_label(ni), "side": side})
         return inst, bad, skip
-    gm1, gm2, subs1, subs2 = _product_candidates(entry)
-    subs = subs1 if side == 0 else subs2
-    other_zero = (
-        subobject(SUBMODULE, gm2, {gm2.module.zero})
-        if side == 0
-        else subobject(SUBMODULE, gm1, {gm1.module.zero})
-    )
-    for ni in subs:
-        if ni.is_zero:
-            skip["zero-factor"] += 1
-            continue
-        if not _is_coprimary(ni):
-            skip["factor-not-coprimary"] += 1
-            continue
-        if side == 0:
-            n = product_submodule(ni, other_zero, entry.gmodule)
-        else:
-            n = product_submodule(other_zero, ni, entry.gmodule)
-        inst += 1
-        if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
-            bad.append({"entry": entry.name, "factor": _members_label(ni), "side": side})
-    return inst, bad, skip
+    return check
 
 
 _CHECKERS = {
     "closure-lemma": _check_closure_lemma,
     "colon-2AP": _check_colon_2ap,
-    "ann-2AP": _check_ann_2ap,
-    "grad-ann-2A": _check_grad_ann_2a,
+    "ann-2AP": _ann_checker(lambda n: annihilator(n), "2-absorbing-primary"),
+    "grad-ann-2A": _ann_checker(lambda n: graded_radical(annihilator(n)), "2-absorbing"),
     "scalar-multiple": _check_scalar_multiple,
     "hom-image": _check_hom_image,
     "hom-preimage": _check_hom_preimage,
@@ -518,20 +473,19 @@ _CHECKERS = {
     "comultiplication": _check_comultiplication,
     "product-part-1": _check_product_part1,
     "product-part-2": _check_product_part2,
-    "product-part-3": lambda e: _check_product_part3(e, side=0),
-    "product-part-4": lambda e: _check_product_part3(e, side=1),
+    "product-part-3": _side_checker(0),
+    "product-part-4": _side_checker(1),
 }
 
 
 def verify_proposition(prop_id: str, corpus: Corpus) -> VerificationReport:
     """Check one proposition on every hypothesis instance over the corpus."""
     if prop_id not in _CHECKERS:
-        raise UnknownProposition(prop_id)
+        raise UnknownProposition(f"unknown proposition {prop_id!r}")
     t0 = time.perf_counter()
     report = VerificationReport(prop_id)
-    checker = _CHECKERS[prop_id]
     for entry in corpus:
-        inst, bad, skip = checker(entry)
+        inst, bad, skip = _CHECKERS[prop_id](entry)
         report.instances += inst
         report.violations.extend(bad)
         report.skipped.update(skip)
@@ -600,66 +554,50 @@ def _parse_expr(text: str):
     return node
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        return self.used <= self.limit
-
-
-def _eval_pred(name: str, n, entry: CorpusEntry, budget: _Budget) -> bool:
-    if not budget.spend():
-        raise _BudgetExhausted
-    if name == "second":
-        return classify_submodule(n, "second").value
-    if name == "strong-2a-second":
-        return classify_submodule(n, "strong-2a-second").value
-    if name == "2a-coprimary":
-        return coprimary_via_characterization(n).value
-    if name == "comultiplication":
-        return is_graded_comultiplication_module(entry.gmodule).value
-    if name.startswith("g-2a-coprimary:"):
-        label = name.split(":", 1)[1]
-        group = entry.gmodule.group
-        for g, lab in enumerate(group.labels):
-            if str(lab) == label:
-                return classify_submodule(n, "g-2a-coprimary", g=g).value
-        return False  # entry's grading group has no such element
-    raise StructureParseError(f"unknown predicate {name!r}")
-
-
 class _BudgetExhausted(Exception):
     pass
 
 
-def _eval_expr(node, n, entry, budget) -> bool:
-    op = node[0]
-    if op == "pred":
-        return _eval_pred(node[1], n, entry, budget)
-    if op == "not":
-        return not _eval_expr(node[1], n, entry, budget)
-    if op == "and":
-        return _eval_expr(node[1], n, entry, budget) and _eval_expr(node[2], n, entry, budget)
-    if op == "or":
-        return _eval_expr(node[1], n, entry, budget) or _eval_expr(node[2], n, entry, budget)
-    raise AssertionError(op)
-
-
 def search_counterexample(expr: str, corpus: Corpus, budget: int = 10**6):
     """First corpus submodule (canonical order) satisfying the expression,
-    or None if none exists / the evaluation budget runs out.
+    or None if there is none or finding it takes more than ``budget``
+    predicate evaluations.
 
     Returns a dict with the entry name, the member list, and the handle.
     """
+    if budget < 1:
+        raise PreconditionViolation(f"search budget must be at least 1, got {budget}")
     node = _parse_expr(expr)
-    b = _Budget(budget)
+    calls = 0
+
+    def holds(node, n, entry) -> bool:
+        nonlocal calls
+        op = node[0]
+        if op == "not":
+            return not holds(node[1], n, entry)
+        if op == "and":
+            return holds(node[1], n, entry) and holds(node[2], n, entry)
+        if op == "or":
+            return holds(node[1], n, entry) or holds(node[2], n, entry)
+        calls += 1
+        if calls > budget:
+            raise _BudgetExhausted
+        name = node[1]
+        if name == "2a-coprimary":
+            return _is_coprimary(n)
+        if name == "comultiplication":
+            return is_graded_comultiplication_module(entry.gmodule).value
+        if name.startswith("g-2a-coprimary:"):
+            labels = [str(lab) for lab in entry.gmodule.group.labels]
+            label = name.split(":", 1)[1]
+            # an entry whose grading group has no such element satisfies nothing
+            return label in labels and classify_submodule(n, "g-2a-coprimary", g=labels.index(label)).value
+        return classify_submodule(n, name).value  # second, strong-2a-second
+
     try:
         for entry in corpus:
             for n in _nonzero_subs(entry):
-                if _eval_expr(node, n, entry, b):
+                if holds(node, n, entry):
                     return {
                         "entry": entry.name,
                         "members": [str(n.carrier.labels[i]) for i in n.sorted_members],

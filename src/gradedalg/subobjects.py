@@ -284,10 +284,3 @@ def enumerate_graded_subobjects(ctx, kind: str, max_elements: int = DEFAULT_MAX_
     if key not in cache:
         cache[key] = _enumerate_by_generators(ctx, kind, ctx.hom, max_elements)
     return cache[key]
-
-
-def enumerate_all_subobjects(ctx, kind: str, max_elements: int = 64):
-    """Independent oracle: every subobject (graded or not), by a lattice walk
-    over *all* carrier elements."""
-    size = ctx.ring.size if kind == IDEAL else ctx.module.size
-    return _enumerate_by_generators(ctx, kind, range(size), max_elements)

@@ -31,13 +31,13 @@ from gradedalg import (
     make_ring,
     parse_structure_text,
     recheck_coprimary_violation,
-    run_cli,
     search_counterexample,
     span,
     subobject,
     verify_proposition,
     whole_subobject,
 )
+from gradedalg.cli import run_cli
 from gradedalg.grading import module_same_as_ring, ring_trivial
 
 CORPUS = build_standard_corpus()

@@ -55,7 +55,7 @@ def test_example_entry_provenance_and_named():
 
 
 def test_unknown_proposition():
-    with pytest.raises(UnknownProposition):
+    with pytest.raises(UnknownProposition, match="^unknown proposition 'no-such-prop'$"):
         verify_proposition("no-such-prop", CORPUS)
 
 

@@ -9,7 +9,10 @@ import pytest
 
 import gradedalg.core
 import gradedalg.structfile
-from gradedalg import StructureParseError, parse_structure_text, run_cli
+from gradedalg import StructureParseError, parse_structure_text
+from gradedalg.cli import run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXAMPLE = """\
 # finite model over integers mod 180
@@ -207,9 +210,18 @@ def test_cli_verify_single_prop():
     assert suite[0] == suite[1] and suite[0][1]
 
 
-def test_cli_verify_unknown_prop_exits_2():
+def test_cli_verify_unknown_prop_exits_2(capsys):
     code, _ = _run(["verify", "--prop", "unknown-name"])
     assert code == 2
+    assert capsys.readouterr().err == "error: unknown proposition 'unknown-name'\n"
+
+
+def test_cli_suite_bytes_match_the_benchmark_expectation():
+    # the benchmark checks the same bytes on every run; pin them in the tests too
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())["suite"]
+    code, out = _run(["--report", "machine", "--threads", "1", "verify", "--suite", "all"])
+    assert code == expected["exit"] == 1
+    assert out == expected["stdout"]
 
 
 def test_cli_usage_error_exits_2():
@@ -224,6 +236,15 @@ def test_cli_search():
     assert code == 0 and out.strip() == "none"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_search_rejects_a_budget_below_one(budget, capsys):
+    # a budget that allows no evaluation used to print "none", the answer for
+    # "no counterexample exists"
+    code, out = _run(["search", "--expr", "second", "--budget", budget])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: search budget must be at least 1, got {budget}\n"
+
+
 def test_cli_custom_corpus_dir(tmp_path):
     _write(tmp_path, "ring zmod 4\nmodule self\n", "a.gstruct")
     _write(tmp_path, "ring zmod 9\nmodule self\n", "b.gstruct")
@@ -233,8 +254,6 @@ def test_cli_custom_corpus_dir(tmp_path):
     assert code == 0
     assert "status=pass" in out
 
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_bench_tracer_wraps_the_package_without_changing_the_report(tmp_path):
@@ -272,10 +291,10 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert verified.stdout.count("\n") == 1
     missing = run("validate", str(tmp_path / "missing.gstruct"))
     assert missing.returncode == 2
-    # -m gradedalg.cli may also print runpy's warning that the package
-    # imported gradedalg.cli first
-    assert missing.stderr.splitlines()[-1].startswith("error: cannot read ")
-    assert "Traceback" not in missing.stderr
+    assert missing.stderr.startswith("error: cannot read ")
+    assert missing.stderr.count("\n") == 1
+    # the package must not import gradedalg.cli, or runpy warns before running it
+    assert "RuntimeWarning" not in verified.stderr + missing.stderr
 
 
 def test_unreadable_structure_file_exits_2(tmp_path, capsys):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gradedalg import GradedAlgError, StructureParseError, parse_structure_text, run_cli
+from gradedalg import GradedAlgError, StructureParseError, parse_structure_text
+from gradedalg.cli import run_cli
 
 MAX_ELEMENTS = 64
 

@@ -10,7 +10,6 @@ from gradedalg import (
     colon,
     colon_by_element,
     combine,
-    enumerate_all_subobjects,
     enumerate_graded_subobjects,
     graded_radical,
     ideal_component,
@@ -19,11 +18,18 @@ from gradedalg import (
     make_module,
     make_ring,
     span,
-    subobject,
     whole_subobject,
     zero_subobject,
 )
 from gradedalg.grading import groupring_natural, module_same_as_ring, module_trivial, ring_trivial
+from gradedalg.subobjects import _enumerate_by_generators
+
+
+def enumerate_all_subobjects(ctx, kind, max_elements=64):
+    """Independent oracle: every subobject (graded or not), by a lattice walk
+    over *all* carrier elements."""
+    size = ctx.ring.size if kind == IDEAL else ctx.module.size
+    return _enumerate_by_generators(ctx, kind, range(size), max_elements)
 
 
 def _z12():
