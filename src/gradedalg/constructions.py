@@ -3,12 +3,11 @@ localization at homogeneous multiplicative sets, and product modules."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import FiniteModule, FiniteRing, make_module, make_ring
 from .errors import HomInvalid, InvalidDenominators, PreconditionViolation
-from .grading import GradedModule, GradedRing, Grading, attach_grading, product_assignment
-from .subobjects import SUBMODULE, SubobjectHandle, subobject, zero_subobject
+from .grading import GradedModule, GradedRing, attach_grading, product_assignment
+from .subobjects import SUBMODULE, SubobjectHandle, _carrier, subobject, zero_subobject
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +132,10 @@ class LocalizedRing:
     reps: tuple  # reps[i] = (numerator index, denominator index) in the base
     class_of: dict  # (a, s) -> localized element index
 
+    @property
+    def localized(self) -> GradedRing:
+        return self.gring
+
 
 @dataclass(frozen=True, eq=False)
 class LocalizedModule:
@@ -144,94 +147,72 @@ class LocalizedModule:
     reps: tuple
     class_of: dict
 
+    @property
+    def denominators(self) -> tuple:
+        return self.ring_loc.denominators
 
-def localize_ring(gring: GradedRing, s) -> LocalizedRing:
-    s = _check_denominators(gring, s)
-    ring = gring.ring
-    mul, add, neg = ring.mul, ring.add, ring.neg
+    @property
+    def localized(self) -> GradedModule:
+        return self.gmodule
+
+
+def _fractions(base, s: tuple, ring_reps=None):
+    """(reps, class_of, labels, add, action, zero, degree assignment) of S^{-1}X
+    for the graded carrier X = ``base``, a module over ``base.gring`` or that
+    ring acting on itself.  The action's rows are the classes ``ring_reps`` of
+    S^{-1}R, or X's own classes when X is the ring."""
+    x, ring = base.grading.carrier, base.gring.ring
+    act, add, neg, mul = x.action, x.add, x.neg, ring.mul
 
     def equivalent(p, q):
-        a, sden = p
-        b, tden = q
-        diff = add[mul[tden][a]][neg[mul[sden][b]]]
-        return any(mul[u][diff] == ring.zero for u in s)
+        (a, sden), (b, tden) = p, q
+        diff = add[act[tden][a]][neg[act[sden][b]]]
+        return any(act[u][diff] == x.zero for u in s)
 
-    pairs = [(a, d) for a in range(ring.size) for d in s]
-    reps, class_of = _fraction_classes(pairs, equivalent)
-    k = len(reps)
-    labels = tuple(f"{ring.labels[a]}/{ring.labels[d]}" for a, d in reps)
+    reps, class_of = _fraction_classes([(a, d) for a in range(x.size) for d in s], equivalent)
+    labels = tuple(f"{x.labels[a]}/{ring.labels[d]}" for a, d in reps)
     ladd = tuple(
-        tuple(class_of[(add[mul[t][a]][mul[sden][b]], mul[sden][t])] for (b, t) in reps)
+        tuple(class_of[(add[act[t][a]][act[sden][b]], mul[sden][t])] for (b, t) in reps)
         for (a, sden) in reps
     )
-    lmul = tuple(
-        tuple(class_of[(mul[a][b], mul[sden][t])] for (b, t) in reps)
-        for (a, sden) in reps
+    laction = tuple(
+        tuple(class_of[(act[r][a], mul[sden][t])] for (a, t) in reps)
+        for (r, sden) in (reps if ring_reps is None else ring_reps)
     )
-    zero = class_of[(ring.zero, ring.one)]
-    one = class_of[(ring.one, ring.one)]
-    lring = FiniteRing(labels, ladd, lmul, zero, one)
-
-    group = gring.group
+    group = base.group
     assignment = {g: set() for g in range(group.size)}
-    rcomps = gring.grading.components
+    rcomps = base.gring.grading.components
     for g in range(group.size):
         for h in range(group.size):
             d = group.op[h][group.inverse[g]]
             for sden in s:
-                if sden not in rcomps[d]:
-                    continue
-                for a in rcomps[h]:
-                    assignment[g].add(class_of[(a, sden)])
-    grading = attach_grading(lring, group, assignment)
+                if sden in rcomps[d]:
+                    assignment[g].update(class_of[(a, sden)] for a in base.grading.components[h])
+    return reps, class_of, labels, ladd, laction, class_of[(x.zero, ring.one)], assignment
+
+
+def localize_ring(gring: GradedRing, s) -> LocalizedRing:
+    s = _check_denominators(gring, s)
+    reps, class_of, labels, add, mul, zero, assignment = _fractions(gring, s)
+    one = gring.ring.one
+    lring = FiniteRing(labels, add, mul, zero, class_of[(one, one)])
+    grading = attach_grading(lring, gring.group, assignment)
     return LocalizedRing(gring, s, GradedRing(lring, grading), tuple(reps), class_of)
 
 
 def localize_module(gm: GradedModule, s, ring_loc: LocalizedRing | None = None) -> LocalizedModule:
+    """S^{-1}M; a given ``ring_loc`` must be S^{-1}R for gm's ring and this S."""
     if ring_loc is None:
         ring_loc = localize_ring(gm.gring, s)
-    s = ring_loc.denominators
-    module = gm.module
-    ring = gm.gring.ring
-    act, madd, mneg = module.action, module.add, module.neg
-
-    def equivalent(p, q):
-        m, sden = p
-        m2, tden = q
-        diff = madd[act[tden][m]][mneg[act[sden][m2]]]
-        return any(act[u][diff] == module.zero for u in s)
-
-    pairs = [(m, d) for m in range(module.size) for d in s]
-    reps, class_of = _fraction_classes(pairs, equivalent)
-    labels = tuple(f"{module.labels[m]}/{ring.labels[d]}" for m, d in reps)
-    ladd = tuple(
-        tuple(class_of[(madd[act[t][m]][act[sden][m2]], ring.mul[sden][t])] for (m2, t) in reps)
-        for (m, sden) in reps
+    elif ring_loc.base is not gm.gring or ring_loc.denominators != _check_denominators(gm.gring, s):
+        raise PreconditionViolation("ring_loc must localize the module's ring at the same set")
+    reps, class_of, labels, add, action, zero, assignment = _fractions(
+        gm, ring_loc.denominators, ring_loc.reps
     )
-    laction = tuple(
-        tuple(class_of[(act[a][m], ring.mul[sden][t])] for (m, t) in reps)
-        for (a, sden) in ring_loc.reps
-    )
-    zero = class_of[(module.zero, ring.one)]
-    lmodule = FiniteModule(ring_loc.gring.ring, labels, ladd, zero, laction)
-
-    group = gm.group
-    assignment = {g: set() for g in range(group.size)}
-    mcomps = gm.grading.components
-    rcomps = gm.gring.grading.components
-    for g in range(group.size):
-        for h in range(group.size):
-            d = group.op[h][group.inverse[g]]
-            for sden in s:
-                if sden not in rcomps[d]:
-                    continue
-                for m in mcomps[h]:
-                    assignment[g].add(class_of[(m, sden)])
-    grading = attach_grading(
-        lmodule, group, assignment, ring_grading=ring_loc.gring.grading
-    )
-    gmodule = GradedModule(lmodule, ring_loc.gring, grading)
-    return LocalizedModule(gm, ring_loc, gmodule, tuple(reps), class_of)
+    gring = ring_loc.gring
+    lmodule = FiniteModule(gring.ring, labels, add, zero, action)
+    grading = attach_grading(lmodule, gm.group, assignment, ring_grading=gring.grading)
+    return LocalizedModule(gm, ring_loc, GradedModule(lmodule, gring, grading), tuple(reps), class_of)
 
 
 def localize(base, s):
@@ -245,17 +226,13 @@ def localize(base, s):
 
 def localize_subobject(loc, n: SubobjectHandle) -> SubobjectHandle:
     """S^{-1}N: the classes of N's elements over all denominators."""
-    if isinstance(loc, LocalizedModule):
-        if n.kind != SUBMODULE or n.ctx is not loc.base:
-            raise PreconditionViolation("subobject must live on the localized base module")
-        members = {loc.class_of[(x, d)] for x in n.members for d in loc.ring_loc.denominators}
-        return subobject(SUBMODULE, loc.gmodule, members)
-    if isinstance(loc, LocalizedRing):
-        if n.kind != "ideal" or n.ctx is not loc.base:
-            raise PreconditionViolation("subobject must live on the localized base ring")
-        members = {loc.class_of[(x, d)] for x in n.members for d in loc.denominators}
-        return subobject("ideal", loc.gring, members)
-    raise PreconditionViolation("localize_subobject takes a localized structure")
+    if not isinstance(loc, (LocalizedRing, LocalizedModule)):
+        raise PreconditionViolation("localize_subobject takes a localized structure")
+    if n.ctx is not loc.base:
+        raise PreconditionViolation("subobject must live on the localized base")
+    _carrier(n.kind, n.ctx)  # the handle's kind matches its carrier
+    members = {loc.class_of[(x, d)] for x in n.members for d in loc.denominators}
+    return subobject(n.kind, loc.localized, members)
 
 
 # ---------------------------------------------------------------------------

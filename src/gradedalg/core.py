@@ -75,6 +75,11 @@ class FiniteRing:
     def neg(self) -> tuple:
         return _negation(self.add, self.zero)
 
+    @property
+    def action(self) -> tuple:
+        """The ring acting on itself, as a module over itself: action[r][x] = r*x."""
+        return self.mul
+
     @cached_property
     def power_sets(self) -> tuple:
         """power_sets[x] = {x^k : 1 <= k <= |R|} as a frozenset of indices.

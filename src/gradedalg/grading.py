@@ -104,27 +104,19 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
         if decomposition[x] is None:
             raise GradingInvalid("direct-sum-not-surjective", (x,))
 
-    if is_ring:
-        mul = carrier.mul
-        if carrier.one not in components[group.identity]:
-            raise GradingInvalid("one-not-in-identity-component", (carrier.one,))
-        for g in range(group.size):
-            for h in range(group.size):
-                gh = group.op[g][h]
-                for a in components[g]:
-                    for b in components[h]:
-                        if mul[a][b] not in components[gh]:
-                            raise GradingInvalid("component-product-escapes", (g, h, a, b))
-    else:
-        action = carrier.action
-        rcomps = ring_grading.components
-        for g in range(group.size):
-            for h in range(group.size):
-                gh = group.op[g][h]
-                for r in rcomps[g]:
-                    for m in components[h]:
-                        if action[r][m] not in components[gh]:
-                            raise GradingInvalid("action-escapes-component", (g, h, r, m))
+    if is_ring and carrier.one not in components[group.identity]:
+        raise GradingInvalid("one-not-in-identity-component", (carrier.one,))
+    # R_g acting on M_h lands in M_gh, where a ring is M = R acting on itself
+    rcomps = components if is_ring else ring_grading.components
+    axiom = "component-product-escapes" if is_ring else "action-escapes-component"
+    action = carrier.action
+    for g in range(group.size):
+        for h in range(group.size):
+            gh = group.op[g][h]
+            for r in rcomps[g]:
+                for m in components[h]:
+                    if action[r][m] not in components[gh]:
+                        raise GradingInvalid(axiom, (g, h, r, m))
 
     return Grading(group, carrier, tuple(components), tuple(decomposition))
 
@@ -147,12 +139,9 @@ def is_homogeneous(x: int, grading: Grading):
 # graded carriers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GradedRing:
-    """A finite commutative ring together with a validated grading."""
-
-    ring: FiniteRing
-    grading: Grading
+class _GradedCarrier:
+    """What a graded ring and a graded module share; each subclass holds the
+    ``grading`` field."""
 
     @property
     def group(self) -> GradingGroup:
@@ -174,29 +163,25 @@ class GradedRing:
 
 
 @dataclass(frozen=True, eq=False)
-class GradedModule:
+class GradedRing(_GradedCarrier):
+    """A finite commutative ring together with a validated grading."""
+
+    ring: FiniteRing
+    grading: Grading
+
+    @property
+    def gring(self) -> GradedRing:
+        """The scalar ring: a ring is a module over itself."""
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class GradedModule(_GradedCarrier):
     """A finite module with a validated grading over a :class:`GradedRing`."""
 
     module: FiniteModule
     gring: GradedRing
     grading: Grading
-
-    @property
-    def group(self) -> GradingGroup:
-        return self.grading.group
-
-    @cached_property
-    def hom(self) -> tuple:
-        return self.grading.homogeneous
-
-    @cached_property
-    def hom_set(self) -> frozenset:
-        return self.grading.homogeneous_set
-
-    @cached_property
-    def _caches(self) -> dict:
-        # same contract as GradedRing._caches
-        return {}
 
 
 def trivial_assignment(carrier, group: GradingGroup) -> dict:

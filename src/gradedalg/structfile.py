@@ -33,7 +33,7 @@ from .grading import (
     module_trivial,
     ring_trivial,
 )
-from .subobjects import IDEAL, SUBMODULE, span
+from .subobjects import SUBMODULE, span
 
 _TUPLE_RE = re.compile(r"^\((-?\d+(,-?\d+)*)\)$")
 
@@ -207,12 +207,10 @@ def parse_structure_text(
             if len(args) < 3 or args[1] != "gens":
                 raise StructureParseError(f"{directive} needs: NAME gens TOK ...", line=lineno)
             sname, toks = args[0], args[2:]
-            if directive == "submodule":
-                gens = {_lookup(module, _parse_token(t, lineno), lineno) for t in toks}
-                entry.named[sname] = span(gens, SUBMODULE, gmodule)
-            else:
-                gens = {_lookup(ring, _parse_token(t, lineno), lineno) for t in toks}
-                entry.named[sname] = span(gens, IDEAL, gring)
+            # the directive names the kind: an ideal is a submodule of the ring
+            ctx = gmodule if directive == SUBMODULE else gring
+            gens = {_lookup(ctx.grading.carrier, _parse_token(t, lineno), lineno) for t in toks}
+            entry.named[sname] = span(gens, directive, ctx)
 
     return entry
 

@@ -47,7 +47,7 @@ class SubobjectHandle:
 
     @property
     def carrier(self):
-        return self.ctx.ring if self.kind == IDEAL else self.ctx.module
+        return self.ctx.grading.carrier
 
     @cached_property
     def sorted_members(self) -> tuple:
@@ -73,19 +73,18 @@ class SubobjectHandle:
         return self.ctx.grading
 
 
-def _tables(kind: str, ctx):
-    """(add, act, carrier_size, ring_size) for closure work on a kind/ctx pair."""
-    if kind == IDEAL:
-        if not isinstance(ctx, GradedRing):
-            raise PreconditionViolation("ideal handles live over a GradedRing")
-        r = ctx.ring
-        return r.add, r.mul, r.size, r.size
-    if kind == SUBMODULE:
-        if not isinstance(ctx, GradedModule):
-            raise PreconditionViolation("submodule handles live over a GradedModule")
-        m = ctx.module
-        return m.add, m.action, m.size, m.ring.size
-    raise PreconditionViolation(f"unknown subobject kind {kind!r}")
+_CONTEXT = {IDEAL: GradedRing, SUBMODULE: GradedModule}
+
+
+def _carrier(kind: str, ctx):
+    """The carrier a kind/ctx pair's subobjects live in.  An ideal is a
+    submodule of the ring acting on itself, so both kinds are closed under the
+    carrier's add and action tables."""
+    if kind not in _CONTEXT:
+        raise PreconditionViolation(f"unknown subobject kind {kind!r}")
+    if not isinstance(ctx, _CONTEXT[kind]):
+        raise PreconditionViolation(f"{kind} handles live over a {_CONTEXT[kind].__name__}")
+    return ctx.grading.carrier
 
 
 def is_graded_set(members, grading) -> bool:
@@ -125,23 +124,21 @@ def _additive_closure(seed, add, zero) -> set:
 
 def span(generators, kind: str, ctx) -> SubobjectHandle:
     """Smallest subobject of the given kind containing the generators."""
-    add, act, size, ring_size = _tables(kind, ctx)
+    carrier = _carrier(kind, ctx)
     for g in generators:
-        if not (0 <= g < size):
+        if not (0 <= g < carrier.size):
             raise PreconditionViolation(f"generator {g} outside the carrier")
-    orbit = {act[r][g] for r in range(ring_size) for g in generators}
-    orbit.add(ctx.ring.zero if kind == IDEAL else ctx.module.zero)
-    return subobject(kind, ctx, _additive_closure(orbit, add, ctx.ring.zero if kind == IDEAL else ctx.module.zero))
+    orbit = {row[g] for row in carrier.action for g in generators}
+    orbit.add(carrier.zero)
+    return subobject(kind, ctx, _additive_closure(orbit, carrier.add, carrier.zero))
 
 
 def zero_subobject(kind: str, ctx) -> SubobjectHandle:
-    zero = ctx.ring.zero if kind == IDEAL else ctx.module.zero
-    return SubobjectHandle(kind, ctx, frozenset({zero}), True)
+    return SubobjectHandle(kind, ctx, frozenset({_carrier(kind, ctx).zero}), True)
 
 
 def whole_subobject(kind: str, ctx) -> SubobjectHandle:
-    size = ctx.ring.size if kind == IDEAL else ctx.module.size
-    return subobject(kind, ctx, range(size))
+    return subobject(kind, ctx, range(_carrier(kind, ctx).size))
 
 
 def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
@@ -165,10 +162,9 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
         return subobject(SUBMODULE, b.ctx, _additive_closure(prods, b.ctx.module.add, b.ctx.module.zero))
     if op == "scalar_product":
         # a: homogeneous ring element (index), b: handle
-        gring = b.ctx if b.kind == IDEAL else b.ctx.gring
-        if a not in gring.hom_set:
+        if a not in b.ctx.gring.hom_set:
             raise PreconditionViolation("scalar_product requires a homogeneous scalar")
-        act = b.carrier.mul if b.kind == IDEAL else b.carrier.action
+        act = b.carrier.action
         return subobject(b.kind, b.ctx, {act[a][n] for n in b.members})
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
@@ -245,17 +241,16 @@ def _join(a: SubobjectHandle, b: SubobjectHandle) -> frozenset:
 
 
 def _enumerate_by_generators(ctx, kind: str, generators, max_elements: int):
-    add, act, size, ring_size = _tables(kind, ctx)
-    if size > max_elements:
-        raise TooLarge(f"carrier has {size} elements, cap is {max_elements}")
-    zero = ctx.ring.zero if kind == IDEAL else ctx.module.zero
+    carrier = _carrier(kind, ctx)
+    if carrier.size > max_elements:
+        raise TooLarge(f"carrier has {carrier.size} elements, cap is {max_elements}")
 
     # distinct cyclic spans of single generators
     singles = {}
     for x in sorted(generators):
         h = span({x}, kind, ctx)
         singles.setdefault(h.members, h)
-    found = {frozenset({zero}): zero_subobject(kind, ctx)}
+    found = {frozenset({carrier.zero}): zero_subobject(kind, ctx)}
     frontier = list(found.values())
     while frontier:
         nxt = []

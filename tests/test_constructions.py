@@ -26,8 +26,18 @@ from gradedalg import (
     subobject,
     whole_subobject,
 )
-from gradedalg.core import make_group
-from gradedalg.grading import module_same_as_ring, module_trivial, ring_trivial
+from gradedalg.constructions import _check_denominators, _fraction_classes
+from gradedalg.core import FiniteModule, FiniteRing, make_group
+from gradedalg.corpus import build_standard_corpus
+from gradedalg.grading import (
+    GradedModule,
+    GradedRing,
+    attach_grading,
+    groupring_natural,
+    module_same_as_ring,
+    module_trivial,
+    ring_trivial,
+)
 
 
 def _z12_module():
@@ -108,6 +118,176 @@ def test_localization_rejects_bad_sets():
         localize_ring(gr, (3, 9))  # missing 1
     with pytest.raises(InvalidDenominators):
         localize_ring(gr, (1, 2))  # 2*2 = 4 not in the set
+
+
+def test_localize_module_checks_its_ring_localization():
+    gr, gm = _z12_module()
+    loc = localize_ring(gr, (1, 3, 9))
+    # S^{-1}M at S = {1, 5} is all of Z/12 (5 is a unit), not the 4-element
+    # localization at {1, 3, 9} that was passed in
+    assert localize_module(gm, (1, 5)).gmodule.module.size == 12
+    with pytest.raises(PreconditionViolation):
+        localize_module(gm, (1, 5), ring_loc=loc)
+    with pytest.raises(InvalidDenominators):
+        localize_module(gm, (1, 2), ring_loc=loc)
+    other = localize_ring(ring_trivial(make_ring(("zmod", 12))), (1, 3, 9))
+    with pytest.raises(PreconditionViolation):
+        localize_module(gm, (1, 3, 9), ring_loc=other)
+    assert localize_module(gm, (9, 3, 1, 3), ring_loc=loc).ring_loc is loc
+
+
+def test_localize_subobject_rejects_a_handle_of_another_carrier():
+    gr, gm = _z12_module()
+    gr2, gm2 = _z12_module()
+    for loc, foreign in (
+        (localize_ring(gr, (1, 3, 9)), span({2}, IDEAL, gr2)),
+        (localize_ring(gr, (1, 3, 9)), span({2}, SUBMODULE, gm)),
+        (localize_module(gm, (1, 3, 9)), span({2}, SUBMODULE, gm2)),
+        (localize_module(gm, (1, 3, 9)), span({2}, IDEAL, gr)),
+    ):
+        with pytest.raises(PreconditionViolation, match="localized base"):
+            localize_subobject(loc, foreign)
+    with pytest.raises(PreconditionViolation, match="localized structure"):
+        localize_subobject(gr, span({2}, IDEAL, gr))
+
+
+# The localization code before ring and module shared one fraction builder,
+# kept as the oracle for it.
+
+def _oracle_localize_ring(gring, s):
+    s = _check_denominators(gring, s)
+    ring = gring.ring
+    mul, add, neg = ring.mul, ring.add, ring.neg
+
+    def equivalent(p, q):
+        a, sden = p
+        b, tden = q
+        diff = add[mul[tden][a]][neg[mul[sden][b]]]
+        return any(mul[u][diff] == ring.zero for u in s)
+
+    pairs = [(a, d) for a in range(ring.size) for d in s]
+    reps, class_of = _fraction_classes(pairs, equivalent)
+    labels = tuple(f"{ring.labels[a]}/{ring.labels[d]}" for a, d in reps)
+    ladd = tuple(
+        tuple(class_of[(add[mul[t][a]][mul[sden][b]], mul[sden][t])] for (b, t) in reps)
+        for (a, sden) in reps
+    )
+    lmul = tuple(
+        tuple(class_of[(mul[a][b], mul[sden][t])] for (b, t) in reps)
+        for (a, sden) in reps
+    )
+    zero = class_of[(ring.zero, ring.one)]
+    one = class_of[(ring.one, ring.one)]
+    lring = FiniteRing(labels, ladd, lmul, zero, one)
+
+    group = gring.group
+    assignment = {g: set() for g in range(group.size)}
+    rcomps = gring.grading.components
+    for g in range(group.size):
+        for h in range(group.size):
+            d = group.op[h][group.inverse[g]]
+            for sden in s:
+                if sden not in rcomps[d]:
+                    continue
+                for a in rcomps[h]:
+                    assignment[g].add(class_of[(a, sden)])
+    grading = attach_grading(lring, group, assignment)
+    return s, GradedRing(lring, grading), tuple(reps), class_of
+
+
+def _oracle_localize_module(gm, ring_loc):
+    s, lgring, ring_reps, _ = ring_loc
+    module = gm.module
+    ring = gm.gring.ring
+    act, madd, mneg = module.action, module.add, module.neg
+
+    def equivalent(p, q):
+        m, sden = p
+        m2, tden = q
+        diff = madd[act[tden][m]][mneg[act[sden][m2]]]
+        return any(act[u][diff] == module.zero for u in s)
+
+    pairs = [(m, d) for m in range(module.size) for d in s]
+    reps, class_of = _fraction_classes(pairs, equivalent)
+    labels = tuple(f"{module.labels[m]}/{ring.labels[d]}" for m, d in reps)
+    ladd = tuple(
+        tuple(class_of[(madd[act[t][m]][act[sden][m2]], ring.mul[sden][t])] for (m2, t) in reps)
+        for (m, sden) in reps
+    )
+    laction = tuple(
+        tuple(class_of[(act[a][m], ring.mul[sden][t])] for (m, t) in reps)
+        for (a, sden) in ring_reps
+    )
+    zero = class_of[(module.zero, ring.one)]
+    lmodule = FiniteModule(lgring.ring, labels, ladd, zero, laction)
+
+    group = gm.group
+    assignment = {g: set() for g in range(group.size)}
+    mcomps = gm.grading.components
+    rcomps = gm.gring.grading.components
+    for g in range(group.size):
+        for h in range(group.size):
+            d = group.op[h][group.inverse[g]]
+            for sden in s:
+                if sden not in rcomps[d]:
+                    continue
+                for m in mcomps[h]:
+                    assignment[g].add(class_of[(m, sden)])
+    grading = attach_grading(lmodule, group, assignment, ring_grading=lgring.grading)
+    return GradedModule(lmodule, lgring, grading), tuple(reps), class_of
+
+
+def _localization_cases():
+    for n in range(2, 37):
+        ring = make_ring(("zmod", n))
+        gr = ring_trivial(ring)
+        gm = module_same_as_ring(make_module(("self",), ring), gr)
+        closures = set()
+        for x in range(n):
+            s, cur = {1}, x
+            while cur not in s:
+                s.add(cur)
+                cur = ring.mul[cur][x]
+            closures.add(tuple(sorted(s)))
+        for s in sorted(closures):
+            yield f"zmod{n}", gm, s
+    torsion = next(e for e in build_standard_corpus() if e.name == "torsion180")
+    yield "torsion180", torsion.gmodule, torsion.mulsets["S5"]
+    c2 = make_group(("cyclic", 2))
+    for p in (2, 3):
+        ring = make_ring(("groupring", p, c2))
+        gr = groupring_natural(ring, c2)
+        gm = module_same_as_ring(make_module(("self",), ring), gr)
+        units = {ring.index[(c, 0)] for c in (1, p - 1)} | {ring.index[(0, c)] for c in (1, p - 1)}
+        yield f"F{p}[C2]", gm, tuple(units)
+
+
+def _assert_same_graded(got, want, table):
+    c, w = got.grading.carrier, want.grading.carrier
+    assert c.labels == w.labels
+    assert c.add == w.add
+    assert getattr(c, table) == getattr(w, table)
+    assert c.zero == w.zero
+    assert got.grading.components == want.grading.components
+
+
+def test_localization_builder_matches_the_separate_ring_and_module_code():
+    seen = 0
+    for name, gm, s in _localization_cases():
+        loc = localize_module(gm, s)
+        ring_loc = _oracle_localize_ring(gm.gring, s)
+        want_s, want_gring, want_ring_reps, want_ring_class_of = ring_loc
+        assert loc.ring_loc.denominators == want_s, name
+        _assert_same_graded(loc.ring_loc.gring, want_gring, "mul")
+        assert loc.ring_loc.gring.ring.one == want_gring.ring.one, (name, s)
+        assert loc.ring_loc.reps == want_ring_reps, (name, s)
+        assert loc.ring_loc.class_of == want_ring_class_of, (name, s)
+        want_gm, want_reps, want_class_of = _oracle_localize_module(gm, ring_loc)
+        _assert_same_graded(loc.gmodule, want_gm, "action")
+        assert loc.reps == want_reps, (name, s)
+        assert loc.class_of == want_class_of, (name, s)
+        seen += 1
+    assert seen > 100
 
 
 def test_localized_structures_pass_validation():

@@ -99,3 +99,35 @@ def test_trivial_module_grading():
     module = make_module(("directsum", 4, 9, 5), ring)
     gm = module_trivial(module, gr)
     assert len(gm.hom) == 180
+
+
+def test_ring_grading_names_the_escaping_product():
+    # Z2 x Z2 with R_e = {0, (1,1)} and R_g = {0, (1,0)}: (1,0)^2 = (1,0)
+    # lies in R_g but must lie in R_{g g} = R_e
+    ring = make_ring(("product", ("zmod", 2), ("zmod", 2)))
+    group = make_group(("cyclic", 2))
+    e_part, g_part = ring.index[(1, 1)], ring.index[(1, 0)]
+    with pytest.raises(GradingInvalid) as exc:
+        attach_grading(ring, group, {0: {0, e_part}, 1: {0, g_part}})
+    assert (exc.value.axiom, exc.value.witness) == ("component-product-escapes", (1, 1, g_part, g_part))
+
+
+def test_ring_grading_needs_one_in_the_identity_component():
+    ring = make_ring(("zmod", 4))
+    group = make_group(("cyclic", 2))
+    with pytest.raises(GradingInvalid) as exc:
+        attach_grading(ring, group, {0: {0}, 1: {0, 1, 2, 3}})
+    assert (exc.value.axiom, exc.value.witness) == ("one-not-in-identity-component", (1,))
+
+
+def test_module_grading_names_the_escaping_action():
+    # F2[C2] with its natural grading acting on itself graded trivially:
+    # g in R_g times g in M_e is 1, which must lie in M_g = {0}
+    c2 = make_group(("cyclic", 2))
+    ring = make_ring(("groupring", 2, c2))
+    gr = groupring_natural(ring, c2)
+    module = make_module(("self",), ring)
+    g = ring.index[(0, 1)]
+    with pytest.raises(GradingInvalid) as exc:
+        attach_grading(module, c2, trivial_assignment(module, c2), ring_grading=gr.grading)
+    assert (exc.value.axiom, exc.value.witness) == ("action-escapes-component", (1, 0, g, g))

@@ -28,8 +28,7 @@ from gradedalg.subobjects import _enumerate_by_generators
 def enumerate_all_subobjects(ctx, kind, max_elements=64):
     """Independent oracle: every subobject (graded or not), by a lattice walk
     over *all* carrier elements."""
-    size = ctx.ring.size if kind == IDEAL else ctx.module.size
-    return _enumerate_by_generators(ctx, kind, range(size), max_elements)
+    return _enumerate_by_generators(ctx, kind, range(ctx.grading.carrier.size), max_elements)
 
 
 def _z12():
@@ -188,3 +187,30 @@ def test_span_is_idempotent_and_monotone(a, b):
     h = span({a, b}, IDEAL, gr)
     assert span(h.members, IDEAL, gr).members == h.members
     assert span({a}, IDEAL, gr).members <= h.members
+
+
+def _z12_self():
+    gr = _z12()
+    return gr, module_trivial(make_module(("self",), gr.ring), gr)
+
+
+_BUILDERS = {
+    "span": lambda kind, ctx: span({1}, kind, ctx),
+    "whole_subobject": whole_subobject,
+    "enumerate_graded_subobjects": lambda kind, ctx: enumerate_graded_subobjects(ctx, kind),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+def test_builders_reject_a_kind_that_does_not_fit_the_carrier(builder):
+    gr, gm = _z12_self()
+    build = _BUILDERS[builder]
+    with pytest.raises(PreconditionViolation, match="ideal handles live over a GradedRing"):
+        build(IDEAL, gm)
+    with pytest.raises(PreconditionViolation, match="submodule handles live over a GradedModule"):
+        build(SUBMODULE, gr)
+    for ctx in (gr, gm):
+        with pytest.raises(PreconditionViolation, match="unknown subobject kind 'ring'"):
+            build("ring", ctx)
+    build(IDEAL, gr)
+    build(SUBMODULE, gm)
