@@ -183,7 +183,7 @@ def _grad_colon_members(n: SubobjectHandle, k: SubobjectHandle, zmask, zero_mask
     gring = n.ctx.gring
     km = k.mask
     col = {r for r in range(gring.ring.size) if zmask[r] & km == zmask[r]}
-    return graded_radical(subobject(IDEAL, gring, col)).members
+    return graded_radical(subobject(gring, col)).members
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +209,8 @@ def classify_submodule(
     if predicate == "g-2a-coprimary":
         if g is None:
             raise PreconditionViolation("g-2a-coprimary needs a group element")
+        if not 0 <= g < n.ctx.group.size:
+            raise PreconditionViolation(f"group element {g} outside the grading group")
     else:
         g = None
 
@@ -226,7 +228,7 @@ def classify_submodule(
         a = next((a for a in gring.hom if zmask[a] not in (zero_mask, n.mask)), None)
         verdict = PredicateVerdict(a is None, None if a is None else {"a": a})
     else:
-        lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
+        lattice = enumerate_graded_subobjects(gm, max_elements)
         scalars = gring.hom if g is None else tuple(sorted(gring.grading.components[g]))
         contains = _contains_bits(n, lattice)
         hyp = tuple(0 if w == zero_mask else bits for w, bits in zip(zmask, contains))
@@ -281,7 +283,7 @@ def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMEN
     cache = gm._caches.setdefault("module_verdicts", {})
     if "comultiplication" in cache:
         return cache["comultiplication"]
-    lattice = enumerate_graded_subobjects(gm, SUBMODULE, max_elements)
+    lattice = enumerate_graded_subobjects(gm, max_elements)
     act = gm.module.action
     zero = gm.module.zero
     verdict = None
@@ -311,7 +313,7 @@ def recheck_coprimary_violation(n: SubobjectHandle, x: int, y: int, k: Subobject
     xy = ring.mul[x][y]
     xy_n = frozenset(act[xy][m] for m in n.members)
     if k is None:
-        k = span(xy_n, SUBMODULE, gm)
+        k = span(xy_n, gm)
     if not xy_n <= k.members:
         return False  # hypothesis fails; not a violation
     if xy in annihilator(n).members:

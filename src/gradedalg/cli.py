@@ -115,7 +115,7 @@ def _cmd_classify(args, out) -> int:
     entry = parse_structure_file(args.file, max_elements=args.max_elements)
     pred = args.predicate
     if args.target == "M":
-        target = whole_subobject(SUBMODULE, entry.gmodule)
+        target = whole_subobject(entry.gmodule)
     elif args.target in entry.named:
         target = entry.named[args.target]
     else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .core import FiniteModule, FiniteRing, make_module, make_ring
 from .errors import HomInvalid, InvalidDenominators, PreconditionViolation
 from .grading import GradedModule, GradedRing, attach_grading, product_assignment
-from .subobjects import SUBMODULE, SubobjectHandle, _carrier, subobject, zero_subobject
+from .subobjects import SUBMODULE, SubobjectHandle, subobject, zero_subobject
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +64,21 @@ def multiplication_hom(gm: GradedModule, r: int) -> GradedHom:
 
 def hom_image(f: GradedHom, l: SubobjectHandle) -> SubobjectHandle:
     """f(L) as a graded submodule of the target."""
-    if l.kind != SUBMODULE or l.ctx is not f.source:
+    if l.ctx is not f.source:
         raise PreconditionViolation("hom_image takes a submodule of the source")
-    return subobject(SUBMODULE, f.target, {f.mapping[m] for m in l.members})
+    return subobject(f.target, {f.mapping[m] for m in l.members})
 
 
 def hom_preimage(f: GradedHom, k: SubobjectHandle) -> SubobjectHandle:
     """f^{-1}(K) as a graded submodule of the source."""
-    if k.kind != SUBMODULE or k.ctx is not f.target:
+    if k.ctx is not f.target:
         raise PreconditionViolation("hom_preimage takes a submodule of the target")
     km = k.members
-    return subobject(
-        SUBMODULE, f.source, {m for m in range(f.source.module.size) if f.mapping[m] in km}
-    )
+    return subobject(f.source, {m for m in range(f.source.module.size) if f.mapping[m] in km})
 
 
 def hom_kernel(f: GradedHom) -> SubobjectHandle:
-    return hom_preimage(f, zero_subobject(SUBMODULE, f.target))
+    return hom_preimage(f, zero_subobject(f.target))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +228,8 @@ def localize_subobject(loc, n: SubobjectHandle) -> SubobjectHandle:
         raise PreconditionViolation("localize_subobject takes a localized structure")
     if n.ctx is not loc.base:
         raise PreconditionViolation("subobject must live on the localized base")
-    _carrier(n.kind, n.ctx)  # the handle's kind matches its carrier
     members = {loc.class_of[(x, d)] for x in n.members for d in loc.denominators}
-    return subobject(n.kind, loc.localized, members)
+    return subobject(loc.localized, members)
 
 
 # ---------------------------------------------------------------------------
@@ -265,4 +262,4 @@ def product_submodule(n1: SubobjectHandle, n2: SubobjectHandle, gm: GradedModule
         raise PreconditionViolation("product_submodule takes two submodules")
     size2 = n2.ctx.module.size
     members = {i1 * size2 + i2 for i1 in n1.members for i2 in n2.members}
-    return subobject(SUBMODULE, gm, members)
+    return subobject(gm, members)

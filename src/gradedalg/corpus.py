@@ -12,7 +12,7 @@ from functools import lru_cache
 from .core import DEFAULT_MAX_ELEMENTS, first_invalid, make_group, make_module, make_ring
 from .errors import GradedAlgError
 from .grading import GradedModule, GradedRing, groupring_natural, module_same_as_ring, module_trivial, ring_trivial
-from .subobjects import IDEAL, SUBMODULE, enumerate_graded_subobjects, span
+from .subobjects import enumerate_graded_subobjects, span
 from .constructions import product_graded_module, product_graded_ring
 
 
@@ -28,10 +28,10 @@ class CorpusEntry:
     max_elements: int = DEFAULT_MAX_ELEMENTS
 
     def graded_submodules(self):
-        return enumerate_graded_subobjects(self.gmodule, SUBMODULE, self.max_elements)
+        return enumerate_graded_subobjects(self.gmodule, self.max_elements)
 
     def graded_ideals(self):
-        return enumerate_graded_subobjects(self.gring, IDEAL, self.max_elements)
+        return enumerate_graded_subobjects(self.gring, self.max_elements)
 
 
 @dataclass
@@ -83,7 +83,7 @@ def _torsion180_entry() -> CorpusEntry:
         note="finite model, exponent 180 (integer scalars act through residues mod 180)",
     )
     gens = {module.index[(1, 0, 0)], module.index[(0, 1, 0)]}
-    entry.named["N"] = span(gens, SUBMODULE, gmodule)
+    entry.named["N"] = span(gens, gmodule)
     # closure of {5} under multiplication mod 180, plus 1
     s = {1}
     cur = 5

@@ -37,15 +37,6 @@ class Grading:
     def homogeneous_set(self) -> frozenset:
         return frozenset(self.homogeneous)
 
-    def degree_of(self, x: int):
-        """Degree of a homogeneous element (identity for 0), else None."""
-        if x == self.carrier.zero:
-            return self.group.identity
-        for g, comp in enumerate(self.components):
-            if x in comp:
-                return g
-        return None
-
 
 def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Grading | None = None) -> Grading:
     """Validate a component assignment and return a :class:`Grading`.
@@ -121,27 +112,17 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     return Grading(group, carrier, tuple(components), tuple(decomposition))
 
 
-def decompose(x: int, grading: Grading) -> dict:
-    """The unique homogeneous decomposition of x: map group element -> part."""
-    return {g: p for g, p in enumerate(grading.decomposition[x])}
-
-
-def is_homogeneous(x: int, grading: Grading):
-    """(True, degree) if x lies in some component, else (False, None).
-
-    Zero is reported with degree e by convention.
-    """
-    g = grading.degree_of(x)
-    return (g is not None, g)
-
-
 # ---------------------------------------------------------------------------
 # graded carriers
 # ---------------------------------------------------------------------------
 
+IDEAL = "ideal"
+SUBMODULE = "submodule"
+
+
 class _GradedCarrier:
     """What a graded ring and a graded module share; each subclass holds the
-    ``grading`` field."""
+    ``grading`` field and names the ``kind`` of the subobjects over it."""
 
     @property
     def group(self) -> GradingGroup:
@@ -166,6 +147,7 @@ class _GradedCarrier:
 class GradedRing(_GradedCarrier):
     """A finite commutative ring together with a validated grading."""
 
+    kind = IDEAL
     ring: FiniteRing
     grading: Grading
 
@@ -179,6 +161,7 @@ class GradedRing(_GradedCarrier):
 class GradedModule(_GradedCarrier):
     """A finite module with a validated grading over a :class:`GradedRing`."""
 
+    kind = SUBMODULE
     module: FiniteModule
     gring: GradedRing
     grading: Grading

@@ -35,7 +35,6 @@ from .constructions import (
 from .corpus import Corpus, CorpusEntry
 from .errors import PreconditionViolation, StructureParseError, UnknownProposition
 from .subobjects import (
-    SUBMODULE,
     annihilator,
     colon,
     colon_by_element,
@@ -172,7 +171,7 @@ def _factor_pairs(entry: CorpusEntry, skip: Counter):
     presume both factors non-zero, so pairs with one count as zero-factor."""
     if entry.factors is None:
         return
-    subs1, subs2 = (enumerate_graded_subobjects(gm, SUBMODULE, entry.max_elements) for gm in entry.factors)
+    subs1, subs2 = (enumerate_graded_subobjects(gm, entry.max_elements) for gm in entry.factors)
     skip["zero-factor"] += len(subs1) + len(subs2) - 1  # subs[0] is the zero submodule
     for n1 in subs1[1:]:
         for n2 in subs2[1:]:
@@ -204,14 +203,14 @@ def _check_closure_lemma(entry: CorpusEntry):
             expect_graded(combine(n, k, "sum"), "submodule-sum", (_members_label(n), _members_label(k)))
             expect_graded(combine(n, k, "intersect"), "submodule-intersect", (_members_label(n), _members_label(k)))
     for x in gm.hom:
-        expect_graded(span({x}, SUBMODULE, gm), "cyclic-span", x)
+        expect_graded(span({x}, gm), "cyclic-span", x)
     for i in ideals:
         for n in subs:
             expect_graded(combine(i, n, "ideal_product"), "ideal-product", (_members_label(i), _members_label(n)))
     for r in gm.gring.hom:
         for n in subs:
             expect_graded(combine(r, n, "scalar_product"), "scalar-multiple", r)
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     for n in subs:
         expect_graded(colon(n, whole), "colon-into-module", _members_label(n))
         expect_graded(annihilator(n), "annihilator", _members_label(n))
@@ -285,7 +284,7 @@ def _check_hom_preimage(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
     ks = list(_coprimary(_nonzero_subs(entry), skip, "K-not-coprimary", len(homs)))
-    whole = whole_subobject(SUBMODULE, entry.gmodule)
+    whole = whole_subobject(entry.gmodule)
     for r, f in homs:
         fm = hom_image(f, whole)
         for k in ks:
@@ -446,7 +445,7 @@ def _side_checker(side: int):
         inst, skip, bad = 0, Counter(), []
         if entry.factors is None:
             return inst, bad, skip
-        lattices = [enumerate_graded_subobjects(gm, SUBMODULE, entry.max_elements) for gm in entry.factors]
+        lattices = [enumerate_graded_subobjects(gm, entry.max_elements) for gm in entry.factors]
         skip["zero-factor"] += 1  # lattices[side][0] is the zero submodule
         for ni in _coprimary(lattices[side][1:], skip, "factor-not-coprimary"):
             n1, n2 = (ni, lattices[1][0]) if side == 0 else (lattices[0][0], ni)

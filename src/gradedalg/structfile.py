@@ -207,10 +207,10 @@ def parse_structure_text(
             if len(args) < 3 or args[1] != "gens":
                 raise StructureParseError(f"{directive} needs: NAME gens TOK ...", line=lineno)
             sname, toks = args[0], args[2:]
-            # the directive names the kind: an ideal is a submodule of the ring
+            # the directive names the carrier: an ideal is a submodule of the ring
             ctx = gmodule if directive == SUBMODULE else gring
             gens = {_lookup(ctx.grading.carrier, _parse_token(t, lineno), lineno) for t in toks}
-            entry.named[sname] = span(gens, directive, ctx)
+            entry.named[sname] = span(gens, ctx)
 
     return entry
 

@@ -2,9 +2,9 @@
 calculus on them: span, sum/intersection/products, colon, annihilator, graded
 radical, and exhaustive enumeration of graded subobjects.
 
-A handle's ``kind`` is ``"ideal"`` (context: :class:`GradedRing`) or
-``"submodule"`` (context: :class:`GradedModule`).  Member sets are frozensets
-of element indices; hot paths use the integer bitmask view.
+A handle's ``kind`` is read from its carrier: ``"ideal"`` over a
+:class:`GradedRing`, ``"submodule"`` over a :class:`GradedModule`.  Member
+sets are frozensets of element indices; hot paths use the integer bitmask view.
 """
 from __future__ import annotations
 
@@ -13,29 +13,20 @@ from functools import cached_property
 
 from .core import DEFAULT_MAX_ELEMENTS
 from .errors import PreconditionViolation, TooLarge
-from .grading import GradedModule, GradedRing
-
-IDEAL = "ideal"
-SUBMODULE = "submodule"
+from .grading import IDEAL, SUBMODULE
 
 
 @dataclass(frozen=True, eq=False)
 class SubobjectHandle:
-    kind: str
-    ctx: object  # GradedRing for ideals, GradedModule for submodules
+    ctx: object  # GradedRing or GradedModule
     members: frozenset
     graded: bool
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubobjectHandle)
-            and self.kind == other.kind
-            and self.ctx is other.ctx
-            and self.members == other.members
-        )
+        return isinstance(other, SubobjectHandle) and self.ctx is other.ctx and self.members == other.members
 
     def __hash__(self):
-        return hash((self.kind, id(self.ctx), self.members))
+        return hash((id(self.ctx), self.members))
 
     def __repr__(self):
         labels = [self.carrier.labels[i] for i in self.sorted_members[:8]]
@@ -44,6 +35,10 @@ class SubobjectHandle:
             f"<{self.kind} |{len(self.members)}| graded={self.graded} "
             f"members={labels}{more}>"
         )
+
+    @property
+    def kind(self) -> str:
+        return self.ctx.kind
 
     @property
     def carrier(self):
@@ -73,20 +68,6 @@ class SubobjectHandle:
         return self.ctx.grading
 
 
-_CONTEXT = {IDEAL: GradedRing, SUBMODULE: GradedModule}
-
-
-def _carrier(kind: str, ctx):
-    """The carrier a kind/ctx pair's subobjects live in.  An ideal is a
-    submodule of the ring acting on itself, so both kinds are closed under the
-    carrier's add and action tables."""
-    if kind not in _CONTEXT:
-        raise PreconditionViolation(f"unknown subobject kind {kind!r}")
-    if not isinstance(ctx, _CONTEXT[kind]):
-        raise PreconditionViolation(f"{kind} handles live over a {_CONTEXT[kind].__name__}")
-    return ctx.grading.carrier
-
-
 def is_graded_set(members, grading) -> bool:
     """True iff every member's homogeneous components are members."""
     decomposition = grading.decomposition
@@ -97,10 +78,10 @@ def is_graded_set(members, grading) -> bool:
     return True
 
 
-def subobject(kind: str, ctx, members) -> SubobjectHandle:
+def subobject(ctx, members) -> SubobjectHandle:
     """Wrap an already-closed member set in a handle (gradedness computed)."""
     members = frozenset(members)
-    return SubobjectHandle(kind, ctx, members, is_graded_set(members, ctx.grading))
+    return SubobjectHandle(ctx, members, is_graded_set(members, ctx.grading))
 
 
 def is_graded(handle: SubobjectHandle) -> bool:
@@ -122,56 +103,58 @@ def _additive_closure(seed, add, zero) -> set:
     return closed
 
 
-def span(generators, kind: str, ctx) -> SubobjectHandle:
-    """Smallest subobject of the given kind containing the generators."""
-    carrier = _carrier(kind, ctx)
+def span(generators, ctx) -> SubobjectHandle:
+    """Smallest subobject of the carrier containing the generators.  An ideal
+    is a submodule of the ring acting on itself, so both kinds are closed
+    under the carrier's add and action tables."""
+    carrier = ctx.grading.carrier
     for g in generators:
         if not (0 <= g < carrier.size):
             raise PreconditionViolation(f"generator {g} outside the carrier")
     orbit = {row[g] for row in carrier.action for g in generators}
     orbit.add(carrier.zero)
-    return subobject(kind, ctx, _additive_closure(orbit, carrier.add, carrier.zero))
+    return subobject(ctx, _additive_closure(orbit, carrier.add, carrier.zero))
 
 
-def zero_subobject(kind: str, ctx) -> SubobjectHandle:
-    return SubobjectHandle(kind, ctx, frozenset({_carrier(kind, ctx).zero}), True)
+def zero_subobject(ctx) -> SubobjectHandle:
+    return SubobjectHandle(ctx, frozenset({ctx.grading.carrier.zero}), True)
 
 
-def whole_subobject(kind: str, ctx) -> SubobjectHandle:
-    return subobject(kind, ctx, range(_carrier(kind, ctx).size))
+def whole_subobject(ctx) -> SubobjectHandle:
+    return subobject(ctx, range(ctx.grading.carrier.size))
 
 
 def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
     """sum / intersect of like handles, ideal_product (ideal x submodule -> IN),
     or scalar_product (homogeneous scalar x handle -> rN)."""
     if op == "sum":
-        if a.kind != b.kind or a.ctx is not b.ctx:
-            raise PreconditionViolation("sum requires handles of the same kind and carrier")
+        if a.ctx is not b.ctx:
+            raise PreconditionViolation("sum requires handles over the same carrier")
         add = a.carrier.add
-        return subobject(a.kind, a.ctx, {add[x][y] for x in a.members for y in b.members})
+        return subobject(a.ctx, {add[x][y] for x in a.members for y in b.members})
     if op == "intersect":
-        if a.kind != b.kind or a.ctx is not b.ctx:
-            raise PreconditionViolation("intersect requires handles of the same kind and carrier")
-        return subobject(a.kind, a.ctx, a.members & b.members)
+        if a.ctx is not b.ctx:
+            raise PreconditionViolation("intersect requires handles over the same carrier")
+        return subobject(a.ctx, a.members & b.members)
     if op == "ideal_product":
         # a: ideal over the scalar ring of b's module
-        if a.kind != IDEAL or b.kind != SUBMODULE or b.ctx.gring is not a.ctx:
+        if b.kind != SUBMODULE or b.ctx.gring is not a.ctx:
             raise PreconditionViolation("ideal_product takes (ideal, submodule) over the same ring")
         act = b.ctx.module.action
         prods = {act[i][n] for i in a.members for n in b.members}
-        return subobject(SUBMODULE, b.ctx, _additive_closure(prods, b.ctx.module.add, b.ctx.module.zero))
+        return subobject(b.ctx, _additive_closure(prods, b.ctx.module.add, b.ctx.module.zero))
     if op == "scalar_product":
         # a: homogeneous ring element (index), b: handle
         if a not in b.ctx.gring.hom_set:
             raise PreconditionViolation("scalar_product requires a homogeneous scalar")
         act = b.carrier.action
-        return subobject(b.kind, b.ctx, {act[a][n] for n in b.members})
+        return subobject(b.ctx, {act[a][n] for n in b.members})
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
 
 def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
     """(K :_R N) = {r in R : r*N subset K}, an ideal of the scalar ring."""
-    if k.kind != SUBMODULE or n.kind != SUBMODULE or k.ctx is not n.ctx:
+    if n.kind != SUBMODULE or k.ctx is not n.ctx:
         raise PreconditionViolation("colon takes two submodules of the same module")
     gm = k.ctx
     act = gm.module.action
@@ -180,7 +163,7 @@ def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
     for r in range(gm.gring.ring.size):
         if all(act[r][m] in km for m in n.members):
             members.add(r)
-    return subobject(IDEAL, gm.gring, members)
+    return subobject(gm.gring, members)
 
 
 def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:
@@ -192,14 +175,14 @@ def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:
         raise PreconditionViolation("colon_by_element requires a homogeneous ring element")
     act = gm.module.action
     km = k.members
-    return subobject(SUBMODULE, gm, {m for m in range(gm.module.size) if act[x][m] in km})
+    return subobject(gm, {m for m in range(gm.module.size) if act[x][m] in km})
 
 
 def annihilator(n: SubobjectHandle) -> SubobjectHandle:
     """Ann_R(N) = (0 :_R N)."""
     if n.kind != SUBMODULE:
         raise PreconditionViolation("annihilator takes a submodule")
-    return colon(zero_subobject(SUBMODULE, n.ctx), n)
+    return colon(zero_subobject(n.ctx), n)
 
 
 def graded_radical(p: SubobjectHandle) -> SubobjectHandle:
@@ -223,7 +206,7 @@ def graded_radical(p: SubobjectHandle) -> SubobjectHandle:
     for r in range(ring.size):
         if all(not powers[part].isdisjoint(pm) for part in decomposition[r]):
             members.add(r)
-    return subobject(IDEAL, gring, members)
+    return subobject(gring, members)
 
 
 def ideal_component(i: SubobjectHandle, g: int) -> frozenset:
@@ -240,17 +223,22 @@ def _join(a: SubobjectHandle, b: SubobjectHandle) -> frozenset:
     return frozenset(add[x][y] for x in a.members for y in b.members)
 
 
-def _enumerate_by_generators(ctx, kind: str, generators, max_elements: int):
-    carrier = _carrier(kind, ctx)
+def _capped_carrier(ctx, max_elements: int):
+    carrier = ctx.grading.carrier
     if carrier.size > max_elements:
         raise TooLarge(f"carrier has {carrier.size} elements, cap is {max_elements}")
+    return carrier
+
+
+def _enumerate_by_generators(ctx, generators, max_elements: int):
+    carrier = _capped_carrier(ctx, max_elements)
 
     # distinct cyclic spans of single generators
     singles = {}
     for x in sorted(generators):
-        h = span({x}, kind, ctx)
+        h = span({x}, ctx)
         singles.setdefault(h.members, h)
-    found = {frozenset({carrier.zero}): zero_subobject(kind, ctx)}
+    found = {frozenset({carrier.zero}): zero_subobject(ctx)}
     frontier = list(found.values())
     while frontier:
         nxt = []
@@ -260,22 +248,23 @@ def _enumerate_by_generators(ctx, kind: str, generators, max_elements: int):
                     continue
                 joined = _join(s, d)
                 if joined not in found:
-                    h = subobject(kind, ctx, joined)
+                    h = subobject(ctx, joined)
                     found[joined] = h
                     nxt.append(h)
         frontier = nxt
     return sorted(found.values(), key=lambda h: (len(h.members), h.sorted_members))
 
 
-def enumerate_graded_subobjects(ctx, kind: str, max_elements: int = DEFAULT_MAX_ELEMENTS):
+def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """All graded subobjects, in canonical order (size, then member list).
 
     Graded subobjects are exactly those generated by homogeneous elements, so
     the lattice is walked by repeatedly joining homogeneous cyclic spans.
-    Results are memoized on the carrier.
+    Results are memoized on the carrier; the cap is checked on every call and
+    only decides whether the lattice may be returned.
     """
-    cache = ctx._caches.setdefault("graded_subobjects", {})
-    key = (kind, max_elements)
-    if key not in cache:
-        cache[key] = _enumerate_by_generators(ctx, kind, ctx.hom, max_elements)
-    return cache[key]
+    _capped_carrier(ctx, max_elements)
+    cache = ctx._caches
+    if "graded_subobjects" not in cache:
+        cache["graded_subobjects"] = _enumerate_by_generators(ctx, ctx.hom, max_elements)
+    return cache["graded_subobjects"]

@@ -14,9 +14,7 @@ import io
 import time
 
 from gradedalg import (
-    IDEAL,
     PROPOSITION_IDS,
-    SUBMODULE,
     annihilator,
     build_standard_corpus,
     classify_ideal,
@@ -128,7 +126,7 @@ def test_criterion_1_example_reproduction():
 
 def test_criterion_2_lattice_count():
     entry = next(e for e in CORPUS if e.name == "torsion180")
-    subs = enumerate_graded_subobjects(entry.gmodule, SUBMODULE)
+    subs = enumerate_graded_subobjects(entry.gmodule)
     ok = len(subs) == 18
     assert _report(2, ok, f"count={len(subs)}")
 
@@ -179,7 +177,7 @@ def test_criterion_5_proposition_suite():
 
 def test_criterion_6_radical_oracle():
     gr, _ = _z12_module()
-    got = graded_radical(span({4}, IDEAL, gr)).members
+    got = graded_radical(span({4}, gr)).members
     ok = got == frozenset({0, 2, 4, 6, 8, 10})
     assert _report(6, ok, f"Grad((4))={sorted(got)}")
 
@@ -196,14 +194,14 @@ def test_criterion_8_localization_sanity():
     gr, gm = _z12_module()
     loc_ring = localize_ring(gr, (1, 3, 9))
     loc_mod = localize_module(gm, (1, 3, 9), ring_loc=loc_ring)
-    sn = localize_subobject(loc_mod, subobject(SUBMODULE, gm, {0, 4, 8}))
+    sn = localize_subobject(loc_mod, subobject(gm, {0, 4, 8}))
     ok = len(loc_ring.reps) == 4 and sn.is_zero
     assert _report(8, ok, f"classes={len(loc_ring.reps)} localized_zero={sn.is_zero}")
 
 
 def test_criterion_9_negative_instance_witness():
     gr, gm = _z12_module()
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     v = classify_submodule(whole, "2a-coprimary-def")
     ok = (
         v.value is False

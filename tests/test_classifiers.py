@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedalg import (
-    IDEAL,
     IDEAL_PREDICATES,
-    SUBMODULE,
     PreconditionViolation,
     build_standard_corpus,
     classify_ideal,
@@ -40,8 +38,8 @@ def _self_module(n):
 
 def test_prime_ideal_in_z12():
     gr, _ = _self_module(12)
-    p2 = span({2}, IDEAL, gr)
-    p4 = span({4}, IDEAL, gr)
+    p2 = span({2}, gr)
+    p4 = span({4}, gr)
     assert classify_ideal(p2, "prime").value
     v = classify_ideal(p4, "prime")
     assert not v.value
@@ -51,13 +49,13 @@ def test_prime_ideal_in_z12():
 
 def test_primary_ideal_in_z12():
     gr, _ = _self_module(12)
-    assert classify_ideal(span({4}, IDEAL, gr), "primary").value
-    assert not classify_ideal(span({6}, IDEAL, gr), "primary").value
+    assert classify_ideal(span({4}, gr), "primary").value
+    assert not classify_ideal(span({6}, gr), "primary").value
 
 
 def test_zero_ideal_of_z30_not_2_absorbing():
     gr = ring_trivial(make_ring(("zmod", 30)))
-    z = zero_subobject(IDEAL, gr)
+    z = zero_subobject(gr)
     v = classify_ideal(z, "2-absorbing")
     assert not v.value
     assert {v.witness["a"], v.witness["b"], v.witness["c"]} == {2, 3, 5}
@@ -65,14 +63,14 @@ def test_zero_ideal_of_z30_not_2_absorbing():
 
 def test_2_absorbing_primary_in_z12():
     gr, _ = _self_module(12)
-    assert classify_ideal(span({6}, IDEAL, gr), "2-absorbing-primary").value
-    assert classify_ideal(zero_subobject(IDEAL, gr), "2-absorbing-primary").value
+    assert classify_ideal(span({6}, gr), "2-absorbing-primary").value
+    assert classify_ideal(zero_subobject(gr), "2-absorbing-primary").value
 
 
 def test_classify_ideal_rejects_improper():
     gr, _ = _self_module(12)
     with pytest.raises(PreconditionViolation):
-        classify_ideal(whole_subobject(IDEAL, gr), "prime")
+        classify_ideal(whole_subobject(gr), "prime")
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +79,15 @@ def test_classify_ideal_rejects_improper():
 
 def test_second_submodule():
     gr, gm = _self_module(6)
-    n = span({2}, SUBMODULE, gm)  # {0,2,4}, a simple module over Z6
+    n = span({2}, gm)  # {0,2,4}, a simple module over Z6
     assert classify_submodule(n, "second").value
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     assert not classify_submodule(whole, "second").value
 
 
 def test_z12_whole_module_not_coprimary_with_recheck():
     gr, gm = _self_module(12)
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     v = classify_submodule(whole, "2a-coprimary-def")
     assert not v.value
     w = v.witness
@@ -101,7 +99,7 @@ def test_z12_whole_module_not_coprimary_with_recheck():
 
 def test_z8_whole_module_separates_coprimary_from_strong():
     gr, gm = _self_module(8)
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     assert classify_submodule(whole, "2a-coprimary-def").value
     v = classify_submodule(whole, "strong-2a-second")
     assert not v.value
@@ -113,7 +111,7 @@ def test_characterization_agrees_on_z36():
     gr, gm = _self_module(36)
     from gradedalg import enumerate_graded_subobjects
 
-    for n in enumerate_graded_subobjects(gm, SUBMODULE):
+    for n in enumerate_graded_subobjects(gm):
         if n.is_zero:
             continue
         assert (
@@ -127,7 +125,7 @@ def test_g_form_on_group_ring():
     ring = make_ring(("groupring", 2, c2))
     gr = groupring_natural(ring, c2)
     gm = module_same_as_ring(make_module(("self",), ring), gr)
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     # scalars restricted to one component are a weaker quantifier, so the
     # g-form verdict is implied by the full verdict when that is true
     full = classify_submodule(whole, "2a-coprimary-def").value
@@ -139,14 +137,23 @@ def test_g_form_on_group_ring():
 
 def test_g_form_requires_group_element():
     gr, gm = _self_module(4)
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     with pytest.raises(PreconditionViolation):
         classify_submodule(whole, "g-2a-coprimary")
 
 
+@pytest.mark.parametrize("g", [-1, 5])
+def test_g_form_rejects_a_degree_outside_the_grading_group(g):
+    entry = next(e for e in build_standard_corpus() if e.name == "groupring2-c2")
+    whole = whole_subobject(entry.gmodule)
+    with pytest.raises(PreconditionViolation, match=f"group element {g} outside the grading group"):
+        classify_submodule(whole, "g-2a-coprimary", g=g)
+    assert ("g-2a-coprimary", g, whole.members) not in entry.gmodule._caches.get("submodule_verdicts", {})
+
+
 def test_predicates_reject_zero_submodule():
     gr, gm = _self_module(4)
-    z = zero_subobject(SUBMODULE, gm)
+    z = zero_subobject(gm)
     with pytest.raises(PreconditionViolation):
         classify_submodule(z, "second")
 
@@ -202,7 +209,7 @@ def oracle_classify_submodule(n, predicate, g=None):
     gm = n.ctx
     mul = gm.gring.ring.mul
     act = gm.module.action
-    lattice = enumerate_graded_subobjects(gm, SUBMODULE)
+    lattice = enumerate_graded_subobjects(gm)
     scalars = sorted(gm.gring.grading.components[g]) if predicate == "g-2a-coprimary" else gm.gring.hom
     images = [frozenset(act[r][m] for m in n.members) for r in range(gm.gring.ring.size)]
     if predicate == "second":
@@ -232,7 +239,7 @@ def oracle_classify_submodule(n, predicate, g=None):
 
 def _assert_kernel_matches_oracle(gm):
     gring = gm.gring
-    for p in enumerate_graded_subobjects(gring, IDEAL):
+    for p in enumerate_graded_subobjects(gring):
         if p.is_whole:
             continue
         for predicate in IDEAL_PREDICATES:
@@ -240,7 +247,7 @@ def _assert_kernel_matches_oracle(gm):
             assert (v.value, v.witness) == oracle_classify_ideal(p, predicate), (predicate, p)
     cases = [("second", None), ("strong-2a-second", None), ("2a-coprimary-def", None)]
     cases += [("g-2a-coprimary", g) for g in range(gm.group.size)]
-    for n in enumerate_graded_subobjects(gm, SUBMODULE):
+    for n in enumerate_graded_subobjects(gm):
         if n.is_zero:
             continue
         for predicate, g in cases:

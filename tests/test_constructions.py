@@ -1,8 +1,6 @@
 import pytest
 
 from gradedalg import (
-    IDEAL,
-    SUBMODULE,
     HomInvalid,
     InvalidDenominators,
     PreconditionViolation,
@@ -58,7 +56,7 @@ def test_reduction_hom_z4_to_z2z2_plane_component():
     tgt = module_trivial(make_module(("directsum", 2, 2), ring), gr)
     mapping = [tgt.module.index[(x % 2, 0)] for x in range(4)]
     f = make_hom(src, tgt, mapping)
-    img = hom_image(f, whole_subobject(SUBMODULE, src))
+    img = hom_image(f, whole_subobject(src))
     assert {tgt.module.labels[i] for i in img.members} == {(0, 0), (1, 0)}
     ker = hom_kernel(f)
     assert ker.members == frozenset({0, 2})
@@ -75,7 +73,7 @@ def test_make_hom_rejects_non_linear_map():
 def test_multiplication_hom_and_preimage():
     gr, gm = _z12_module()
     f = multiplication_hom(gm, 2)
-    k = span({4}, SUBMODULE, gm)
+    k = span({4}, gm)
     pre = hom_preimage(f, k)
     assert pre.members == frozenset({0, 2, 4, 6, 8, 10})
     assert hom_image(f, pre).members <= k.members
@@ -84,7 +82,7 @@ def test_multiplication_hom_and_preimage():
 def test_identity_hom_roundtrip():
     gr, gm = _z12_module()
     f = identity_hom(gm)
-    n = span({3}, SUBMODULE, gm)
+    n = span({3}, gm)
     assert hom_image(f, n).members == n.members
     assert hom_preimage(f, n).members == n.members
 
@@ -99,10 +97,10 @@ def test_localize_z12_at_powers_of_3():
     assert len(loc.reps) == 4
     # 3 becomes a unit: 3/1 * 3/9 = 9/9 = 1/1
     mloc = localize_module(gm, (1, 3, 9), ring_loc=loc)
-    n = subobject(SUBMODULE, gm, {0, 4, 8})
+    n = subobject(gm, {0, 4, 8})
     assert localize_subobject(mloc, n).is_zero
     # a submodule not killed by S survives
-    m = span({2}, SUBMODULE, gm)
+    m = span({2}, gm)
     assert not localize_subobject(mloc, m).is_zero
 
 
@@ -140,15 +138,15 @@ def test_localize_subobject_rejects_a_handle_of_another_carrier():
     gr, gm = _z12_module()
     gr2, gm2 = _z12_module()
     for loc, foreign in (
-        (localize_ring(gr, (1, 3, 9)), span({2}, IDEAL, gr2)),
-        (localize_ring(gr, (1, 3, 9)), span({2}, SUBMODULE, gm)),
-        (localize_module(gm, (1, 3, 9)), span({2}, SUBMODULE, gm2)),
-        (localize_module(gm, (1, 3, 9)), span({2}, IDEAL, gr)),
+        (localize_ring(gr, (1, 3, 9)), span({2}, gr2)),
+        (localize_ring(gr, (1, 3, 9)), span({2}, gm)),
+        (localize_module(gm, (1, 3, 9)), span({2}, gm2)),
+        (localize_module(gm, (1, 3, 9)), span({2}, gr)),
     ):
         with pytest.raises(PreconditionViolation, match="localized base"):
             localize_subobject(loc, foreign)
     with pytest.raises(PreconditionViolation, match="localized structure"):
-        localize_subobject(gr, span({2}, IDEAL, gr))
+        localize_subobject(gr, span({2}, gr))
 
 
 # The localization code before ring and module shared one fraction builder,
@@ -318,8 +316,8 @@ def _product_setup():
 
 def test_product_submodule_annihilator_splits():
     gm1, gm2, gring, gm = _product_setup()
-    n1 = span({2}, SUBMODULE, gm1)
-    n2 = span({3}, SUBMODULE, gm2)
+    n1 = span({2}, gm1)
+    n2 = span({3}, gm2)
     n = product_submodule(n1, n2, gm)
     a1 = annihilator(n1).members
     a2 = annihilator(n2).members

@@ -6,7 +6,6 @@ import gradedalg.core
 import gradedalg.propositions
 from gradedalg import (
     PROPOSITION_IDS,
-    SUBMODULE,
     Corpus,
     CorpusEntry,
     PredicateVerdict,
@@ -88,7 +87,7 @@ def test_hom_preimage_violations_are_real():
         k = next(h for h in entry.graded_submodules() if _members_label(h) == v["K"])
         f = multiplication_hom(gm, v["r"])
         assert classify_submodule(k, "2a-coprimary-def").value, v
-        assert k.members <= hom_image(f, whole_subobject(SUBMODULE, gm)).members, v
+        assert k.members <= hom_image(f, whole_subobject(gm)).members, v
         x, y = v["witness"]["x"], v["witness"]["y"]
         assert recheck_coprimary_violation(hom_preimage(f, k), x, y), v
 
@@ -107,7 +106,7 @@ def test_hom_preimage_checker_matches_definitional_recomputation():
     instances, expected = 0, {}
     for entry in CORPUS:
         gm = entry.gmodule
-        whole = whole_subobject(SUBMODULE, gm)
+        whole = whole_subobject(gm)
         identity = identity_hom(gm)
         homs = {identity.mapping: identity}
         for r in gm.gring.grading.components[gm.group.identity]:

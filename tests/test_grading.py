@@ -3,9 +3,7 @@ import pytest
 from gradedalg import GradingInvalid, make_group, make_module, make_ring
 from gradedalg.grading import (
     attach_grading,
-    decompose,
     groupring_natural,
-    is_homogeneous,
     module_same_as_ring,
     module_trivial,
     ring_trivial,
@@ -34,21 +32,26 @@ def test_decomposition_is_unique_sum():
     ring = make_ring(("groupring", 3, c2))
     gr = groupring_natural(ring, c2)
     x = ring.index[(2, 1)]  # 2 + g
-    parts = decompose(x, gr.grading)
+    parts = gr.grading.decomposition[x]
     assert ring.labels[parts[0]] == (2, 0)
     assert ring.labels[parts[1]] == (0, 1)
+    assert ring.add[parts[0]][parts[1]] == x
+    assert all(p in comp for p, comp in zip(parts, gr.grading.components))
 
 
 def test_homogeneity_flags():
     c2 = make_group(("cyclic", 2))
     ring = make_ring(("groupring", 2, c2))
     gr = groupring_natural(ring, c2)
-    ok, deg = is_homogeneous(ring.index[(0, 1)], gr.grading)
-    assert ok and deg == 1
-    ok, deg = is_homogeneous(ring.index[(1, 1)], gr.grading)  # 1 + g is mixed
-    assert not ok and deg is None
-    ok, deg = is_homogeneous(ring.zero, gr.grading)
-    assert ok and deg == 0
+    components = gr.grading.components
+
+    def degrees(x):
+        return [g for g, comp in enumerate(components) if x in comp]
+
+    assert ring.index[(0, 1)] in gr.hom_set and degrees(ring.index[(0, 1)]) == [1]
+    assert ring.index[(1, 1)] not in gr.hom_set and degrees(ring.index[(1, 1)]) == []  # 1 + g is mixed
+    # zero lies in every component, so its degree is e by convention
+    assert ring.zero in gr.hom_set and degrees(ring.zero) == list(range(c2.size))
 
 
 def test_component_not_subgroup_rejected():

@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradedalg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gradedalg"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the package, its exports and the benchmark, which wraps functions by name
+NAMING_SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -22,16 +29,48 @@ def _unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _dead_definitions(tree: ast.Module, naming: list) -> list:
+    """Top-level functions and classes of ``tree`` that no tree in ``naming``
+    names: as a variable, an attribute, an imported name or a string."""
+    named = set()
+    for other in naming:
+        for node in ast.walk(other):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted(
+        (node.lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    )
+
+
 def test_the_package_has_modules_to_check():
     assert len(MODULES) >= 10
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_parse(path)) == []
 
 
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from functools import cached_property, partial\nimport os.path\npartial\n")
     assert _unused_imports(tree) == [(1, "cached_property"), (2, "os")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"], ids=lambda p: p.name)
+def test_every_definition_is_named_elsewhere(path):
+    assert _dead_definitions(_parse(path), [_parse(p) for p in NAMING_SOURCES]) == []
+
+
+def test_the_check_sees_a_dead_definition():
+    tree = ast.parse("def used():\n    pass\n\n\nclass Dead:\n    pass\n\n\ndef wrapped():\n    used()\n")
+    assert _dead_definitions(tree, [tree]) == [(5, "Dead"), (9, "wrapped")]
+    bench = ast.parse('LAYERS = {"ops": ("wrapped",)}\n')
+    assert _dead_definitions(tree, [tree, bench]) == [(5, "Dead")]

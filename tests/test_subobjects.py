@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from gradedalg import (
     IDEAL,
     SUBMODULE,
+    GradedModule,
+    GradedRing,
     PreconditionViolation,
     TooLarge,
     annihilator,
@@ -14,10 +16,13 @@ from gradedalg import (
     graded_radical,
     ideal_component,
     is_graded,
+    localize,
+    localize_subobject,
     make_group,
     make_module,
     make_ring,
     span,
+    subobject,
     whole_subobject,
     zero_subobject,
 )
@@ -25,10 +30,10 @@ from gradedalg.grading import groupring_natural, module_same_as_ring, module_tri
 from gradedalg.subobjects import _enumerate_by_generators
 
 
-def enumerate_all_subobjects(ctx, kind, max_elements=64):
+def enumerate_all_subobjects(ctx, max_elements=64):
     """Independent oracle: every subobject (graded or not), by a lattice walk
     over *all* carrier elements."""
-    return _enumerate_by_generators(ctx, kind, range(ctx.grading.carrier.size), max_elements)
+    return _enumerate_by_generators(ctx, range(ctx.grading.carrier.size), max_elements)
 
 
 def _z12():
@@ -43,14 +48,14 @@ def _gr2():
 
 def test_span_principal_ideal():
     gr = _z12()
-    h = span({2}, IDEAL, gr)
+    h = span({2}, gr)
     assert h.members == frozenset({0, 2, 4, 6, 8, 10})
     assert h.graded
 
 
 def test_span_empty_is_zero():
     gr = _z12()
-    h = span(set(), IDEAL, gr)
+    h = span(set(), gr)
     assert h.members == frozenset({0})
     assert h.graded
 
@@ -58,7 +63,7 @@ def test_span_empty_is_zero():
 def test_span_nongraded_ideal_in_group_ring():
     gr = _gr2()
     ring = gr.ring
-    h = span({ring.index[(1, 1)]}, IDEAL, gr)  # generated by 1 + g
+    h = span({ring.index[(1, 1)]}, gr)  # generated by 1 + g
     assert h.members == frozenset({ring.zero, ring.index[(1, 1)]})
     assert not h.graded
     assert not is_graded(h)
@@ -66,8 +71,8 @@ def test_span_nongraded_ideal_in_group_ring():
 
 def test_sum_and_intersection():
     gr = _z12()
-    a = span({4}, IDEAL, gr)
-    b = span({6}, IDEAL, gr)
+    a = span({4}, gr)
+    b = span({6}, gr)
     assert combine(a, b, "sum").members == frozenset({0, 2, 4, 6, 8, 10})
     assert combine(a, b, "intersect").members == frozenset({0})
 
@@ -76,37 +81,37 @@ def test_colon_and_annihilator():
     ring = make_ring(("zmod", 180))
     gr = ring_trivial(ring)
     gm = module_trivial(make_module(("directsum", 4, 9, 5), ring), gr)
-    n = span({gm.module.index[(1, 0, 0)], gm.module.index[(0, 1, 0)]}, SUBMODULE, gm)
+    n = span({gm.module.index[(1, 0, 0)], gm.module.index[(0, 1, 0)]}, gm)
     ann = annihilator(n)
     assert ann.members == frozenset({0, 36, 72, 108, 144})
     # 5*(a,b,c) = (5a, 5b, 0) with 5 a unit mod 4 and mod 9, so 5M = N and
     # (N : M) is exactly the multiples of 5
-    whole = whole_subobject(SUBMODULE, gm)
+    whole = whole_subobject(gm)
     assert colon(n, whole).members == frozenset(range(0, 180, 5))
 
 
 def test_colon_by_element():
     gr = _z12()
     gm = module_same_as_ring(make_module(("self",), gr.ring), gr)
-    k = span({6}, SUBMODULE, gm)
+    k = span({6}, gm)
     h = colon_by_element(k, 2)
     assert h.members == frozenset({0, 3, 6, 9})
 
 
 def test_graded_radical_oracle():
     gr = _z12()
-    p = span({4}, IDEAL, gr)
+    p = span({4}, gr)
     assert graded_radical(p).members == frozenset({0, 2, 4, 6, 8, 10})
 
 
 def test_graded_radical_whole_ring_convention():
     gr = _z12()
-    assert graded_radical(whole_subobject(IDEAL, gr)).is_whole
+    assert graded_radical(whole_subobject(gr)).is_whole
 
 
 def test_graded_radical_rejects_nongraded():
     gr = _gr2()
-    h = span({gr.ring.index[(1, 1)]}, IDEAL, gr)
+    h = span({gr.ring.index[(1, 1)]}, gr)
     with pytest.raises(PreconditionViolation):
         graded_radical(h)
 
@@ -115,7 +120,7 @@ def test_graded_radical_in_group_ring():
     # (0) in F2[C2]: g - 1 squares to zero, so Grad((0)) = {0, 1+g}
     gr = _gr2()
     ring = gr.ring
-    z = zero_subobject(IDEAL, gr)
+    z = zero_subobject(gr)
     # 1+g is not homogeneous, so it enters Grad only if both its components
     # have a power in (0); component 1 does not, so Grad((0)) = {0}
     assert graded_radical(z).members == frozenset({ring.zero})
@@ -123,21 +128,21 @@ def test_graded_radical_in_group_ring():
 
 def test_ideal_component():
     gr = _gr2()
-    h = whole_subobject(IDEAL, gr)
+    h = whole_subobject(gr)
     comp = ideal_component(h, 1)
     assert comp == gr.grading.components[1]
 
 
 def test_enumeration_zmod12_ideals():
     gr = _z12()
-    ideals = enumerate_graded_subobjects(gr, IDEAL)
+    ideals = enumerate_graded_subobjects(gr)
     sizes = sorted(len(h.members) for h in ideals)
     assert sizes == [1, 2, 3, 4, 6, 12]  # one ideal per divisor of 12
 
 
 def test_enumeration_canonical_order():
     gr = _z12()
-    ideals = enumerate_graded_subobjects(gr, IDEAL)
+    ideals = enumerate_graded_subobjects(gr)
     keys = [(len(h.members), h.sorted_members) for h in ideals]
     assert keys == sorted(keys)
 
@@ -146,17 +151,25 @@ def test_enumeration_respects_cap():
     ring = make_ring(("zmod", 180))
     gr = ring_trivial(ring)
     with pytest.raises(TooLarge):
-        enumerate_graded_subobjects(gr, IDEAL, max_elements=64)
+        enumerate_graded_subobjects(gr, max_elements=64)
+
+
+def test_enumeration_is_built_once_per_carrier_and_capped_on_every_call():
+    gr = _z12()
+    ideals = enumerate_graded_subobjects(gr, 12)
+    assert enumerate_graded_subobjects(gr) is ideals
+    with pytest.raises(TooLarge, match="cap is 11"):
+        enumerate_graded_subobjects(gr, 11)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
 def test_enumeration_matches_exhaustive_oracle(n):
     gr = ring_trivial(make_ring(("zmod", n)))
     gm = module_same_as_ring(make_module(("self",), gr.ring), gr)
-    fast = {h.members for h in enumerate_graded_subobjects(gm, SUBMODULE)}
+    fast = {h.members for h in enumerate_graded_subobjects(gm)}
     slow = {
         h.members
-        for h in enumerate_all_subobjects(gm, SUBMODULE)
+        for h in enumerate_all_subobjects(gm)
         if is_graded(h)
     }
     assert fast == slow
@@ -164,18 +177,18 @@ def test_enumeration_matches_exhaustive_oracle(n):
 
 def test_enumeration_oracle_group_ring():
     gr = _gr2()
-    fast = {h.members for h in enumerate_graded_subobjects(gr, IDEAL)}
-    slow = {h.members for h in enumerate_all_subobjects(gr, IDEAL) if is_graded(h)}
+    fast = {h.members for h in enumerate_graded_subobjects(gr)}
+    slow = {h.members for h in enumerate_all_subobjects(gr) if is_graded(h)}
     assert fast == slow
     # the non-graded ideal (1+g) exists but must not be in the graded list
-    all_ideals = {h.members for h in enumerate_all_subobjects(gr, IDEAL)}
+    all_ideals = {h.members for h in enumerate_all_subobjects(gr)}
     assert len(all_ideals) > len(fast)
 
 
 def test_scalar_product_requires_homogeneous():
     gr = _gr2()
     gm = module_same_as_ring(make_module(("self",), gr.ring), gr)
-    n = whole_subobject(SUBMODULE, gm)
+    n = whole_subobject(gm)
     with pytest.raises(PreconditionViolation):
         combine(gr.ring.index[(1, 1)], n, "scalar_product")
 
@@ -184,9 +197,9 @@ def test_scalar_product_requires_homogeneous():
 @settings(max_examples=30, deadline=None)
 def test_span_is_idempotent_and_monotone(a, b):
     gr = _z12()
-    h = span({a, b}, IDEAL, gr)
-    assert span(h.members, IDEAL, gr).members == h.members
-    assert span({a}, IDEAL, gr).members <= h.members
+    h = span({a, b}, gr)
+    assert span(h.members, gr).members == h.members
+    assert span({a}, gr).members <= h.members
 
 
 def _z12_self():
@@ -194,23 +207,41 @@ def _z12_self():
     return gr, module_trivial(make_module(("self",), gr.ring), gr)
 
 
+# builders that give a handle over the carrier they are passed
 _BUILDERS = {
-    "span": lambda kind, ctx: span({1}, kind, ctx),
+    "span": lambda ctx: span({2}, ctx),
+    "zero_subobject": zero_subobject,
     "whole_subobject": whole_subobject,
-    "enumerate_graded_subobjects": lambda kind, ctx: enumerate_graded_subobjects(ctx, kind),
+    "enumerate_graded_subobjects": lambda ctx: enumerate_graded_subobjects(ctx)[-1],
+    "combine-sum": lambda ctx: combine(span({4}, ctx), span({6}, ctx), "sum"),
+    "combine-intersect": lambda ctx: combine(span({4}, ctx), span({6}, ctx), "intersect"),
+    "combine-scalar_product": lambda ctx: combine(3, span({2}, ctx), "scalar_product"),
+    "localize_subobject": lambda ctx: localize_subobject(localize(ctx, (1, 3, 9)), span({2}, ctx)),
 }
 
 
 @pytest.mark.parametrize("builder", sorted(_BUILDERS))
-def test_builders_reject_a_kind_that_does_not_fit_the_carrier(builder):
+def test_a_handle_takes_its_kind_from_its_carrier(builder):
     gr, gm = _z12_self()
     build = _BUILDERS[builder]
-    with pytest.raises(PreconditionViolation, match="ideal handles live over a GradedRing"):
-        build(IDEAL, gm)
-    with pytest.raises(PreconditionViolation, match="submodule handles live over a GradedModule"):
-        build(SUBMODULE, gr)
-    for ctx in (gr, gm):
-        with pytest.raises(PreconditionViolation, match="unknown subobject kind 'ring'"):
-            build("ring", ctx)
-    build(IDEAL, gr)
-    build(SUBMODULE, gm)
+    ideal, sub = build(gr), build(gm)
+    assert ideal.kind == IDEAL and isinstance(ideal.ctx, GradedRing)
+    assert sub.kind == SUBMODULE and isinstance(sub.ctx, GradedModule)
+
+
+def test_ideal_and_submodule_operations_give_the_kind_of_their_carrier():
+    gr, gm = _z12_self()
+    n, k = span({2}, gm), span({4}, gm)
+    for ideal in (colon(k, n), annihilator(n), graded_radical(span({4}, gr))):
+        assert ideal.kind == IDEAL and ideal.ctx is gr
+    for sub in (combine(span({3}, gr), n, "ideal_product"), colon_by_element(k, 2)):
+        assert sub.kind == SUBMODULE and sub.ctx is gm
+
+
+def test_a_handle_equals_a_rebuilt_handle_on_the_same_carrier():
+    gr, gm = _z12_self()
+    h = span({2}, gm)
+    assert h == subobject(gm, h.members) and hash(h) == hash(subobject(gm, h.members))
+    # the ring and the ring acting on itself share element indices, not a carrier
+    assert h != subobject(gr, h.members)
+    assert h != subobject(_z12_self()[1], h.members)
