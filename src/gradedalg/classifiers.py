@@ -93,13 +93,11 @@ def classify_ideal(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
         raise PreconditionViolation("classify_ideal takes a proper ideal")
     if predicate not in IDEAL_PREDICATES:
         raise PreconditionViolation(f"unknown ideal predicate {predicate!r}")
+    return p.ctx.memo(("ideal_verdict", predicate, p.members), lambda: _ideal_verdict(p, predicate))
 
+
+def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
     gring = p.ctx
-    cache = gring._caches.setdefault("ideal_verdicts", {})
-    key = (predicate, p.members)
-    if key in cache:
-        return cache[key]
-
     hom = gring.hom
     pm = p.members
     escape = pm if predicate in ("prime", "2-absorbing") else graded_radical(p).members
@@ -107,66 +105,55 @@ def classify_ideal(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
         inside = tuple(int(z in pm) for z in range(gring.ring.size))
         esc = tuple(int(z in escape) for z in range(gring.ring.size))
         hit = _first_violation(hom, hom, gring.ring.mul, inside, inside, esc)
-        witness = None if hit is None else {"a": hit[0], "b": hit[1]}
-    else:
-        col = _product_bits(gring, pm)
-        hyp = tuple(0 if z in pm else bits for z, bits in enumerate(col))
-        esc = col if predicate == "2-absorbing" else _product_bits(gring, escape)
-        hit = _first_violation(hom, hom, gring.ring.mul, hyp, esc, esc)
-        witness = None if hit is None else {"a": hit[0], "b": hit[1], "c": hom[hit[2]]}
-
-    verdict = PredicateVerdict(hit is None, witness)
-    cache[key] = verdict
-    return verdict
+        return PredicateVerdict(hit is None, None if hit is None else {"a": hit[0], "b": hit[1]})
+    col = _product_bits(gring, pm)
+    hyp = tuple(0 if z in pm else bits for z, bits in enumerate(col))
+    esc = col if predicate == "2-absorbing" else _product_bits(gring, escape)
+    hit = _first_violation(hom, hom, gring.ring.mul, hyp, esc, esc)
+    return PredicateVerdict(hit is None, None if hit is None else {"a": hit[0], "b": hit[1], "c": hom[hit[2]]})
 
 
 # ---------------------------------------------------------------------------
 # per-submodule tables
 # ---------------------------------------------------------------------------
 
-def _module_data(n: SubobjectHandle) -> dict:
-    """Per-(module, N) record in the carrier memo.  ``"zmask"`` holds the mask
-    of zN for every ring element z; ``_contains_bits`` and ``_good_bits`` add
-    bitsets over the carrier's canonical graded-submodule lattice."""
-    gm = n.ctx
-    cache = gm._caches.setdefault("submodule_data", {})
-    if n.members not in cache:
-        act = gm.module.action
+def _zmask(n: SubobjectHandle) -> tuple:
+    """``zmask[z]``: the mask of zN, for every ring element z."""
+    def build():
+        act = n.ctx.module.action
         members = n.sorted_members
         zmask = []
-        for z in range(gm.gring.ring.size):
+        for z in range(n.ctx.gring.ring.size):
             row = act[z]
             m = 0
             for x in members:
                 m |= 1 << row[x]
             zmask.append(m)
-        cache[n.members] = {"zmask": tuple(zmask)}
-    return cache[n.members]
+        return tuple(zmask)
+    return n.ctx.memo(("zmask", n.members), build)
 
 
 def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
-    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``."""
-    data = _module_data(n)
-    if "contains" not in data:
+    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``.  The key
+    leaves out ``lattice``: it is always the carrier's canonical lattice."""
+    def build():
         masks = [k.mask for k in lattice]
-        data["contains"] = tuple(
-            sum(1 << i for i, km in enumerate(masks) if w & km == w) for w in data["zmask"]
-        )
-    return data["contains"]
+        return tuple(sum(1 << i for i, km in enumerate(masks) if w & km == w) for w in _zmask(n))
+    return n.ctx.memo(("contains", n.members), build)
 
 
 def _good_bits(n: SubobjectHandle, lattice) -> tuple:
-    """``good[r]``: bit i set iff r is in Grad(lattice[i] :_R N)."""
-    data = _module_data(n)
-    if "good" not in data:
-        zmask = data["zmask"]
+    """``good[r]``: bit i set iff r is in Grad(lattice[i] :_R N), over the
+    carrier's canonical lattice like ``_contains_bits``."""
+    def build():
+        zmask = _zmask(n)
         zero_mask = 1 << n.ctx.module.zero
         good = [0] * len(zmask)
         for i, k in enumerate(lattice):
             for r in _grad_colon_members(n, k, zmask, zero_mask):
                 good[r] |= 1 << i
-        data["good"] = tuple(good)
-    return data["good"]
+        return tuple(good)
+    return n.ctx.memo(("good", n.members), build)
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -213,50 +200,43 @@ def classify_submodule(
             raise PreconditionViolation(f"group element {g} outside the grading group")
     else:
         g = None
+    return n.ctx.memo(
+        ("submodule_verdict", predicate, g, n.members),
+        lambda: _submodule_verdict(n, predicate, g, max_elements),
+    )
 
+
+def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_elements: int) -> PredicateVerdict:
     gm = n.ctx
-    cache = gm._caches.setdefault("submodule_verdicts", {})
-    key = (predicate, g, n.members)
-    if key in cache:
-        return cache[key]
-
     gring = gm.gring
-    zmask = _module_data(n)["zmask"]
+    zmask = _zmask(n)
     zero_mask = 1 << gm.module.zero
-
     if predicate == "second":
         a = next((a for a in gring.hom if zmask[a] not in (zero_mask, n.mask)), None)
-        verdict = PredicateVerdict(a is None, None if a is None else {"a": a})
-    else:
-        lattice = enumerate_graded_subobjects(gm, max_elements)
-        scalars = gring.hom if g is None else tuple(sorted(gring.grading.components[g]))
-        contains = _contains_bits(n, lattice)
-        hyp = tuple(0 if w == zero_mask else bits for w, bits in zip(zmask, contains))
-        esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
-        hit = _first_violation(scalars, scalars, gring.ring.mul, hyp, esc, esc)
-        witness = None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]}
-        verdict = PredicateVerdict(hit is None, witness)
-    cache[key] = verdict
-    return verdict
+        return PredicateVerdict(a is None, None if a is None else {"a": a})
+    lattice = enumerate_graded_subobjects(gm, max_elements)
+    scalars = gring.hom if g is None else tuple(sorted(gring.grading.components[g]))
+    contains = _contains_bits(n, lattice)
+    hyp = tuple(0 if w == zero_mask else bits for w, bits in zip(zmask, contains))
+    esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
+    hit = _first_violation(scalars, scalars, gring.ring.mul, hyp, esc, esc)
+    return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]})
 
 
 def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
     """Quantifier-free coprimary test: for all homogeneous x, y, some bounded
     power of x or of y carries N into xyN, or xy annihilates N."""
     _require_classifiable(n)
-    gm = n.ctx
-    cache = gm._caches.setdefault("submodule_verdicts", {})
-    key = ("2a-coprimary-char", None, n.members)
-    if key in cache:
-        return cache[key]
+    return n.ctx.memo(("submodule_verdict", "2a-coprimary-char", None, n.members), lambda: _char_verdict(n))
 
+
+def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
+    gm = n.ctx
     gring = gm.gring
     mul = gring.ring.mul
     powers = gring.ring.power_sets
-    zmask = _module_data(n)["zmask"]
+    zmask = _zmask(n)
     zero_mask = 1 << gm.module.zero
-
-    verdict = None
     for x in gring.hom:
         xrow = mul[x]
         for y in gring.hom:
@@ -267,36 +247,24 @@ def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
                 continue
             if any(zmask[p] & w == zmask[p] for p in powers[y]):
                 continue
-            verdict = PredicateVerdict(False, {"x": x, "y": y})
-            break
-        if verdict is not None:
-            break
-
-    if verdict is None:
-        verdict = PredicateVerdict(True)
-    cache[key] = verdict
-    return verdict
+            return PredicateVerdict(False, {"x": x, "y": y})
+    return PredicateVerdict(True)
 
 
 def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMENTS) -> PredicateVerdict:
     """True iff every graded submodule N equals (0 :_M Ann_R(N))."""
-    cache = gm._caches.setdefault("module_verdicts", {})
-    if "comultiplication" in cache:
-        return cache["comultiplication"]
-    lattice = enumerate_graded_subobjects(gm, max_elements)
+    return gm.memo("comultiplication", lambda: _comultiplication_verdict(gm, max_elements))
+
+
+def _comultiplication_verdict(gm, max_elements: int) -> PredicateVerdict:
     act = gm.module.action
     zero = gm.module.zero
-    verdict = None
-    for nh in lattice:
+    for nh in enumerate_graded_subobjects(gm, max_elements):
         ann = annihilator(nh).sorted_members
         back = {m for m in range(gm.module.size) if all(act[a][m] == zero for a in ann)}
         if back != nh.members:
-            verdict = PredicateVerdict(False, {"N": nh, "zero_colon": frozenset(back)})
-            break
-    if verdict is None:
-        verdict = PredicateVerdict(True)
-    cache["comultiplication"] = verdict
-    return verdict
+            return PredicateVerdict(False, {"N": nh, "zero_colon": frozenset(back)})
+    return PredicateVerdict(True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from .subobjects import SUBMODULE, SubobjectHandle, subobject, zero_subobject
 
 @dataclass(frozen=True, eq=False)
 class GradedHom:
-    """A validated graded R-homomorphism between graded modules, as a table."""
+    """A validated graded R-homomorphism between graded modules, as a table.
+    Either end may be a graded ring, the ring as a module over itself."""
 
     source: GradedModule
     target: GradedModule
@@ -27,18 +28,18 @@ def make_hom(source: GradedModule, target: GradedModule, mapping) -> GradedHom:
     """Validate additivity, linearity, and degree preservation exhaustively."""
     if source.gring is not target.gring:
         raise PreconditionViolation("hom endpoints must share the same graded ring")
+    sm, tm = source.grading.carrier, target.grading.carrier
     mapping = tuple(mapping)
-    if len(mapping) != source.module.size:
-        raise HomInvalid("map-not-total", (len(mapping), source.module.size))
+    if len(mapping) != sm.size:
+        raise HomInvalid("map-not-total", (len(mapping), sm.size))
     for v in mapping:
-        if not (0 <= v < target.module.size):
+        if not (0 <= v < tm.size):
             raise HomInvalid("map-out-of-range", (v,))
-    sm, tm = source.module, target.module
     for a in range(sm.size):
         for b in range(sm.size):
             if mapping[sm.add[a][b]] != tm.add[mapping[a]][mapping[b]]:
                 raise HomInvalid("not-additive", (a, b))
-    for r in range(sm.ring.size):
+    for r in range(source.gring.ring.size):
         for m in range(sm.size):
             if mapping[sm.action[r][m]] != tm.action[r][mapping[m]]:
                 raise HomInvalid("not-linear", (r, m))
@@ -51,7 +52,7 @@ def make_hom(source: GradedModule, target: GradedModule, mapping) -> GradedHom:
 
 
 def identity_hom(gm: GradedModule) -> GradedHom:
-    return GradedHom(gm, gm, tuple(range(gm.module.size)))
+    return GradedHom(gm, gm, tuple(range(gm.grading.carrier.size)))
 
 
 def multiplication_hom(gm: GradedModule, r: int) -> GradedHom:
@@ -59,7 +60,7 @@ def multiplication_hom(gm: GradedModule, r: int) -> GradedHom:
     e = gm.group.identity
     if r not in gm.gring.grading.components[e]:
         raise PreconditionViolation("multiplication homs need a degree-e scalar")
-    return GradedHom(gm, gm, tuple(gm.module.action[r]))
+    return GradedHom(gm, gm, tuple(gm.grading.carrier.action[r]))
 
 
 def hom_image(f: GradedHom, l: SubobjectHandle) -> SubobjectHandle:
@@ -74,7 +75,7 @@ def hom_preimage(f: GradedHom, k: SubobjectHandle) -> SubobjectHandle:
     if k.ctx is not f.target:
         raise PreconditionViolation("hom_preimage takes a submodule of the target")
     km = k.members
-    return subobject(f.source, {m for m in range(f.source.module.size) if f.mapping[m] in km})
+    return subobject(f.source, {m for m in range(f.source.grading.carrier.size) if f.mapping[m] in km})
 
 
 def hom_kernel(f: GradedHom) -> SubobjectHandle:

@@ -25,18 +25,6 @@ class Grading:
     components: tuple  # tuple[frozenset[int], ...], indexed by group element
     decomposition: tuple  # decomposition[x] = tuple of component parts per g
 
-    @cached_property
-    def homogeneous(self) -> tuple:
-        """Sorted union of all components (the set h(R) or h(M))."""
-        out = set()
-        for comp in self.components:
-            out |= comp
-        return tuple(sorted(out))
-
-    @cached_property
-    def homogeneous_set(self) -> frozenset:
-        return frozenset(self.homogeneous)
-
 
 def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Grading | None = None) -> Grading:
     """Validate a component assignment and return a :class:`Grading`.
@@ -129,18 +117,30 @@ class _GradedCarrier:
         return self.grading.group
 
     @cached_property
-    def hom(self) -> tuple:
-        return self.grading.homogeneous
+    def hom_set(self) -> frozenset:
+        """The homogeneous elements, h(R) or h(M): the union of the components."""
+        return frozenset().union(*self.grading.components)
 
     @cached_property
-    def hom_set(self) -> frozenset:
-        return self.grading.homogeneous_set
+    def hom(self) -> tuple:
+        return tuple(sorted(self.hom_set))
 
     @cached_property
     def _caches(self) -> dict:
-        # the memo for data derived from this carrier; each key covers every
-        # other input of the memoized value
         return {}
+
+    def memo(self, key, build):
+        """Return ``build()``, computed once per carrier and ``key``.
+
+        This is the one memo for values derived from the carrier.  ``key``
+        starts with a tag naming the value and must cover every input of
+        ``build`` other than the carrier itself: two calls with equal keys
+        get the first call's value.
+        """
+        cache = self._caches
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
 
 @dataclass(frozen=True, eq=False)

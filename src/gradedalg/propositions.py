@@ -156,15 +156,6 @@ def _hom_family(entry: CorpusEntry):
     return fams
 
 
-def _memo(entry: CorpusEntry, key, builder):
-    """Memoize ``builder()`` in the module's carrier memo; ``key`` must cover
-    every input other than the module."""
-    cache = entry.gmodule._caches
-    if key not in cache:
-        cache[key] = builder()
-    return cache[key]
-
-
 def _factor_pairs(entry: CorpusEntry, skip: Counter):
     """Yield every pair (N1, N2) of non-zero graded factor submodules.  A zero
     factor makes the factor annihilator improper, and the product statements
@@ -266,10 +257,10 @@ def _check_scalar_multiple(entry: CorpusEntry):
 
 def _check_hom_image(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
+    homs = entry.gmodule.memo("hom_family", lambda: _hom_family(entry))
     for n in _coprimary(_nonzero_subs(entry), skip):
         for r, f in homs:
-            ker = _memo(entry, ("kernel", f.mapping), lambda: hom_kernel(f))
+            ker = entry.gmodule.memo(("kernel", f.mapping), lambda: hom_kernel(f))
             if n.members <= ker.members:
                 skip["N-inside-kernel"] += 1
                 continue
@@ -282,7 +273,7 @@ def _check_hom_image(entry: CorpusEntry):
 
 def _check_hom_preimage(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
-    homs = _memo(entry, "hom_family", lambda: _hom_family(entry))
+    homs = entry.gmodule.memo("hom_family", lambda: _hom_family(entry))
     ks = list(_coprimary(_nonzero_subs(entry), skip, "K-not-coprimary", len(homs)))
     whole = whole_subobject(entry.gmodule)
     for r, f in homs:
@@ -312,7 +303,7 @@ def _check_characterization_equiv(entry: CorpusEntry):
 def _check_localization(entry: CorpusEntry):
     inst, skip, bad = 0, Counter(), []
     for sname, s in sorted(entry.mulsets.items()):
-        loc = _memo(entry, ("loc", s), lambda: localize_module(entry.gmodule, s))
+        loc = entry.gmodule.memo(("loc", s), lambda: localize_module(entry.gmodule, s))
         for n in _coprimary(_nonzero_subs(entry), skip):
             sn = localize_subobject(loc, n)
             if sn.is_zero:
@@ -343,7 +334,7 @@ def _check_ideal_lemma(entry: CorpusEntry):
     for g, n, good, ann in _g_coprimary(entry, skip):
         comp = sorted(gm.gring.grading.components[g])
         for i in ideals:
-            in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+            in_handle = gm.memo(("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
             ixn = _contains_bits(in_handle, subs)  # ixn[x]: the K containing IxN
             ig = ideal_component(i, g)
             ig_good = reduce(and_, (good[y] for y in ig), full)
@@ -375,7 +366,7 @@ def _check_two_ideal_theorem(entry: CorpusEntry):
         comps = [ideal_component(i, g) for i in ideals]
         comp_good = [reduce(and_, (good[y] for y in ig), full) for ig in comps]
         for i, ig, ig_good in zip(ideals, comps, comp_good):
-            in_handle = _memo(entry, ("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+            in_handle = gm.memo(("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
             ixn = _contains_bits(in_handle, subs)
             for j, jg, jg_good in zip(ideals, comps, comp_good):
                 hyp = reduce(and_, (ixn[y] for y in j.members), full)  # the K containing IJN

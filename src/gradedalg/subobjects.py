@@ -264,7 +264,4 @@ def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):
     only decides whether the lattice may be returned.
     """
     _capped_carrier(ctx, max_elements)
-    cache = ctx._caches
-    if "graded_subobjects" not in cache:
-        cache["graded_subobjects"] = _enumerate_by_generators(ctx, ctx.hom, max_elements)
-    return cache["graded_subobjects"]
+    return ctx.memo("graded_subobjects", lambda: _enumerate_by_generators(ctx, ctx.hom, max_elements))

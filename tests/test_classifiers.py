@@ -148,7 +148,10 @@ def test_g_form_rejects_a_degree_outside_the_grading_group(g):
     whole = whole_subobject(entry.gmodule)
     with pytest.raises(PreconditionViolation, match=f"group element {g} outside the grading group"):
         classify_submodule(whole, "g-2a-coprimary", g=g)
-    assert ("g-2a-coprimary", g, whole.members) not in entry.gmodule._caches.get("submodule_verdicts", {})
+    assert ("submodule_verdict", "g-2a-coprimary", g, whole.members) not in entry.gmodule._caches
+    # the key the lookup would use: a valid degree is cached under it
+    classify_submodule(whole, "g-2a-coprimary", g=1)
+    assert ("submodule_verdict", "g-2a-coprimary", 1, whole.members) in entry.gmodule._caches
 
 
 def test_predicates_reject_zero_submodule():

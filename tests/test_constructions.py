@@ -87,6 +87,19 @@ def test_identity_hom_roundtrip():
     assert hom_preimage(f, n).members == n.members
 
 
+def test_homs_take_a_ring_as_a_module_over_itself():
+    # f = x2 on Z/12 with both ends the graded ring, so its subobjects are ideals
+    gr = ring_trivial(make_ring(("zmod", 12)))
+    assert identity_hom(gr).mapping == tuple(range(12))
+    f = multiplication_hom(gr, 2)
+    assert make_hom(gr, gr, f.mapping).mapping == f.mapping == tuple(2 * x % 12 for x in range(12))
+    three_r, six_r = span({3}, gr), span({6}, gr)
+    assert hom_image(f, three_r) == six_r
+    assert hom_preimage(f, six_r) == three_r
+    assert hom_kernel(f) == six_r
+    assert hom_kernel(f).kind == "ideal"
+
+
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------

@@ -17,6 +17,26 @@ def test_trivial_grading_on_zmod12():
     assert gr.hom == tuple(range(12))
 
 
+def test_memo_builds_each_key_once_per_carrier():
+    ring = make_ring(("zmod", 4))
+    first, second = ring_trivial(ring), ring_trivial(ring)  # equal tables, two carriers
+    builds = []
+
+    def build(tag):
+        return lambda: builds.append(tag) or len(builds)
+
+    assert first.memo(("value", 1), build("first")) == 1
+    assert first.memo(("value", 1), build("again")) == 1
+    assert first.memo(("value", 2), build("other key")) == 2
+    assert second.memo(("value", 1), build("second")) == 3
+    assert second.memo(("value", 1), build("again")) == 3
+    assert builds == ["first", "other key", "second"]
+    # a build that raises stores nothing
+    with pytest.raises(ZeroDivisionError):
+        first.memo("failing", lambda: 1 // 0)
+    assert first.memo("failing", lambda: "built") == "built"
+
+
 def test_groupring_natural_components():
     c2 = make_group(("cyclic", 2))
     ring = make_ring(("groupring", 2, c2))

@@ -50,6 +50,13 @@ def _dead_definitions(tree: ast.Module, naming: list) -> list:
     )
 
 
+def _memo_store_reads(tree: ast.Module) -> list:
+    """Lines of ``tree`` that name the carrier memo store ``_caches``."""
+    return sorted({
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_caches"
+    })
+
+
 def test_the_package_has_modules_to_check():
     assert len(MODULES) >= 10
 
@@ -74,3 +81,16 @@ def test_the_check_sees_a_dead_definition():
     assert _dead_definitions(tree, [tree]) == [(5, "Dead"), (9, "wrapped")]
     bench = ast.parse('LAYERS = {"ops": ("wrapped",)}\n')
     assert _dead_definitions(tree, [tree, bench]) == [(5, "Dead")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "grading.py"], ids=lambda p: p.name
+)
+def test_only_grading_reads_the_memo_store(path):
+    # every other module memoizes through the carrier's memo(key, build)
+    assert _memo_store_reads(_parse(path)) == []
+
+
+def test_the_check_sees_a_memo_store_read():
+    tree = ast.parse("def f(ctx):\n    cache = ctx._caches\n    return ctx.memo('k', dict), cache\n")
+    assert _memo_store_reads(tree) == [2]
