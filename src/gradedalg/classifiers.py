@@ -26,12 +26,13 @@ from .subobjects import (
     IDEAL,
     SUBMODULE,
     SubobjectHandle,
+    _capped_carrier,
     annihilator,
     colon,
     enumerate_graded_subobjects,
     graded_radical,
+    rn_masks,
     span,
-    subobject,
 )
 
 IDEAL_PREDICATES = ("prime", "primary", "2-absorbing", "2-absorbing-primary")
@@ -117,28 +118,12 @@ def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
 # per-submodule tables
 # ---------------------------------------------------------------------------
 
-def _zmask(n: SubobjectHandle) -> tuple:
-    """``zmask[z]``: the mask of zN, for every ring element z."""
-    def build():
-        act = n.ctx.module.action
-        members = n.sorted_members
-        zmask = []
-        for z in range(n.ctx.gring.ring.size):
-            row = act[z]
-            m = 0
-            for x in members:
-                m |= 1 << row[x]
-            zmask.append(m)
-        return tuple(zmask)
-    return n.ctx.memo(("zmask", n.members), build)
-
-
 def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
     """``contains[r]``: bit i set iff rN is inside ``lattice[i]``.  The key
     leaves out ``lattice``: it is always the carrier's canonical lattice."""
     def build():
         masks = [k.mask for k in lattice]
-        return tuple(sum(1 << i for i, km in enumerate(masks) if w & km == w) for w in _zmask(n))
+        return tuple(sum(1 << i for i, km in enumerate(masks) if w & km == w) for w in rn_masks(n))
     return n.ctx.memo(("contains", n.members), build)
 
 
@@ -146,11 +131,9 @@ def _good_bits(n: SubobjectHandle, lattice) -> tuple:
     """``good[r]``: bit i set iff r is in Grad(lattice[i] :_R N), over the
     carrier's canonical lattice like ``_contains_bits``."""
     def build():
-        zmask = _zmask(n)
-        zero_mask = 1 << n.ctx.module.zero
-        good = [0] * len(zmask)
+        good = [0] * n.ctx.gring.ring.size
         for i, k in enumerate(lattice):
-            for r in _grad_colon_members(n, k, zmask, zero_mask):
+            for r in _grad_colon_members(n, k, None, None):
                 good[r] |= 1 << i
         return tuple(good)
     return n.ctx.memo(("good", n.members), build)
@@ -166,11 +149,9 @@ def _require_classifiable(n: SubobjectHandle):
 
 
 def _grad_colon_members(n: SubobjectHandle, k: SubobjectHandle, zmask, zero_mask_k) -> frozenset:
-    """Grad((K :_R N)) member set, via the rN-mask view of the colon."""
-    gring = n.ctx.gring
-    km = k.mask
-    col = {r for r in range(gring.ring.size) if zmask[r] & km == zmask[r]}
-    return graded_radical(subobject(gring, col)).members
+    """Grad((K :_R N)) member set.  ``zmask`` and ``zero_mask_k`` are unused:
+    they stay because ``bench/traced.py::_grad_colon_key`` binds four arguments."""
+    return graded_radical(colon(k, n)).members
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +181,8 @@ def classify_submodule(
             raise PreconditionViolation(f"group element {g} outside the grading group")
     else:
         g = None
+    if predicate != "second":  # the lattice the other predicates need is capped
+        _capped_carrier(n.ctx, max_elements)
     return n.ctx.memo(
         ("submodule_verdict", predicate, g, n.members),
         lambda: _submodule_verdict(n, predicate, g, max_elements),
@@ -209,7 +192,7 @@ def classify_submodule(
 def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_elements: int) -> PredicateVerdict:
     gm = n.ctx
     gring = gm.gring
-    zmask = _zmask(n)
+    zmask = rn_masks(n)
     zero_mask = 1 << gm.module.zero
     if predicate == "second":
         a = next((a for a in gring.hom if zmask[a] not in (zero_mask, n.mask)), None)
@@ -235,7 +218,7 @@ def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
     gring = gm.gring
     mul = gring.ring.mul
     powers = gring.ring.power_sets
-    zmask = _zmask(n)
+    zmask = rn_masks(n)
     zero_mask = 1 << gm.module.zero
     for x in gring.hom:
         xrow = mul[x]
@@ -253,6 +236,7 @@ def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
 
 def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMENTS) -> PredicateVerdict:
     """True iff every graded submodule N equals (0 :_M Ann_R(N))."""
+    _capped_carrier(gm, max_elements)
     return gm.memo("comultiplication", lambda: _comultiplication_verdict(gm, max_elements))
 
 

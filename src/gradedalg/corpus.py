@@ -125,9 +125,14 @@ def _product_entry(n1: int, n2: int) -> CorpusEntry:
     )
 
 
-@lru_cache(maxsize=4)
 def build_standard_corpus(max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corpus:
-    """Deterministic standard corpus; cached so repeated runs share memoized work."""
+    """Deterministic standard corpus; one per cap, however the cap is passed,
+    so repeated runs share memoized work."""
+    return _standard_corpus(max_elements)
+
+
+@lru_cache(maxsize=4)
+def _standard_corpus(max_elements: int) -> Corpus:
     entries = [
         _zmod_self_entry(4),
         _zmod_self_entry(6),

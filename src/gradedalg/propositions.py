@@ -35,6 +35,7 @@ from .constructions import (
 from .corpus import Corpus, CorpusEntry
 from .errors import PreconditionViolation, StructureParseError, UnknownProposition
 from .subobjects import (
+    SubobjectHandle,
     annihilator,
     colon,
     colon_by_element,
@@ -107,6 +108,15 @@ class VerificationReport:
 def _members_label(handle) -> str:
     labels = handle.carrier.labels
     return "{" + ",".join(str(labels[i]) for i in handle.sorted_members) + "}"
+
+
+def _named(value):
+    """A violation record's value as reported: handles, also in tuples, become labels."""
+    if isinstance(value, SubobjectHandle):
+        return _members_label(value)
+    if isinstance(value, tuple):
+        return tuple(_named(v) for v in value)
+    return value
 
 
 def _nonzero_subs(entry: CorpusEntry):
@@ -183,28 +193,28 @@ def _check_closure_lemma(entry: CorpusEntry):
         nonlocal inst
         inst += 1
         if not handle.graded:
-            bad.append({"entry": entry.name, "op": what, "detail": detail})
+            bad.append({"op": what, "detail": detail})
 
     for i in ideals:
         for j in ideals:
-            expect_graded(combine(i, j, "sum"), "ideal-sum", (_members_label(i), _members_label(j)))
-            expect_graded(combine(i, j, "intersect"), "ideal-intersect", (_members_label(i), _members_label(j)))
+            expect_graded(combine(i, j, "sum"), "ideal-sum", (i, j))
+            expect_graded(combine(i, j, "intersect"), "ideal-intersect", (i, j))
     for n in subs:
         for k in subs:
-            expect_graded(combine(n, k, "sum"), "submodule-sum", (_members_label(n), _members_label(k)))
-            expect_graded(combine(n, k, "intersect"), "submodule-intersect", (_members_label(n), _members_label(k)))
+            expect_graded(combine(n, k, "sum"), "submodule-sum", (n, k))
+            expect_graded(combine(n, k, "intersect"), "submodule-intersect", (n, k))
     for x in gm.hom:
         expect_graded(span({x}, gm), "cyclic-span", x)
     for i in ideals:
         for n in subs:
-            expect_graded(combine(i, n, "ideal_product"), "ideal-product", (_members_label(i), _members_label(n)))
+            expect_graded(combine(i, n, "ideal_product"), "ideal-product", (i, n))
     for r in gm.gring.hom:
         for n in subs:
             expect_graded(combine(r, n, "scalar_product"), "scalar-multiple", r)
     whole = whole_subobject(gm)
     for n in subs:
-        expect_graded(colon(n, whole), "colon-into-module", _members_label(n))
-        expect_graded(annihilator(n), "annihilator", _members_label(n))
+        expect_graded(colon(n, whole), "colon-into-module", n)
+        expect_graded(annihilator(n), "annihilator", n)
     for x in gm.gring.hom:
         for n in subs:
             expect_graded(colon_by_element(n, x), "colon-by-element", x)
@@ -223,7 +233,7 @@ def _check_colon_2ap(entry: CorpusEntry):
             inst += 1
             v = classify_ideal(p, "2-absorbing-primary")
             if not v.value:
-                bad.append({"entry": entry.name, "N": _members_label(n), "K": _members_label(k), "witness": v.witness})
+                bad.append({"N": n, "K": k, "witness": v.witness})
     return inst, bad, skip
 
 
@@ -235,7 +245,7 @@ def _ann_checker(ideal_of, predicate: str):
             inst += 1
             v = classify_ideal(ideal_of(n), predicate)
             if not v.value:
-                bad.append({"entry": entry.name, "N": _members_label(n), "witness": v.witness})
+                bad.append({"N": n, "witness": v.witness})
         return inst, bad, skip
     return check
 
@@ -251,7 +261,7 @@ def _check_scalar_multiple(entry: CorpusEntry):
             an = combine(a, n, "scalar_product")
             inst += 1
             if not _is_coprimary(an):
-                bad.append({"entry": entry.name, "N": _members_label(n), "a": a})
+                bad.append({"N": n, "a": a})
     return inst, bad, skip
 
 
@@ -267,7 +277,7 @@ def _check_hom_image(entry: CorpusEntry):
             inst += 1
             v = coprimary_via_characterization(hom_image(f, n))
             if not v.value:
-                bad.append({"entry": entry.name, "N": _members_label(n), "r": r, "witness": v.witness})
+                bad.append({"N": n, "r": r, "witness": v.witness})
     return inst, bad, skip
 
 
@@ -285,7 +295,7 @@ def _check_hom_preimage(entry: CorpusEntry):
             inst += 1
             v = coprimary_via_characterization(hom_preimage(f, k))
             if not v.value:
-                bad.append({"entry": entry.name, "K": _members_label(k), "r": r, "witness": v.witness})
+                bad.append({"K": k, "r": r, "witness": v.witness})
     return inst, bad, skip
 
 
@@ -296,7 +306,7 @@ def _check_characterization_equiv(entry: CorpusEntry):
         d = classify_submodule(n, "2a-coprimary-def")
         c = coprimary_via_characterization(n)
         if d.value != c.value:
-            bad.append({"entry": entry.name, "N": _members_label(n), "def": d.value, "char": c.value})
+            bad.append({"N": n, "def": d.value, "char": c.value})
     return inst, bad, skip
 
 
@@ -311,7 +321,7 @@ def _check_localization(entry: CorpusEntry):
                 continue
             inst += 1
             if not _is_coprimary(sn):
-                bad.append({"entry": entry.name, "S": sname, "N": _members_label(n)})
+                bad.append({"S": sname, "N": n})
     return inst, bad, skip
 
 
@@ -345,10 +355,7 @@ def _check_ideal_lemma(entry: CorpusEntry):
                 misses += len(subs) - found
                 bits = hyp & ~(good[x] | ig_good)
                 if bits and not all(mul[y][x] in ann for y in ig):
-                    bad.extend({
-                        "entry": entry.name, "g": g, "N": _members_label(n),
-                        "I": _members_label(i), "x": x, "K": _members_label(subs[k]),
-                    } for k in _bit_indices(bits))
+                    bad.extend({"g": g, "N": n, "I": i, "x": x, "K": subs[k]} for k in _bit_indices(bits))
     if misses:  # a reason counted 0 times would still be printed
         skip["hypothesis-IxN-not-in-K"] += misses
     return inst, bad, skip
@@ -375,10 +382,7 @@ def _check_two_ideal_theorem(entry: CorpusEntry):
                 misses += len(subs) - found
                 bits = hyp & ~(ig_good | jg_good)
                 if bits and not all(mul[a][b] in ann for a in ig for b in jg):
-                    bad.extend({
-                        "entry": entry.name, "g": g, "N": _members_label(n),
-                        "I": _members_label(i), "J": _members_label(j), "K": _members_label(subs[k]),
-                    } for k in _bit_indices(bits))
+                    bad.extend({"g": g, "N": n, "I": i, "J": j, "K": subs[k]} for k in _bit_indices(bits))
     if misses:
         skip["hypothesis-IJN-not-in-K"] += misses
     return inst, bad, skip
@@ -396,7 +400,7 @@ def _check_comultiplication(entry: CorpusEntry):
             continue
         inst += 1
         if not classify_submodule(n, "strong-2a-second").value:
-            bad.append({"entry": entry.name, "N": _members_label(n)})
+            bad.append({"N": n})
     return inst, bad, skip
 
 
@@ -409,7 +413,7 @@ def _check_product_part1(entry: CorpusEntry):
         ok1 = classify_ideal(annihilator(n1), "primary").value
         ok2 = classify_ideal(annihilator(n2), "primary").value
         if not (ok1 and ok2):
-            bad.append({"entry": entry.name, "N1": _members_label(n1), "N2": _members_label(n2)})
+            bad.append({"N1": n1, "N2": n2})
     return inst, bad, skip
 
 
@@ -425,7 +429,7 @@ def _check_product_part2(entry: CorpusEntry):
         n = product_submodule(n1, n2, entry.gmodule)
         inst += 1
         if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
-            bad.append({"entry": entry.name, "N1": _members_label(n1), "N2": _members_label(n2)})
+            bad.append({"N1": n1, "N2": n2})
     return inst, bad, skip
 
 
@@ -443,7 +447,7 @@ def _side_checker(side: int):
             n = product_submodule(n1, n2, entry.gmodule)
             inst += 1
             if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
-                bad.append({"entry": entry.name, "factor": _members_label(ni), "side": side})
+                bad.append({"factor": ni, "side": side})
         return inst, bad, skip
     return check
 
@@ -477,7 +481,8 @@ def verify_proposition(prop_id: str, corpus: Corpus) -> VerificationReport:
     for entry in corpus:
         inst, bad, skip = _CHECKERS[prop_id](entry)
         report.instances += inst
-        report.violations.extend(bad)
+        for record in bad:  # checkers record handles; only violations are labelled
+            report.violations.append({"entry": entry.name, **{k: _named(v) for k, v in record.items()}})
         report.skipped.update(skip)
     report.wall_time = time.perf_counter() - t0
     return report

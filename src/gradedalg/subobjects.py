@@ -152,18 +152,28 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
 
+def rn_masks(n: SubobjectHandle) -> tuple:
+    """``rn_masks(n)[r]``: the mask of rN, for every ring element r."""
+    def build():
+        act = n.ctx.module.action
+        members = n.sorted_members
+        zmask = []
+        for z in range(n.ctx.gring.ring.size):
+            row = act[z]
+            m = 0
+            for x in members:
+                m |= 1 << row[x]
+            zmask.append(m)
+        return tuple(zmask)
+    return n.ctx.memo(("zmask", n.members), build)
+
+
 def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
     """(K :_R N) = {r in R : r*N subset K}, an ideal of the scalar ring."""
     if n.kind != SUBMODULE or k.ctx is not n.ctx:
         raise PreconditionViolation("colon takes two submodules of the same module")
-    gm = k.ctx
-    act = gm.module.action
-    km = k.members
-    members = set()
-    for r in range(gm.gring.ring.size):
-        if all(act[r][m] in km for m in n.members):
-            members.add(r)
-    return subobject(gm.gring, members)
+    km = k.mask
+    return subobject(n.ctx.gring, {r for r, w in enumerate(rn_masks(n)) if w & km == w})
 
 
 def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gradedalg import (
     IDEAL_PREDICATES,
     PreconditionViolation,
+    TooLarge,
     build_standard_corpus,
     classify_ideal,
     classify_submodule,
@@ -152,6 +153,34 @@ def test_g_form_rejects_a_degree_outside_the_grading_group(g):
     # the key the lookup would use: a valid degree is cached under it
     classify_submodule(whole, "g-2a-coprimary", g=1)
     assert ("submodule_verdict", "g-2a-coprimary", 1, whole.members) in entry.gmodule._caches
+
+
+_CAPPED = {
+    "strong-2a-second": lambda n, cap: classify_submodule(n, "strong-2a-second", max_elements=cap),
+    "2a-coprimary-def": lambda n, cap: classify_submodule(n, "2a-coprimary-def", max_elements=cap),
+    "g-2a-coprimary": lambda n, cap: classify_submodule(n, "g-2a-coprimary", g=0, max_elements=cap),
+    "comultiplication": lambda n, cap: is_graded_comultiplication_module(n.ctx, max_elements=cap),
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(_CAPPED))
+def test_a_cached_verdict_does_not_get_round_the_cap(predicate):
+    # the lattice these verdicts read is capped, so the cap is checked on
+    # every call, before the memo is read
+    _, gm = _self_module(12)
+    n = whole_subobject(gm)
+    check = _CAPPED[predicate]
+    with pytest.raises(TooLarge):
+        check(n, 4)
+    check(n, 512)
+    with pytest.raises(TooLarge):
+        check(n, 4)
+
+
+def test_second_reads_no_lattice_so_takes_no_cap():
+    _, gm = _self_module(12)
+    n = whole_subobject(gm)
+    assert classify_submodule(n, "second", max_elements=4) == classify_submodule(n, "second")
 
 
 def test_predicates_reject_zero_submodule():

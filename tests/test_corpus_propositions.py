@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from gradedalg import (
     CorpusEntry,
     PredicateVerdict,
     StructureParseError,
+    SubobjectHandle,
     UnknownProposition,
     annihilator,
     build_standard_corpus,
@@ -31,8 +33,10 @@ from gradedalg import (
     verify_proposition,
     whole_subobject,
 )
+from gradedalg.core import DEFAULT_MAX_ELEMENTS
+from gradedalg.corpus import _standard_corpus
 from gradedalg.grading import module_same_as_ring, ring_trivial
-from gradedalg.propositions import _members_label
+from gradedalg.propositions import _CHECKERS, _members_label
 
 CORPUS = build_standard_corpus()
 
@@ -45,6 +49,13 @@ def test_corpus_composition():
     assert "torsion180" in names
     assert any(e.factors for e in CORPUS)
     assert any(e.mulsets for e in CORPUS)
+
+
+def test_one_standard_corpus_per_cap():
+    # however the cap is passed, callers share one corpus and so its memos
+    assert build_standard_corpus() is CORPUS
+    assert build_standard_corpus(DEFAULT_MAX_ELEMENTS) is CORPUS
+    assert build_standard_corpus(max_elements=DEFAULT_MAX_ELEMENTS) is CORPUS
 
 
 def test_example_entry_provenance_and_named():
@@ -90,6 +101,50 @@ def test_hom_preimage_violations_are_real():
         assert k.members <= hom_image(f, whole_subobject(gm)).members, v
         x, y = v["witness"]["x"], v["witness"]["y"]
         assert recheck_coprimary_violation(hom_preimage(f, k), x, y), v
+
+
+def test_checkers_record_handles_and_verify_labels_them():
+    entry = next(e for e in CORPUS if e.name == "zmod12")
+    _, bad, _ = _CHECKERS["hom-preimage"](entry)
+    assert bad
+    for record in bad:
+        assert list(record) == ["K", "r", "witness"]
+        assert isinstance(record["K"], SubobjectHandle) and record["K"].ctx is entry.gmodule
+    report = verify_proposition("hom-preimage", Corpus([entry]))
+    assert [list(v.items()) for v in report.violations] == [
+        [("entry", "zmod12"), ("K", _members_label(r["K"])), ("r", r["r"]), ("witness", r["witness"])] for r in bad
+    ]
+
+
+def test_closure_lemma_violations_keep_their_labelled_shapes(monkeypatch):
+    # with combine, colon and span forced to return non-graded handles, every
+    # instance they give is a violation, reported with labels: a pair of
+    # labels, one label or a scalar, as each record had before
+    def ungraded(op):
+        return lambda *args: dataclasses.replace(op(*args), graded=False)
+
+    for name in ("combine", "colon", "span"):
+        monkeypatch.setattr(gradedalg.propositions, name, ungraded(getattr(gradedalg.propositions, name)))
+    entry = next(e for e in CORPUS if e.name == "zmod4")
+    ideals, subs, gm = entry.graded_ideals(), entry.graded_submodules(), entry.gmodule
+    details = {}
+    for v in verify_proposition("closure-lemma", Corpus([entry])).violations:
+        assert list(v) == ["entry", "op", "detail"] and v["entry"] == entry.name
+        details.setdefault(v["op"], []).append(v["detail"])
+
+    def pairs(a, b):
+        return [(_members_label(x), _members_label(y)) for x in a for y in b]
+
+    assert details == {
+        "ideal-sum": pairs(ideals, ideals),
+        "ideal-intersect": pairs(ideals, ideals),
+        "submodule-sum": pairs(subs, subs),
+        "submodule-intersect": pairs(subs, subs),
+        "cyclic-span": list(gm.hom),
+        "ideal-product": pairs(ideals, subs),
+        "scalar-multiple": [r for r in gm.gring.hom for _ in subs],
+        "colon-into-module": [_members_label(n) for n in subs],
+    }
 
 
 def test_hom_preimage_checker_matches_definitional_recomputation():
@@ -224,7 +279,7 @@ def test_cold_corpus_build_validates_each_structure_once(monkeypatch):
     calls = []
     original = gradedalg.core.validate_axioms
     monkeypatch.setattr(gradedalg.core, "validate_axioms", lambda s: calls.append(s) or original(s))
-    build_standard_corpus.__wrapped__()
+    _standard_corpus.__wrapped__(DEFAULT_MAX_ELEMENTS)
     # 12 groups, 12 rings and the 4 modules that are not a ring acting on itself
     assert len(calls) == 28
 

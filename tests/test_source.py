@@ -57,6 +57,17 @@ def _memo_store_reads(tree: ast.Module) -> list:
     })
 
 
+def _calls_outside(tree: ast.Module, callee: str, home: str) -> list:
+    """Lines of ``tree`` that call ``callee`` outside the function ``home``."""
+    def calls(node):
+        return {
+            n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee
+        }
+    homes = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == home]
+    return sorted(calls(tree).difference(*map(calls, homes)))
+
+
 def test_the_package_has_modules_to_check():
     assert len(MODULES) >= 10
 
@@ -94,3 +105,17 @@ def test_only_grading_reads_the_memo_store(path):
 def test_the_check_sees_a_memo_store_read():
     tree = ast.parse("def f(ctx):\n    cache = ctx._caches\n    return ctx.memo('k', dict), cache\n")
     assert _memo_store_reads(tree) == [2]
+
+
+def test_propositions_label_handles_in_one_place():
+    # checkers record handles; verify_proposition labels a violation's handles
+    # through _named, so no checker builds a label it may not use
+    assert _calls_outside(_parse(PACKAGE / "propositions.py"), "_members_label", "_named") == []
+
+
+def test_the_check_sees_a_label_built_elsewhere():
+    tree = ast.parse(
+        "def _named(v):\n    return _members_label(v)\n\n\n"
+        "def check(n):\n    return {'N': _members_label(n)}\n"
+    )
+    assert _calls_outside(tree, "_members_label", "_named") == [6]

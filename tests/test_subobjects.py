@@ -9,6 +9,7 @@ from gradedalg import (
     PreconditionViolation,
     TooLarge,
     annihilator,
+    build_standard_corpus,
     colon,
     colon_by_element,
     combine,
@@ -88,6 +89,31 @@ def test_colon_and_annihilator():
     # (N : M) is exactly the multiples of 5
     whole = whole_subobject(gm)
     assert colon(n, whole).members == frozenset(range(0, 180, 5))
+
+
+def _colon_oracle(k, n):
+    """(K :_R N) by its definition: a loop over R x N."""
+    act = n.ctx.module.action
+    return frozenset(r for r in range(n.ctx.gring.ring.size) if all(act[r][m] in k.members for m in n.members))
+
+
+@pytest.mark.parametrize("entry", build_standard_corpus(), ids=lambda e: e.name)
+def test_colon_and_annihilator_match_the_definition_on_the_standard_corpus(entry):
+    subs = entry.graded_submodules()
+    for n in subs:
+        assert annihilator(n).members == _colon_oracle(subs[0], n), n
+        for k in subs:
+            assert colon(k, n).members == _colon_oracle(k, n), (k, n)
+
+
+def test_colon_into_a_nongraded_submodule_matches_the_definition():
+    entry = next(e for e in build_standard_corpus() if e.name == "groupring2-c2")
+    gm = entry.gmodule
+    k = span({gm.module.index[(1, 1)]}, gm)  # generated by 1 + g
+    assert not k.graded
+    for n in entry.graded_submodules() + [k]:
+        h = colon(k, n)
+        assert h.members == _colon_oracle(k, n) and h.ctx is gm.gring, n
 
 
 def test_colon_by_element():
