@@ -33,6 +33,7 @@ from .subobjects import (
     graded_radical,
     rn_masks,
     span,
+    subobject,
 )
 
 IDEAL_PREDICATES = ("prime", "primary", "2-absorbing", "2-absorbing-primary")
@@ -257,8 +258,10 @@ def _comultiplication_verdict(gm, max_elements: int) -> PredicateVerdict:
 
 def recheck_coprimary_violation(n: SubobjectHandle, x: int, y: int, k: SubobjectHandle | None = None) -> bool:
     """Re-derive a coprimary violation from the definition, independently of
-    the classifier loops.  With no K given, uses K = xyN (the characterization
-    witness route).  Returns True iff the implication is genuinely violated."""
+    the classifier loops and of the rN masks they read: Ann(N) and (K :_R N)
+    come from the action and the member sets.  With no K given, uses K = xyN
+    (the characterization witness route).  Returns True iff the implication
+    is genuinely violated."""
     gm = n.ctx
     ring = gm.gring.ring
     act = gm.module.action
@@ -268,9 +271,10 @@ def recheck_coprimary_violation(n: SubobjectHandle, x: int, y: int, k: Subobject
         k = span(xy_n, gm)
     if not xy_n <= k.members:
         return False  # hypothesis fails; not a violation
-    if xy in annihilator(n).members:
-        return False
-    grad = graded_radical(colon(k, n)).members
+    if xy_n == {gm.module.zero}:
+        return False  # xy in Ann(N)
+    kn = {r for r in range(ring.size) if all(act[r][m] in k.members for m in n.members)}
+    grad = graded_radical(subobject(gm.gring, kn)).members
     return x not in grad and y not in grad
 
 
@@ -282,8 +286,8 @@ def recheck_strong_violation(n: SubobjectHandle, x: int, y: int, k: SubobjectHan
     xy_n = frozenset(act[xy][m] for m in n.members)
     if not xy_n <= k.members:
         return False
-    if xy in annihilator(n).members:
-        return False
+    if xy_n == {gm.module.zero}:
+        return False  # xy in Ann(N)
     xn = frozenset(act[x][m] for m in n.members)
     yn = frozenset(act[y][m] for m in n.members)
     return not (xn <= k.members) and not (yn <= k.members)

@@ -103,9 +103,11 @@ def _witness_str(entry, verdict) -> str:
     for key, val in verdict.witness.items():
         if isinstance(val, int):
             parts.append(f"{key}={rlabels[val]}")
-        elif hasattr(val, "sorted_members"):
-            labels = val.carrier.labels
-            parts.append(f"{key}={{{','.join(str(labels[i]) for i in val.sorted_members)}}}")
+        elif hasattr(val, "sorted_members") or isinstance(val, frozenset):
+            # a handle, or a bare member set of the module
+            labels, members = ((entry.gmodule.module.labels, sorted(val))
+                               if isinstance(val, frozenset) else (val.carrier.labels, val.sorted_members))
+            parts.append(f"{key}={{{','.join(str(labels[i]) for i in members)}}}")
         else:
             parts.append(f"{key}={val}")
     return " witness: " + " ".join(parts)

@@ -108,6 +108,22 @@ def test_z8_whole_module_separates_coprimary_from_strong():
     assert recheck_strong_violation(whole, w["x"], w["y"], w["K"])
 
 
+@pytest.mark.parametrize("n, predicate, recheck", [
+    (12, "2a-coprimary-def", recheck_coprimary_violation),
+    (8, "strong-2a-second", recheck_strong_violation),
+])
+def test_recheck_does_not_read_the_memoized_rn_masks(n, predicate, recheck):
+    # the kernels read rn_masks(N); a re-check that read them too would
+    # accept whatever a wrong mask made the kernels find
+    gr, gm = _self_module(n)
+    whole = whole_subobject(gm)
+    w = classify_submodule(whole, predicate).witness
+    gm._caches[("zmask", whole.members)] = (0,) * gr.ring.size  # rN = {} for every r
+    assert recheck(whole, w["x"], w["y"], w["K"])
+    if recheck is recheck_coprimary_violation:
+        assert recheck(whole, w["x"], w["y"])
+
+
 def test_characterization_agrees_on_z36():
     gr, gm = _self_module(36)
     from gradedalg import enumerate_graded_subobjects

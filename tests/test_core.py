@@ -2,19 +2,25 @@ import dataclasses
 import functools
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gradedalg.core as core
 from gradedalg import (
     InvalidDescriptor,
+    build_standard_corpus,
     make_group,
     make_module,
     make_ring,
+    parse_structure_file,
     validate_axioms,
 )
-from gradedalg.core import FiniteModule, FiniteRing, GradingGroup, ValidationReport
+from gradedalg.core import FiniteModule, FiniteRing, GradingGroup, ValidationReport, first_invalid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_trivial_group():
@@ -536,3 +542,90 @@ def test_validate_axioms_matches_oracle_across_the_uint8_uint16_switch(build):
         got, want = validate_axioms(broken), _oracle_validate_axioms(broken)
         assert want.failures
         assert (got.structure, got.failures) == (want.structure, want.failures)
+
+
+# ---------------------------------------------------------------------------
+# the generating sets whose slices decide the laws over three elements
+# ---------------------------------------------------------------------------
+
+def _oracle_closure(table, picks) -> set:
+    members = set(picks)
+    while True:
+        new = {table[a][b] for a in members for b in members} - members
+        if not new:
+            return members
+        members |= new
+
+
+_F2C9 = ("groupring", 2, ("cyclic", 9))
+
+
+@given(st.one_of(
+    _GROUP_SPECS.map(lambda spec: make_group(spec).op),
+    _RING_SPECS.map(lambda spec: make_ring(spec).add),
+    _directsum_specs().map(lambda specs: make_module(specs[1], make_ring(specs[0])).add),
+))
+@settings(max_examples=120, deadline=None)
+@example(make_ring(_F2C9).add)
+@example(make_group(("product", ("product", ("cyclic", 2), ("cyclic", 1)), ("cyclic", 3))).op)
+def test_generators_generate_every_table_of_the_families_within_the_bound(table):
+    n = len(table)
+    gens = core._generators(np.asarray(table))
+    assert gens is not None and len(gens) <= n.bit_length()  # floor(log2 n) + 1
+    assert _oracle_closure(table, gens) == set(range(n))
+
+
+def test_generators_of_f2_c9_and_zmod_n():
+    assert core._generators(np.asarray(make_ring(_F2C9).add)) == [0] + [2 ** k for k in range(9)]
+    assert core._generators(np.asarray(make_ring(("zmod", 512)).add)) == [0, 1]
+
+
+class _CountedTable:
+    """A table that counts its reads."""
+
+    def __init__(self, table):
+        self.table, self.reads = np.asarray(table), 0
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.table[key]
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_a_constant_add_fails_as_under_the_row_scan_and_the_search_gives_up(n, monkeypatch):
+    # under a constant add every element generates only itself and the
+    # constant, so an unbounded search would pick all n elements
+    ring = make_ring(("groupring", 2, ("cyclic", n.bit_length() - 1)))
+    constant = dataclasses.replace(ring, add=((0,) * n,) * n)
+    counted = _CountedTable(constant.add)
+    assert core._generators(counted) is None
+    assert counted.reads <= 2 * n.bit_length()  # two reads per element multiplied
+    got = validate_axioms(constant).failures
+    monkeypatch.setattr(core, "_generators", lambda table: None)  # every law by the row scan
+    assert got == validate_axioms(constant).failures == [("ring-zero-identity", (1,))]
+    if n == 64:
+        assert got == _oracle_validate_axioms(constant).failures
+
+
+def test_valid_structures_never_run_the_row_scan(monkeypatch):
+    def row_scan(rows):
+        raise AssertionError("a valid table ran the first-argument row scan")
+
+    monkeypatch.setattr(core, "_law_mismatch", row_scan)
+    triples = [(e.gring.grading.group, e.gring.ring, e.gmodule.module) for e in build_standard_corpus()]
+    for path in sorted((ROOT / "structures").glob("*.gstruct")):
+        entry = parse_structure_file(path)
+        triples.append((entry.gring.grading.group, entry.gring.ring, entry.gmodule.module))
+    f2c9, z2, z512 = make_ring(_F2C9), make_ring(("zmod", 2)), make_ring(("zmod", 512))
+    trivial = make_group("trivial")
+    triples += [
+        (make_group(("cyclic", 9)), f2c9, make_module(("self",), f2c9)),
+        (trivial, z512, make_module(("self",), z512)),
+        (trivial, z2, make_module(("directsum",) + (2,) * 9, z2)),
+    ]
+    assert len(triples) == 17
+    for triple in triples:
+        assert first_invalid(*triple) is None

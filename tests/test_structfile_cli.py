@@ -195,6 +195,16 @@ def test_cli_classify_machine_report(tmp_path):
     assert out == "target=N predicate=second value=false\n"
 
 
+def test_cli_classify_labels_every_member_set_of_the_witness(tmp_path):
+    path = _write(tmp_path, "ring zmod 2\nmodule directsum 2 2\n")
+    argv = ["classify", "--file", path, "--target", "M", "--predicate", "comultiplication"]
+    code, out = _run(argv)
+    assert code == 0
+    assert out == "false witness: N={(0, 0),(0, 1)} zero_colon={(0, 0),(0, 1),(1, 0),(1, 1)}\n"
+    assert _run(["--report", "machine", *argv]) == (
+        0, "target=M predicate=comultiplication value=false\n")
+
+
 def test_cli_classify_ideal_predicate(tmp_path):
     path = _write(tmp_path, "ring zmod 12\nmodule self\nideal I gens 4\n")
     code, out = _run(["classify", "--file", path, "--target", "I", "--predicate", "primary"])
