@@ -380,11 +380,12 @@ def validate_axioms(structure) -> ValidationReport:
     add-associativity; mul-associativity needs distributivity; action
     associativity needs action-distributes-over-module-add, and distributivity
     over ring add needs that and module add-associativity and -commutativity.
-    Otherwise, or when a slice fails, the law is scanned row by row over its
-    first argument in O(n^2) memory; only this scan gives a witness, the first
-    mismatch in C order, e.g. ``(a, b, c)``.  The tables are held in the
-    narrowest unsigned dtype that fits every index; the checks only gather and
-    compare, so verdicts and witnesses do not depend on it.
+    Otherwise (a prerequisite failed or the search for S gave up), or when a
+    slice fails, the law is scanned row by row over its first argument in
+    O(n^2) memory.  Only that scan gives a witness, the law's first mismatch in
+    C order, e.g. ``(a, b, c)``: a failing slice at c need not contain it.  The
+    tables are held in the narrowest unsigned dtype that fits every index; the
+    checks only gather and compare, so verdicts and witnesses do not depend on it.
     """
     failures = []
     if isinstance(structure, GradingGroup):
