@@ -6,19 +6,24 @@ forms) or avoid it (characterization form).  All verdicts are deterministic:
 the first counterexample in canonical order is reported, and every false
 verdict carries a witness that re-checks against the definition.
 
-The seven (x, y, third) predicates share one kernel, ``_first_violation``:
+The eight (x, y, third) predicates share one kernel, ``_first_violation``:
 the first scalar pair whose ``hyp[xy] & ~esc[x] & ~esc[y]`` is non-zero.
 For 2-absorbing(-primary) ideals bit j stands for c = hom[j]: hyp[z] holds
 the c with zc in P (0 when z is in P) and esc[z] the c with zc in the escape
 set.  Prime and primary use one bit.  For submodules bit i stands for the
 lattice's i-th K: ``contains[r]`` holds the K with rN inside K, ``good[r]``
-the K with r in Grad(K :_R N), and hyp[z] is contains[z] (0 when zN = 0).
-Bits follow the canonical order of hom(R) and of the lattice, so the lowest
-set bit of the first violating pair is the witness the nested loops found.
+the OR of contains[p] over the powers p of r (for homogeneous r, the K with
+r in Grad(K :_R N)), and hyp[z] is contains[z] (0 when zN = 0).  The
+characterization form builds the same tables with bit i standing for the
+i-th distinct zN instead of a lattice element.  Bits follow the canonical
+order of hom(R) and of the lattice, so the lowest set bit of the first
+violating pair is the witness the nested loops found.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .core import DEFAULT_MAX_ELEMENTS
 from .errors import PreconditionViolation
@@ -119,25 +124,39 @@ def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
 # per-submodule tables
 # ---------------------------------------------------------------------------
 
+def _containing(ws, ks) -> tuple:
+    """For every mask w of ``ws``, the bitset of the positions i with w inside
+    the mask ``ks[i]``; computed once per distinct w, and shared."""
+    row = {w: sum(1 << i for i, k in enumerate(ks) if w & k == w) for w in set(ws)}
+    return tuple(map(row.__getitem__, ws))
+
+
+def _power_or(ring, bits) -> tuple:
+    """For every ring element r, the OR of ``bits[p]`` over the powers p of r;
+    equal values are shared (all units, say, get the same one)."""
+    seen = {}
+    ors = (reduce(or_, map(bits.__getitem__, ps)) for ps in ring.power_sets)
+    return tuple(seen.setdefault(v, v) for v in ors)
+
+
+def _hypothesis(n: SubobjectHandle, contains) -> tuple:
+    """``contains`` with the rows of the r that annihilate N zeroed."""
+    zero_mask = 1 << n.ctx.module.zero
+    return tuple(0 if w == zero_mask else bits for w, bits in zip(rn_masks(n), contains))
+
+
 def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
     """``contains[r]``: bit i set iff rN is inside ``lattice[i]``.  The key
     leaves out ``lattice``: it is always the carrier's canonical lattice."""
-    def build():
-        masks = [k.mask for k in lattice]
-        return tuple(sum(1 << i for i, km in enumerate(masks) if w & km == w) for w in rn_masks(n))
-    return n.ctx.memo(("contains", n.members), build)
+    return n.ctx.memo(("contains", n.members), lambda: _containing(rn_masks(n), [k.mask for k in lattice]))
 
 
 def _good_bits(n: SubobjectHandle, lattice) -> tuple:
-    """``good[r]``: bit i set iff r is in Grad(lattice[i] :_R N), over the
-    carrier's canonical lattice like ``_contains_bits``."""
-    def build():
-        good = [0] * n.ctx.gring.ring.size
-        for i, k in enumerate(lattice):
-            for r in _grad_colon_members(n, k, None, None):
-                good[r] |= 1 << i
-        return tuple(good)
-    return n.ctx.memo(("good", n.members), build)
+    """``good[r]``: bit i set iff some power of r carries N into ``lattice[i]``,
+    over the carrier's canonical lattice like ``_contains_bits``.  For
+    homogeneous r (its own decomposition) that is r in Grad(lattice[i] :_R N);
+    every reader looks at homogeneous r only."""
+    return n.ctx.memo(("good", n.members), lambda: _power_or(n.ctx.gring.ring, _contains_bits(n, lattice)))
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -150,8 +169,11 @@ def _require_classifiable(n: SubobjectHandle):
 
 
 def _grad_colon_members(n: SubobjectHandle, k: SubobjectHandle, zmask, zero_mask_k) -> frozenset:
-    """Grad((K :_R N)) member set.  ``zmask`` and ``zero_mask_k`` are unused:
-    they stay because ``bench/traced.py::_grad_colon_key`` binds four arguments."""
+    """Grad((K :_R N)) member set.  Nothing calls it: ``_good_bits`` reads the
+    radical off power bitsets.  It and its unused ``zmask`` and ``zero_mask_k``
+    stay only because ``bench/traced.py`` wraps it by name in LAYERS and its
+    ``_grad_colon_key`` binds four arguments; it goes with the next change to
+    the benchmark."""
     return graded_radical(colon(k, n)).members
 
 
@@ -193,17 +215,15 @@ def classify_submodule(
 def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_elements: int) -> PredicateVerdict:
     gm = n.ctx
     gring = gm.gring
-    zmask = rn_masks(n)
-    zero_mask = 1 << gm.module.zero
     if predicate == "second":
-        a = next((a for a in gring.hom if zmask[a] not in (zero_mask, n.mask)), None)
+        zmask = rn_masks(n)
+        a = next((a for a in gring.hom if zmask[a] not in (1 << gm.module.zero, n.mask)), None)
         return PredicateVerdict(a is None, None if a is None else {"a": a})
     lattice = enumerate_graded_subobjects(gm, max_elements)
     scalars = gring.hom if g is None else tuple(sorted(gring.grading.components[g]))
     contains = _contains_bits(n, lattice)
-    hyp = tuple(0 if w == zero_mask else bits for w, bits in zip(zmask, contains))
     esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
-    hit = _first_violation(scalars, scalars, gring.ring.mul, hyp, esc, esc)
+    hit = _first_violation(scalars, scalars, gring.ring.mul, _hypothesis(n, contains), esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]})
 
 
@@ -215,24 +235,15 @@ def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
 
 
 def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
-    gm = n.ctx
-    gring = gm.gring
-    mul = gring.ring.mul
-    powers = gring.ring.power_sets
+    """The definition at K = xyN only: bit i stands for the i-th distinct rN,
+    and a violation at any K containing xyN is one at K = xyN, so the first
+    violating (x, y) is the definition's."""
+    gring = n.ctx.gring
     zmask = rn_masks(n)
-    zero_mask = 1 << gm.module.zero
-    for x in gring.hom:
-        xrow = mul[x]
-        for y in gring.hom:
-            w = zmask[xrow[y]]
-            if w == zero_mask:
-                continue  # xy in Ann(N)
-            if any(zmask[p] & w == zmask[p] for p in powers[x]):
-                continue
-            if any(zmask[p] & w == zmask[p] for p in powers[y]):
-                continue
-            return PredicateVerdict(False, {"x": x, "y": y})
-    return PredicateVerdict(True)
+    contains = _containing(zmask, sorted(set(zmask)))
+    esc = _power_or(gring.ring, contains)
+    hit = _first_violation(gring.hom, gring.hom, gring.ring.mul, _hypothesis(n, contains), esc, esc)
+    return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1]})
 
 
 def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMENTS) -> PredicateVerdict:
@@ -248,7 +259,7 @@ def _comultiplication_verdict(gm, max_elements: int) -> PredicateVerdict:
         ann = annihilator(nh).sorted_members
         back = {m for m in range(gm.module.size) if all(act[a][m] == zero for a in ann)}
         if back != nh.members:
-            return PredicateVerdict(False, {"N": nh, "zero_colon": frozenset(back)})
+            return PredicateVerdict(False, {"N": nh, "zero_colon": subobject(gm, back)})
     return PredicateVerdict(True)
 
 

@@ -21,7 +21,7 @@ from .classifiers import (
 from .core import DEFAULT_MAX_ELEMENTS
 from .corpus import Corpus, build_standard_corpus
 from .errors import GradedAlgError
-from .propositions import PROPOSITION_IDS, search_counterexample, verify_proposition
+from .propositions import PROPOSITION_IDS, _members_label, g_coprimary_degree, search_counterexample, verify_proposition
 from .structfile import parse_structure_file
 from .subobjects import IDEAL, whole_subobject, SUBMODULE
 
@@ -98,18 +98,9 @@ def _cmd_validate(args, out) -> int:
 def _witness_str(entry, verdict) -> str:
     if verdict.witness is None:
         return ""
-    parts = []
     rlabels = entry.gring.ring.labels
-    for key, val in verdict.witness.items():
-        if isinstance(val, int):
-            parts.append(f"{key}={rlabels[val]}")
-        elif hasattr(val, "sorted_members") or isinstance(val, frozenset):
-            # a handle, or a bare member set of the module
-            labels, members = ((entry.gmodule.module.labels, sorted(val))
-                               if isinstance(val, frozenset) else (val.carrier.labels, val.sorted_members))
-            parts.append(f"{key}={{{','.join(str(labels[i]) for i in members)}}}")
-        else:
-            parts.append(f"{key}={val}")
+    parts = [f"{key}={rlabels[val] if isinstance(val, int) else _members_label(val)}"
+             for key, val in verdict.witness.items()]
     return " witness: " + " ".join(parts)
 
 
@@ -137,11 +128,9 @@ def _cmd_classify(args, out) -> int:
         elif pred in ("2a-coprimary", "2a-coprimary-def"):
             verdict = classify_submodule(target, "2a-coprimary-def", max_elements=args.max_elements)
         elif pred.startswith("g-2a-coprimary:"):
-            label = pred.split(":", 1)[1]
-            group = entry.gring.grading.group
-            g = next((i for i, lab in enumerate(group.labels) if str(lab) == label), None)
+            g = g_coprimary_degree(entry, pred)
             if g is None:
-                raise GradedAlgError(f"grading group has no element labeled {label!r}")
+                raise GradedAlgError(f"grading group has no element labeled {pred.split(':', 1)[1]!r}")
             verdict = classify_submodule(target, "g-2a-coprimary", g=g, max_elements=args.max_elements)
         else:
             verdict = classify_submodule(target, pred, max_elements=args.max_elements)

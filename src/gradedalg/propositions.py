@@ -333,59 +333,46 @@ def _bit_indices(bits):
         bits ^= low
 
 
-def _check_ideal_lemma(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
-    gm = entry.gmodule
-    ideals = entry.graded_ideals()
-    subs = entry.graded_submodules()
-    full = (1 << len(subs)) - 1
-    mul = gm.gring.ring.mul
-    misses = 0
-    for g, n, good, ann in _g_coprimary(entry, skip):
-        comp = sorted(gm.gring.grading.components[g])
-        for i in ideals:
-            in_handle = gm.memo(("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
-            ixn = _contains_bits(in_handle, subs)  # ixn[x]: the K containing IxN
-            ig = ideal_component(i, g)
-            ig_good = reduce(and_, (good[y] for y in ig), full)
-            for x in comp:
-                hyp = ixn[x]
-                found = hyp.bit_count()
-                inst += found
-                misses += len(subs) - found
-                bits = hyp & ~(good[x] | ig_good)
-                if bits and not all(mul[y][x] in ann for y in ig):
-                    bad.extend({"g": g, "N": n, "I": i, "x": x, "K": subs[k]} for k in _bit_indices(bits))
-    if misses:  # a reason counted 0 times would still be printed
-        skip["hypothesis-IxN-not-in-K"] += misses
-    return inst, bad, skip
+def _ideal_pair_checker(key: str, reason: str, second):
+    """Checker of "for N g-2-absorbing coprimary and IJN inside K, I_g or J_g
+    lies in Grad(K :_R N), or I_g J_g annihilates N", I over the graded
+    ideals.  ``second(gm, g, good, rows)`` lists the J as rows (J, members,
+    J_g, the K whose radical holds J_g), given ``rows`` of the graded ideals;
+    a violation record names J under ``key``."""
+    def check(entry: CorpusEntry):
+        inst, skip, bad = 0, Counter(), []
+        gm = entry.gmodule
+        ideals = entry.graded_ideals()
+        subs = entry.graded_submodules()
+        full = (1 << len(subs)) - 1
+        mul = gm.gring.ring.mul
+        misses = 0
+        for g, n, good, ann in _g_coprimary(entry, skip):
+            comps = [ideal_component(i, g) for i in ideals]
+            rows = [(i, i.members, ig, reduce(and_, (good[y] for y in ig), full)) for i, ig in zip(ideals, comps)]
+            js = second(gm, g, good, rows)
+            for i, _, ig, ig_good in rows:
+                in_handle = gm.memo(("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+                ixn = _contains_bits(in_handle, subs)  # ixn[y]: the K containing IyN
+                for j, jm, jg, jg_good in js:
+                    hyp = full  # becomes the K containing IJN
+                    for y in jm:
+                        hyp &= ixn[y]
+                    found = hyp.bit_count()
+                    inst += found
+                    misses += len(subs) - found
+                    bits = hyp & ~(ig_good | jg_good)
+                    if bits and not all(mul[a][b] in ann for a in ig for b in jg):
+                        bad.extend({"g": g, "N": n, "I": i, key: j, "K": subs[k]} for k in _bit_indices(bits))
+        if misses:  # a reason counted 0 times would still be printed
+            skip[reason] += misses
+        return inst, bad, skip
+    return check
 
 
-def _check_two_ideal_theorem(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
-    gm = entry.gmodule
-    ideals = entry.graded_ideals()
-    subs = entry.graded_submodules()
-    full = (1 << len(subs)) - 1
-    mul = gm.gring.ring.mul
-    misses = 0
-    for g, n, good, ann in _g_coprimary(entry, skip):
-        comps = [ideal_component(i, g) for i in ideals]
-        comp_good = [reduce(and_, (good[y] for y in ig), full) for ig in comps]
-        for i, ig, ig_good in zip(ideals, comps, comp_good):
-            in_handle = gm.memo(("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
-            ixn = _contains_bits(in_handle, subs)
-            for j, jg, jg_good in zip(ideals, comps, comp_good):
-                hyp = reduce(and_, (ixn[y] for y in j.members), full)  # the K containing IJN
-                found = hyp.bit_count()
-                inst += found
-                misses += len(subs) - found
-                bits = hyp & ~(ig_good | jg_good)
-                if bits and not all(mul[a][b] in ann for a in ig for b in jg):
-                    bad.extend({"g": g, "N": n, "I": i, "J": j, "K": subs[k]} for k in _bit_indices(bits))
-    if misses:
-        skip["hypothesis-IJN-not-in-K"] += misses
-    return inst, bad, skip
+def _degree_singletons(gm, g, good, rows):
+    """The J = {x} for x in R_g, as rows of ``_ideal_pair_checker``."""
+    return [(x, (x,), (x,), good[x]) for x in sorted(gm.gring.grading.components[g])]
 
 
 def _check_comultiplication(entry: CorpusEntry):
@@ -462,8 +449,8 @@ _CHECKERS = {
     "hom-preimage": _check_hom_preimage,
     "characterization-equiv": _check_characterization_equiv,
     "localization": _check_localization,
-    "ideal-lemma": _check_ideal_lemma,
-    "two-ideal-theorem": _check_two_ideal_theorem,
+    "ideal-lemma": _ideal_pair_checker("x", "hypothesis-IxN-not-in-K", _degree_singletons),
+    "two-ideal-theorem": _ideal_pair_checker("J", "hypothesis-IJN-not-in-K", lambda gm, g, good, rows: rows),
     "comultiplication": _check_comultiplication,
     "product-part-1": _check_product_part1,
     "product-part-2": _check_product_part2,
@@ -549,6 +536,13 @@ def _parse_expr(text: str):
     return node
 
 
+def g_coprimary_degree(entry: CorpusEntry, name: str) -> int | None:
+    """The degree g that ``g-2a-coprimary:LABEL`` names on ``entry``: the index
+    of the grading-group element whose label prints as LABEL, or None."""
+    label = name.split(":", 1)[1]
+    return next((g for g, lab in enumerate(entry.gmodule.group.labels) if str(lab) == label), None)
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -583,10 +577,9 @@ def search_counterexample(expr: str, corpus: Corpus, budget: int = 10**6):
         if name == "comultiplication":
             return is_graded_comultiplication_module(entry.gmodule).value
         if name.startswith("g-2a-coprimary:"):
-            labels = [str(lab) for lab in entry.gmodule.group.labels]
-            label = name.split(":", 1)[1]
+            g = g_coprimary_degree(entry, name)
             # an entry whose grading group has no such element satisfies nothing
-            return label in labels and classify_submodule(n, "g-2a-coprimary", g=labels.index(label)).value
+            return g is not None and classify_submodule(n, "g-2a-coprimary", g=g).value
         return classify_submodule(n, name).value  # second, strong-2a-second
 
     try:

@@ -25,7 +25,9 @@ from gradedalg import (
     whole_subobject,
     zero_subobject,
 )
+from gradedalg.classifiers import _good_bits
 from gradedalg.grading import groupring_natural, module_same_as_ring, ring_trivial
+from gradedalg.subobjects import rn_masks
 
 
 def _self_module(n):
@@ -285,6 +287,27 @@ def oracle_classify_submodule(n, predicate, g=None):
     return True, None
 
 
+def oracle_coprimary_via_characterization(n):
+    """Naive loop over homogeneous (x, y) in canonical order: the definition
+    at K = xyN, with the rN masks compared directly."""
+    gm = n.ctx
+    mul = gm.gring.ring.mul
+    powers = gm.gring.ring.power_sets
+    zmask = rn_masks(n)
+    zero_mask = 1 << gm.module.zero
+    for x in gm.gring.hom:
+        for y in gm.gring.hom:
+            w = zmask[mul[x][y]]
+            if w == zero_mask:
+                continue  # xy in Ann(N)
+            if any(zmask[p] & w == zmask[p] for p in powers[x]):
+                continue
+            if any(zmask[p] & w == zmask[p] for p in powers[y]):
+                continue
+            return False, {"x": x, "y": y}
+    return True, None
+
+
 def _assert_kernel_matches_oracle(gm):
     gring = gm.gring
     for p in enumerate_graded_subobjects(gring):
@@ -305,6 +328,15 @@ def _assert_kernel_matches_oracle(gm):
                 w = v.witness
                 recheck = recheck_strong_violation if predicate == "strong-2a-second" else recheck_coprimary_violation
                 assert recheck(n, w["x"], w["y"], w["K"])
+        c = coprimary_via_characterization(n)
+        assert (c.value, c.witness) == oracle_coprimary_via_characterization(n), n
+        if not c.value:
+            assert recheck_coprimary_violation(n, c.witness["x"], c.witness["y"])
+        lattice = enumerate_graded_subobjects(gm)
+        good = _good_bits(n, lattice)
+        for i, k in enumerate(lattice):
+            grad = graded_radical(colon(k, n)).members
+            assert all((good[r] >> i & 1) == (r in grad) for r in gm.gring.hom), (n, k)
 
 
 @pytest.mark.parametrize("entry", build_standard_corpus(), ids=lambda e: e.name)

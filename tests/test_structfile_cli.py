@@ -246,6 +246,26 @@ def test_cli_search():
     assert code == 0 and out.strip() == "none"
 
 
+def test_cli_classify_resolves_a_degree_label():
+    path = str(ROOT / "structures" / "groupring2.gstruct")
+    code, out = _run(["classify", "--file", path, "--target", "M", "--predicate", "g-2a-coprimary:1"])
+    assert (code, out) == (0, "true\n")
+
+
+def test_cli_classify_unknown_degree_label_exits_2(capsys):
+    path = str(ROOT / "structures" / "groupring2.gstruct")
+    code, out = _run(["classify", "--file", path, "--target", "M", "--predicate", "g-2a-coprimary:7"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: grading group has no element labeled '7'\n"
+
+
+def test_cli_search_resolves_a_degree_label_per_entry():
+    # the trivially graded entries before groupring2-c2 have no element
+    # labelled 1, so they satisfy nothing
+    code, out = _run(["--report", "machine", "search", "--expr", "g-2a-coprimary:1"])
+    assert code == 1 and out.startswith("entry=groupring2-c2 ")
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_cli_search_rejects_a_budget_below_one(budget, capsys):
     # a budget that allows no evaluation used to print "none", the answer for
