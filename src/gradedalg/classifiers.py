@@ -202,6 +202,10 @@ def classify_submodule(
             raise PreconditionViolation("g-2a-coprimary needs a group element")
         if not 0 <= g < n.ctx.group.size:
             raise PreconditionViolation(f"group element {g} outside the grading group")
+        gring = n.ctx.gring
+        if gring.grading.components[g] == gring.hom_set:
+            # R_g = h(R): the g-form quantifies over the definitional form's scalars
+            predicate, g = "2a-coprimary-def", None
     else:
         g = None
     if predicate != "second":  # the lattice the other predicates need is capped

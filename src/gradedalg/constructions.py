@@ -3,6 +3,7 @@ localization at homogeneous multiplicative sets, and product modules."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import FiniteModule, FiniteRing, make_module, make_ring
 from .errors import HomInvalid, InvalidDenominators, PreconditionViolation
@@ -103,24 +104,6 @@ def _check_denominators(gring: GradedRing, s) -> tuple:
     return s
 
 
-def _fraction_classes(pairs, equivalent):
-    """Greedy partition of ``pairs`` (in canonical order) under ``equivalent``.
-
-    Returns (reps, class_of) where reps[i] is the smallest member of class i.
-    """
-    reps = []
-    class_of = {}
-    for p in pairs:
-        for i, r in enumerate(reps):
-            if equivalent(p, r):
-                class_of[p] = i
-                break
-        else:
-            class_of[p] = len(reps)
-            reps.append(p)
-    return reps, class_of
-
-
 @dataclass(frozen=True, eq=False)
 class LocalizedRing:
     """S^{-1}R for a finite graded ring R and homogeneous multiplicative S."""
@@ -159,16 +142,25 @@ def _fractions(base, s: tuple, ring_reps=None):
     """(reps, class_of, labels, add, action, zero, degree assignment) of S^{-1}X
     for the graded carrier X = ``base``, a module over ``base.gring`` or that
     ring acting on itself.  The action's rows are the classes ``ring_reps`` of
-    S^{-1}R, or X's own classes when X is the ring."""
+    S^{-1}R, or X's own classes when X is the ring.  The fraction a/d falls in
+    the class of its key c_d * a, in one pass over the pairs in canonical
+    order, so reps[i] is the first pair of class i."""
     x, ring = base.grading.carrier, base.gring.ring
-    act, add, neg, mul = x.action, x.add, x.neg, ring.mul
+    act, add, mul = x.action, x.add, ring.mul
 
-    def equivalent(p, q):
-        (a, sden), (b, tden) = p, q
-        diff = add[act[tden][a]][neg[act[sden][b]]]
-        return any(act[u][diff] == x.zero for u in s)
+    def times(ts, start):
+        return reduce(lambda u, t: mul[u][t], ts, start)
 
-    reps, class_of = _fraction_classes([(a, d) for a in range(x.size) for d in s], equivalent)
+    w = times(s, ring.one)
+    # a/d = b/t iff w(ta - db) = 0 (u in S divides w = prod S), iff c_d a = c_t b for c_d = w^2 prod(S - {d}):
+    # multiply by the cofactors of d and t in w, or back by dt, since w^3 is in S
+    keyed = {d: act[times((t for t in s if t != d), mul[w][w])] for d in s}
+    reps, class_of, class_at = [], {}, {}
+    for a in range(x.size):
+        for d in s:
+            i = class_of[(a, d)] = class_at.setdefault(keyed[d][a], len(reps))
+            if i == len(reps):
+                reps.append((a, d))
     labels = tuple(f"{x.labels[a]}/{ring.labels[d]}" for a, d in reps)
     ladd = tuple(
         tuple(class_of[(add[act[t][a]][act[sden][b]], mul[sden][t])] for (b, t) in reps)

@@ -30,11 +30,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _negation(add, zero) -> tuple:
-    """neg[i] = the first j with add[i][j] == zero."""
-    return tuple(row.index(zero) for row in add)
-
-
 @dataclass(frozen=True, eq=False)
 class GradingGroup:
     """A finite group given by a full Cayley table."""
@@ -70,10 +65,6 @@ class FiniteRing:
     @cached_property
     def index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def neg(self) -> tuple:
-        return _negation(self.add, self.zero)
 
     @property
     def action(self) -> tuple:
@@ -115,10 +106,6 @@ class FiniteModule:
     @cached_property
     def index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def neg(self) -> tuple:
-        return _negation(self.add, self.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Grammar (one directive per line, ``#`` starts a comment):
     mulset NAME TOK ...
 
 Element tokens are integers or parenthesized integer tuples like ``(1,0,0)``.
-Each of ``group``, ``ring``, ``grading`` and ``module`` may appear once.
+Each of ``group``, ``ring``, ``grading`` and ``module`` may appear once, and
+each NAME once among the submodules and ideals and once among the mulsets.
 ``groupring`` takes its grading group from the ``group`` directive; ``natural``
 grading means by-degree for group rings and is an alias of ``trivial``
 otherwise.  Every group, ring and module size is checked against
@@ -193,20 +194,28 @@ def parse_structure_text(
 
     entry = CorpusEntry(name, gring, gmodule, max_elements=max_elements)
 
+    first_named = {}  # (namespace, NAME) -> the line that defined it
     for lineno, directive, args in pending:
         if directive == "mulset":
             if len(args) < 2:
                 raise StructureParseError("mulset needs a name and elements", line=lineno)
             sname, toks = args[0], args[1:]
+        else:
+            if len(args) < 3 or args[1] != "gens":
+                raise StructureParseError(f"{directive} needs: NAME gens TOK ...", line=lineno)
+            sname, toks = args[0], args[2:]
+        # submodules and ideals share entry.named; mulsets have entry.mulsets
+        name = (directive == "mulset", sname)
+        if name in first_named:
+            raise StructureParseError(f"name {sname!r} already defined on line {first_named[name]}", line=lineno)
+        first_named[name] = lineno
+        if directive == "mulset":
             idxs = [_lookup(ring, _parse_token(t, lineno), lineno) for t in toks]
             try:
                 entry.mulsets[sname] = _check_denominators(gring, idxs)
             except InvalidDenominators as exc:
                 raise StructureParseError(f"bad mulset {sname!r}: {exc}", line=lineno) from None
         else:
-            if len(args) < 3 or args[1] != "gens":
-                raise StructureParseError(f"{directive} needs: NAME gens TOK ...", line=lineno)
-            sname, toks = args[0], args[2:]
             # the directive names the carrier: an ideal is a submodule of the ring
             ctx = gmodule if directive == SUBMODULE else gring
             gens = {_lookup(ctx.grading.carrier, _parse_token(t, lineno), lineno) for t in toks}

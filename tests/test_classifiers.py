@@ -173,6 +173,26 @@ def test_g_form_rejects_a_degree_outside_the_grading_group(g):
     assert ("submodule_verdict", "g-2a-coprimary", 1, whole.members) in entry.gmodule._caches
 
 
+def test_g_form_is_the_definitional_verdict_where_r_g_holds_every_homogeneous_scalar():
+    # Z/12 is trivially graded, so R_e = h(R) and the g = e form quantifies
+    # over the definitional form's scalars: it reads the same memoized verdict
+    _, gm = _self_module(12)
+    e = gm.group.identity
+    for n in enumerate_graded_subobjects(gm):
+        if not n.is_zero:
+            assert classify_submodule(n, "g-2a-coprimary", g=e) is classify_submodule(n, "2a-coprimary-def")
+
+
+def test_g_form_at_a_proper_component_has_its_own_verdict():
+    entry = next(e for e in build_standard_corpus() if e.name == "groupring2-c2")
+    gring = entry.gmodule.gring
+    e = gring.group.identity
+    assert gring.grading.components[e] != gring.hom_set
+    whole = whole_subobject(entry.gmodule)
+    classify_submodule(whole, "g-2a-coprimary", g=e)
+    assert ("submodule_verdict", "g-2a-coprimary", e, whole.members) in entry.gmodule._caches
+
+
 _CAPPED = {
     "strong-2a-second": lambda n, cap: classify_submodule(n, "strong-2a-second", max_elements=cap),
     "2a-coprimary-def": lambda n, cap: classify_submodule(n, "2a-coprimary-def", max_elements=cap),

@@ -24,7 +24,7 @@ from gradedalg import (
     subobject,
     whole_subobject,
 )
-from gradedalg.constructions import _check_denominators, _fraction_classes
+from gradedalg.constructions import _check_denominators
 from gradedalg.core import FiniteModule, FiniteRing, make_group
 from gradedalg.corpus import build_standard_corpus
 from gradedalg.grading import (
@@ -163,12 +163,36 @@ def test_localize_subobject_rejects_a_handle_of_another_carrier():
 
 
 # The localization code before ring and module shared one fraction builder,
-# kept as the oracle for it.
+# kept as the oracle for it: a greedy partition of the pairs under the
+# definition of equal fractions, with no class key.
+
+def _negation(add, zero):
+    """neg[i] = the first j with add[i][j] == zero."""
+    return tuple(row.index(zero) for row in add)
+
+
+def _fraction_classes(pairs, equivalent):
+    """Greedy partition of ``pairs`` (in canonical order) under ``equivalent``.
+
+    Returns (reps, class_of) where reps[i] is the smallest member of class i.
+    """
+    reps = []
+    class_of = {}
+    for p in pairs:
+        for i, r in enumerate(reps):
+            if equivalent(p, r):
+                class_of[p] = i
+                break
+        else:
+            class_of[p] = len(reps)
+            reps.append(p)
+    return reps, class_of
+
 
 def _oracle_localize_ring(gring, s):
     s = _check_denominators(gring, s)
     ring = gring.ring
-    mul, add, neg = ring.mul, ring.add, ring.neg
+    mul, add, neg = ring.mul, ring.add, _negation(ring.add, ring.zero)
 
     def equivalent(p, q):
         a, sden = p
@@ -210,7 +234,7 @@ def _oracle_localize_module(gm, ring_loc):
     s, lgring, ring_reps, _ = ring_loc
     module = gm.module
     ring = gm.gring.ring
-    act, madd, mneg = module.action, module.add, module.neg
+    act, madd, mneg = module.action, module.add, _negation(module.add, module.zero)
 
     def equivalent(p, q):
         m, sden = p
@@ -248,20 +272,30 @@ def _oracle_localize_module(gm, ring_loc):
     return GradedModule(lmodule, lgring, grading), tuple(reps), class_of
 
 
+def _single_element_closures(ring):
+    """The multiplicative closures {1, x, x^2, ...} of the elements x of ``ring``."""
+    closures = set()
+    for x in range(ring.size):
+        s, cur = {ring.one}, x
+        while cur not in s:
+            s.add(cur)
+            cur = ring.mul[cur][x]
+        closures.add(tuple(sorted(s)))
+    return sorted(closures)
+
+
 def _localization_cases():
     for n in range(2, 37):
         ring = make_ring(("zmod", n))
-        gr = ring_trivial(ring)
-        gm = module_same_as_ring(make_module(("self",), ring), gr)
-        closures = set()
-        for x in range(n):
-            s, cur = {1}, x
-            while cur not in s:
-                s.add(cur)
-                cur = ring.mul[cur][x]
-            closures.add(tuple(sorted(s)))
-        for s in sorted(closures):
+        gm = module_same_as_ring(make_module(("self",), ring), ring_trivial(ring))
+        for s in _single_element_closures(ring):
             yield f"zmod{n}", gm, s
+    # modules other than the ring itself
+    for n, sizes in ((8, (2, 4)), (12, (4, 6)), (36, (4, 9)), (36, (2, 6, 3))):
+        ring = make_ring(("zmod", n))
+        gm = module_trivial(make_module(("directsum", *sizes), ring), ring_trivial(ring))
+        for s in _single_element_closures(ring):
+            yield f"zmod{n}-directsum{sizes}", gm, s
     torsion = next(e for e in build_standard_corpus() if e.name == "torsion180")
     yield "torsion180", torsion.gmodule, torsion.mulsets["S5"]
     c2 = make_group(("cyclic", 2))
@@ -283,7 +317,7 @@ def _assert_same_graded(got, want, table):
 
 
 def test_localization_builder_matches_the_separate_ring_and_module_code():
-    seen = 0
+    seen = direct_sums = 0
     for name, gm, s in _localization_cases():
         loc = localize_module(gm, s)
         ring_loc = _oracle_localize_ring(gm.gring, s)
@@ -298,7 +332,9 @@ def test_localization_builder_matches_the_separate_ring_and_module_code():
         assert loc.reps == want_reps, (name, s)
         assert loc.class_of == want_class_of, (name, s)
         seen += 1
+        direct_sums += "directsum" in name
     assert seen > 100
+    assert direct_sums == 80
 
 
 def test_localized_structures_pass_validation():

@@ -29,12 +29,14 @@ def _unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _dead_definitions(tree: ast.Module, naming: list) -> list:
-    """Top-level functions and classes of ``tree`` that no tree in ``naming``
-    names: as a variable, an attribute, an imported name or a string."""
+def _named(naming: list) -> set:
+    """Every name the trees in ``naming`` read: as a variable, an attribute, an
+    imported name or a string.  Assigning to a name does not read it."""
     named = set()
     for other in naming:
         for node in ast.walk(other):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -43,10 +45,40 @@ def _dead_definitions(tree: ast.Module, naming: list) -> list:
                 named.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
+    return named
+
+
+def _dead_definitions(tree: ast.Module, naming: list) -> list:
+    """Top-level functions and classes of ``tree`` that no tree in ``naming``
+    names."""
+    named = _named(naming)
     return sorted(
         (node.lineno, node.name)
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    )
+
+
+def _member_names(cls: ast.ClassDef):
+    """(line, name) of the methods and fields of ``cls``, leaving out the
+    dunder methods Python calls by itself."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.lineno, node.target.id
+        elif isinstance(node, ast.Assign):
+            yield from ((node.lineno, t.id) for t in node.targets if isinstance(t, ast.Name))
+
+
+def _dead_members(tree: ast.Module, naming: list) -> list:
+    """Methods and fields of the top-level classes of ``tree`` that no tree in
+    ``naming`` names, as (line, "Class.member")."""
+    named = _named(naming)
+    return sorted(
+        (line, f"{cls.name}.{name}")
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for line, name in _member_names(cls) if name not in named
     )
 
 
@@ -92,6 +124,23 @@ def test_the_check_sees_a_dead_definition():
     assert _dead_definitions(tree, [tree]) == [(5, "Dead"), (9, "wrapped")]
     bench = ast.parse('LAYERS = {"ops": ("wrapped",)}\n')
     assert _dead_definitions(tree, [tree, bench]) == [(5, "Dead")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_class_member_is_named_elsewhere(path):
+    assert _dead_members(_parse(path), [_parse(p) for p in NAMING_SOURCES]) == []
+
+
+def test_the_check_sees_a_dead_member():
+    tree = ast.parse(
+        "class Ring:\n    add: tuple\n    kind = 'ring'\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    @property\n    def neg(self):\n        return self.add\n\n"
+        "    def size(self):\n        return 0\n"
+    )
+    assert _dead_members(tree, [tree]) == [(3, "Ring.kind"), (9, "Ring.neg"), (12, "Ring.size")]
+    bench = ast.parse("def run(ring):\n    return ring.size(), getattr(ring, 'kind')\n")
+    assert _dead_members(tree, [tree, bench]) == [(9, "Ring.neg")]
 
 
 @pytest.mark.parametrize(

@@ -345,10 +345,29 @@ def test_unreadable_structure_file_exits_2(tmp_path, capsys):
         # a factor was built before the product size was known to be positive
         ("group product 1000000000000 0\nring zmod 2\nmodule self\n", 1),
         ("group product 0 5\nring zmod 2\nmodule self\n", 1),
+        # a repeated name used to replace the earlier definition silently;
+        # submodules and ideals share one namespace
+        ("ring zmod 12\nmodule self\nsubmodule N gens 2\nideal N gens 3\n", 4),
+        ("ring zmod 12\nmodule self\nsubmodule N gens 2\n\nsubmodule N gens 2\n", 5),
+        ("ring zmod 12\nmodule self\nmulset S 1 5\nmulset S 1 7\n", 4),
     ],
-    ids=["group-after-groupring", "ring-after-module", "grading-twice", "huge-factor-times-0", "factor-0"],
+    ids=["group-after-groupring", "ring-after-module", "grading-twice", "huge-factor-times-0", "factor-0",
+         "submodule-then-ideal", "submodule-twice", "mulset-twice"],
 )
 def test_conflicting_directives_are_line_numbered(text, line):
     with pytest.raises(StructureParseError) as exc:
         parse_structure_text(text)
     assert exc.value.line == line
+
+
+def test_a_repeated_name_names_its_first_line():
+    text = "ring zmod 12\nmodule self\nideal N gens 3\nmulset S 1 5\nsubmodule N gens 2\n"
+    with pytest.raises(StructureParseError, match="'N' already defined on line 3") as exc:
+        parse_structure_text(text)
+    assert exc.value.line == 5
+
+
+def test_a_mulset_may_share_a_submodule_name():
+    entry = parse_structure_text("ring zmod 12\nmodule self\nsubmodule S gens 2\nmulset S 1 5\n")
+    assert entry.named["S"].members == frozenset(range(0, 12, 2))
+    assert entry.mulsets["S"] == (1, 5)
