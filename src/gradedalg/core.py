@@ -43,10 +43,6 @@ class GradingGroup:
     def size(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteRing:

@@ -64,7 +64,8 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
                 if add[a][b] not in comp:
                     raise GradingInvalid("component-not-closed-under-add", (g, a, b))
 
-    # direct sum: summation from the product of components is a bijection
+    # direct sum: summation from the product of components is a bijection,
+    # since it is injective and the product has n elements
     total = 1
     for comp in components:
         total *= len(comp)
@@ -78,10 +79,6 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
         if decomposition[s] is not None:
             raise GradingInvalid("direct-sum-collision", (s, decomposition[s], parts))
         decomposition[s] = parts
-    # total == n and no collision => surjective, but keep the explicit check
-    for x in range(n):
-        if decomposition[x] is None:
-            raise GradingInvalid("direct-sum-not-surjective", (x,))
 
     if is_ring and carrier.one not in components[group.identity]:
         raise GradingInvalid("one-not-in-identity-component", (carrier.one,))

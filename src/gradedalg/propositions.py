@@ -483,7 +483,8 @@ _SEARCH_PREDICATES = ("second", "strong-2a-second", "2a-coprimary", "comultiplic
 
 
 def _parse_expr(text: str):
-    tokens = re.findall(r"\(|\)|[^\s()]+", text)
+    # a degree label may be a tuple: g-2a-coprimary:(0,1) is one token
+    tokens = re.findall(r"g-2a-coprimary:\([^\s()]*\)|\(|\)|[^\s()]+", text)
     pos = 0
 
     def peek():
@@ -538,9 +539,10 @@ def _parse_expr(text: str):
 
 def g_coprimary_degree(entry: CorpusEntry, name: str) -> int | None:
     """The degree g that ``g-2a-coprimary:LABEL`` names on ``entry``: the index
-    of the grading-group element whose label prints as LABEL, or None."""
+    of the grading-group element whose label prints as LABEL, written without
+    spaces like an element token, or None."""
     label = name.split(":", 1)[1]
-    return next((g for g, lab in enumerate(entry.gmodule.group.labels) if str(lab) == label), None)
+    return next((g for g, lab in enumerate(entry.gmodule.group.labels) if str(lab).replace(" ", "") == label), None)
 
 
 class _BudgetExhausted(Exception):

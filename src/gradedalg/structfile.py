@@ -10,13 +10,18 @@ Grammar (one directive per line, ``#`` starts a comment):
     ideal NAME gens TOK ...
     mulset NAME TOK ...
 
-Element tokens are integers or parenthesized integer tuples like ``(1,0,0)``.
-Each of ``group``, ``ring``, ``grading`` and ``module`` may appear once, and
-each NAME once among the submodules and ideals and once among the mulsets.
-``groupring`` takes its grading group from the ``group`` directive; ``natural``
-grading means by-degree for group rings and is an alias of ``trivial``
-otherwise.  Every group, ring and module size is checked against
-``max_elements`` before its tables are built.  The result is a fully
+Each shape takes exactly the integer arguments shown: none for ``trivial``
+and ``self``, one for ``cyclic``, ``zmod`` and ``groupring``, two for
+``product`` and one or more for ``directsum``; an extra or missing argument
+is an error.  Element tokens are integers or parenthesized integer tuples
+like ``(1,0,0)``.  Each of ``group``, ``ring``, ``grading`` and ``module``
+may appear once, and each NAME once among the submodules and ideals and once
+among the mulsets.  ``groupring`` takes its grading group from the ``group``
+directive; ``natural`` grading means by-degree for group rings and is an
+alias of ``trivial`` otherwise.  ``module self`` is graded like its ring, a
+direct sum trivially.  Every group, ring and module size is checked against
+``max_elements`` before its tables are built; ``product N1 N2`` counts as
+max(N1, 1)·max(N2, 1), which bounds each factor too.  The result is a fully
 validated corpus entry.
 """
 from __future__ import annotations
@@ -60,15 +65,23 @@ def _lookup(carrier, label, lineno: int) -> int:
     return idx
 
 
-def _check_size(what: str, size: int, max_elements: int, lineno: int) -> None:
+def _shape(directive: str, args: list, lineno: int) -> tuple:
+    """The shape word of a group, ring or module line and its integer arguments."""
+    try:
+        return args[0] if args else None, tuple(int(a) for a in args[1:])
+    except ValueError:
+        raise StructureParseError(
+            f"{directive} {args[0]} needs integer arguments, got {' '.join(args[1:])!r}", line=lineno
+        ) from None
+
+
+def _build(what: str, make, lineno: int, size: int, max_elements: int, *args):
+    """Check ``size`` against the cap, then call a table constructor; a bad
+    descriptor becomes a line-numbered error."""
     if size > max_elements:
         raise StructureParseError(
             f"{what} would have {size} elements, above the size cap {max_elements}", line=lineno
         )
-
-
-def _build(make, lineno: int, *args):
-    """Call a table constructor; a bad descriptor becomes a line-numbered error."""
     try:
         return make(*args)
     except InvalidDescriptor as exc:
@@ -80,8 +93,7 @@ def parse_structure_text(
 ) -> CorpusEntry:
     group = None
     ring = None
-    ring_kind = None
-    grading_mode = None
+    grading_mode = "trivial"
     module = None
     first_line = {}  # group/ring/grading/module -> the line that set it
     pending = []  # (lineno, directive, args) for submodule/ideal/mulset lines
@@ -96,80 +108,46 @@ def parse_structure_text(
             raise StructureParseError(
                 f"{directive} already set on line {first_line[directive]}", line=lineno
             )
-        if directive in ("group", "ring", "grading", "module"):
-            first_line[directive] = lineno
-        if directive == "group":
-            if not args:
-                raise StructureParseError("group needs a shape", line=lineno)
-            shape = args[0]
-            try:
-                if shape == "trivial":
-                    group = make_group("trivial")
-                elif shape == "cyclic":
-                    n = int(args[1])
-                    _check_size("group", n, max_elements, lineno)
-                    group = _build(make_group, lineno, ("cyclic", n))
-                elif shape == "product":
-                    n1, n2 = int(args[1]), int(args[2])
-                    if min(n1, n2) < 1:
-                        # each factor is built before the product
-                        raise StructureParseError("group product sizes must be positive", line=lineno)
-                    _check_size("group", n1 * n2, max_elements, lineno)
-                    group = _build(make_group, lineno, ("product", ("cyclic", n1), ("cyclic", n2)))
-                else:
-                    raise StructureParseError(f"unknown group shape {shape!r}", line=lineno)
-            except (IndexError, ValueError):
-                raise StructureParseError("group shape needs integer sizes", line=lineno) from None
-        elif directive == "ring":
-            if not args:
-                raise StructureParseError("ring needs a shape", line=lineno)
-            shape = args[0]
-            if shape == "zmod":
-                try:
-                    n = int(args[1])
-                except (IndexError, ValueError):
-                    raise StructureParseError("zmod needs a modulus", line=lineno) from None
-                _check_size("ring", n, max_elements, lineno)
-                ring = _build(make_ring, lineno, ("zmod", n))
-            elif shape == "groupring":
-                if group is None:
-                    raise StructureParseError("groupring needs a prior group directive", line=lineno)
-                try:
-                    p = int(args[1])
-                except (IndexError, ValueError):
-                    raise StructureParseError("groupring needs a coefficient modulus", line=lineno) from None
-                _check_size("ring", p ** group.size, max_elements, lineno)
-                ring = _build(make_ring, lineno, ("groupring", p, group))
-            else:
-                raise StructureParseError(f"unknown ring shape {shape!r}", line=lineno)
-            ring_kind = shape
-        elif directive == "grading":
-            if not args or args[0] not in ("trivial", "natural"):
+        if directive in ("submodule", "ideal", "mulset"):
+            pending.append((lineno, directive, args))
+            continue
+        if directive == "grading":
+            if args not in (["trivial"], ["natural"]):
                 raise StructureParseError("grading must be 'trivial' or 'natural'", line=lineno)
             grading_mode = args[0]
-        elif directive == "module":
-            if ring is None:
-                raise StructureParseError("module needs a prior ring directive", line=lineno)
-            if not args:
-                raise StructureParseError("module needs a shape", line=lineno)
-            shape = args[0]
-            if shape == "self":
-                module = make_module(("self",), ring)
-            elif shape == "directsum":
-                try:
-                    sizes = [int(a) for a in args[1:]]
-                except ValueError:
-                    raise StructureParseError("directsum needs integer sizes", line=lineno) from None
-                if not sizes:
-                    raise StructureParseError("directsum needs at least one summand", line=lineno)
-                _check_size("module", math.prod(sizes), max_elements, lineno)
-                module = _build(make_module, lineno, ("directsum", *sizes), ring)
-            else:
-                raise StructureParseError(f"unknown module shape {shape!r}", line=lineno)
-        elif directive in ("submodule", "ideal", "mulset"):
-            pending.append((lineno, directive, args))
+        elif directive == "module" and ring is None:
+            raise StructureParseError("module needs a prior ring directive", line=lineno)
+        elif directive in ("group", "ring", "module"):
+            match directive, *_shape(directive, args, lineno):
+                case "group", "trivial", ():
+                    group = make_group("trivial")
+                case "group", "cyclic", (n,):
+                    group = _build("group", make_group, lineno, n, max_elements, ("cyclic", n))
+                case "group", "product", (n1, n2):
+                    # bounds each factor, which is built before the product, as well
+                    size = max(n1, 1) * max(n2, 1)
+                    spec = ("product", ("cyclic", n1), ("cyclic", n2))
+                    group = _build("group", make_group, lineno, size, max_elements, spec)
+                case "ring", "zmod", (n,):
+                    ring = _build("ring", make_ring, lineno, n, max_elements, ("zmod", n))
+                    grade_natural = ring_trivial
+                case "ring", "groupring", (p,):
+                    if group is None:
+                        raise StructureParseError("groupring needs a prior group directive", line=lineno)
+                    spec = ("groupring", p, group)
+                    ring = _build("ring", make_ring, lineno, p ** group.size, max_elements, spec)
+                    grade_natural = groupring_natural
+                case "module", "self", ():
+                    module, grade_module = make_module(("self",), ring), module_same_as_ring
+                case "module", "directsum", sizes if sizes:
+                    module = _build("module", make_module, lineno, math.prod(sizes), max_elements,
+                                    ("directsum", *sizes), ring)
+                    grade_module = module_trivial
+                case _:
+                    raise StructureParseError(f"no {directive} shape matches {' '.join(args)!r}", line=lineno)
         else:
             raise StructureParseError(f"unknown directive {directive!r}", line=lineno)
+        first_line[directive] = lineno
 
     if ring is None:
         raise StructureParseError("no ring directive")
@@ -177,15 +155,10 @@ def parse_structure_text(
         raise StructureParseError("no module directive")
     if group is None:
         group = make_group("trivial")
-    if grading_mode is None:
-        grading_mode = "trivial"
 
-    natural = ring_kind == "groupring" and grading_mode == "natural"
-    gring = groupring_natural(ring, group) if natural else ring_trivial(ring, group)
-    if natural and module.size == ring.size:
-        gmodule = module_same_as_ring(module, gring)
-    else:
-        gmodule = module_trivial(module, gring)
+    # natural grading is by degree for a group ring and trivial otherwise
+    gring = (grade_natural if grading_mode == "natural" else ring_trivial)(ring, group)
+    gmodule = grade_module(module, gring)
 
     report = first_invalid(group, ring, module)
     if report is not None:

@@ -63,10 +63,6 @@ class SubobjectHandle:
     def is_whole(self) -> bool:
         return len(self.members) == self.carrier.size
 
-    @property
-    def grading(self):
-        return self.ctx.grading
-
 
 def is_graded_set(members, grading) -> bool:
     """True iff every member's homogeneous components are members."""

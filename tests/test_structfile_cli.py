@@ -154,8 +154,21 @@ def test_size_cap_is_checked_per_directive(text, line):
         ("group cyclic 0\nring zmod 2\nmodule self\n", 1),
         ("group cyclic 2\nring groupring 4\nmodule self\n", 2),
         ("group cyclic 2\nring groupring 2\nmodule directsum 2\n", 3),
+        # each shape takes exactly its arguments; the first seven used to drop the extra ones
+        ("group cyclic 2 9\nring zmod 2\nmodule self\n", 1),
+        ("group product 2 3 4\nring zmod 2\nmodule self\n", 1),
+        ("group trivial 7\nring zmod 2\nmodule self\n", 1),
+        ("ring zmod 12 99\nmodule self\n", 1),
+        ("group cyclic 2\nring groupring 2 5\nmodule self\n", 2),
+        ("ring zmod 12\nmodule self 3\n", 2),
+        ("ring zmod 12\ngrading natural bogus\nmodule self\n", 2),
+        ("group product 2\nring zmod 2\nmodule self\n", 1),
+        ("ring zmod 12\nmodule directsum\n", 2),
+        ("group cyclic two\nring zmod 2\nmodule self\n", 1),
     ],
-    ids=["zmod-1", "directsum-5-over-zmod-12", "cyclic-0", "groupring-4", "directsum-over-groupring"],
+    ids=["zmod-1", "directsum-5-over-zmod-12", "cyclic-0", "groupring-4", "directsum-over-groupring",
+         "cyclic-2-9", "product-2-3-4", "trivial-7", "zmod-12-99", "groupring-2-5", "self-3", "natural-bogus",
+         "product-2", "directsum-empty", "cyclic-two"],
 )
 def test_bad_descriptor_is_line_numbered(tmp_path, capsys, text, line):
     with pytest.raises(StructureParseError) as exc:
@@ -164,6 +177,12 @@ def test_bad_descriptor_is_line_numbered(tmp_path, capsys, text, line):
     code, _ = _run(["validate", _write(tmp_path, text)])
     assert code == 2
     assert f"error: line {line}:" in capsys.readouterr().err
+
+
+def test_module_self_is_graded_like_a_trivially_graded_group_ring():
+    entry = parse_structure_text("group cyclic 2\nring groupring 3\ngrading trivial\nmodule self\n")
+    assert entry.gmodule.grading.components == entry.gring.grading.components
+    assert [len(c) for c in entry.gmodule.grading.components] == [9, 1]
 
 
 @pytest.mark.parametrize("text, expected", [(GROUPRING, 2), (EXAMPLE, 3)])
@@ -264,6 +283,18 @@ def test_cli_search_resolves_a_degree_label_per_entry():
     # labelled 1, so they satisfy nothing
     code, out = _run(["--report", "machine", "search", "--expr", "g-2a-coprimary:1"])
     assert code == 1 and out.startswith("entry=groupring2-c2 ")
+
+
+def test_a_tuple_degree_label_is_written_like_an_element_token(tmp_path):
+    # the label (0, 1) prints with a space; it is named without one, as in a structure file
+    path = _write(tmp_path, "group product 2 2\nring groupring 2\ngrading natural\nmodule self\n")
+    argv = ["classify", "--file", path, "--target", "M", "--predicate", "g-2a-coprimary:(0,1)"]
+    assert _run(argv) == (0, "true\n")
+    code, out = _run(["--report", "machine", "search", "--corpus", str(tmp_path),
+                      "--expr", "g-2a-coprimary:(0,1) and not (g-2a-coprimary:(1,1))"])
+    assert (code, out) == (0, "none\n")
+    code, out = _run(["--report", "machine", "search", "--corpus", str(tmp_path), "--expr", "g-2a-coprimary:(1,1)"])
+    assert code == 1 and out.startswith(f"entry={path} ")
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
