@@ -39,7 +39,7 @@ from .core import (
     make_ring,
     validate_axioms,
 )
-from .corpus import Corpus, CorpusEntry, build_standard_corpus
+from .corpus import build_standard_corpus
 from .errors import (
     GradedAlgError,
     GradingInvalid,
@@ -58,7 +58,7 @@ from .propositions import (
     search_counterexample,
     verify_proposition,
 )
-from .structfile import parse_structure_file, parse_structure_text
+from .structfile import Corpus, CorpusEntry, parse_structure_file, parse_structure_text
 from .subobjects import (
     IDEAL,
     SUBMODULE,

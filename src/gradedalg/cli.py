@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .classifiers import (
     IDEAL_PREDICATES,
@@ -19,10 +18,10 @@ from .classifiers import (
     is_graded_comultiplication_module,
 )
 from .core import DEFAULT_MAX_ELEMENTS
-from .corpus import Corpus, build_standard_corpus
+from .corpus import build_standard_corpus
 from .errors import GradedAlgError
 from .propositions import PROPOSITION_IDS, _members_label, g_coprimary_degree, search_counterexample, verify_proposition
-from .structfile import parse_structure_file
+from .structfile import Corpus, parse_structure_dir, parse_structure_file
 from .subobjects import IDEAL, whole_subobject, SUBMODULE
 
 _SUBMODULE_CLI_PREDICATES = (
@@ -65,10 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_corpus(args) -> Corpus:
     if getattr(args, "corpus", None):
-        paths = sorted(Path(args.corpus).glob("*.gstruct"))
-        if not paths:
-            raise GradedAlgError(f"no .gstruct files in {args.corpus}")
-        return Corpus([parse_structure_file(p, max_elements=args.max_elements) for p in paths])
+        return parse_structure_dir(args.corpus, args.max_elements)
     return build_standard_corpus(args.max_elements)
 
 

@@ -32,8 +32,8 @@ from .constructions import (
     multiplication_hom,
     product_submodule,
 )
-from .corpus import Corpus, CorpusEntry
 from .errors import PreconditionViolation, StructureParseError, UnknownProposition
+from .structfile import Corpus, CorpusEntry
 from .subobjects import (
     SubobjectHandle,
     annihilator,

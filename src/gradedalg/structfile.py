@@ -3,43 +3,78 @@
 Grammar (one directive per line, ``#`` starts a comment):
 
     group trivial | cyclic N | product N1 N2
-    ring zmod N | groupring P
+    ring zmod N | groupring P | product N1 N2
     grading trivial | natural
-    module self | directsum M1 M2 ...
+    module self | directsum M1 M2 ... | product
     submodule NAME gens TOK ...
     ideal NAME gens TOK ...
     mulset NAME TOK ...
 
-Each shape takes exactly the integer arguments shown: none for ``trivial``
-and ``self``, one for ``cyclic``, ``zmod`` and ``groupring``, two for
-``product`` and one or more for ``directsum``; an extra or missing argument
-is an error.  Element tokens are integers or parenthesized integer tuples
-like ``(1,0,0)``.  Each of ``group``, ``ring``, ``grading`` and ``module``
-may appear once, and each NAME once among the submodules and ideals and once
-among the mulsets.  ``groupring`` takes its grading group from the ``group``
-directive; ``natural`` grading means by-degree for group rings and is an
-alias of ``trivial`` otherwise.  ``module self`` is graded like its ring, a
-direct sum trivially.  Every group, ring and module size is checked against
-``max_elements`` before its tables are built; ``product N1 N2`` counts as
-max(N1, 1)·max(N2, 1), which bounds each factor too.  The result is a fully
-validated corpus entry.
+Each shape takes exactly the integer arguments shown; an extra or missing
+argument is an error.  Element tokens are integers or parenthesized integer
+tuples like ``(1,0,0)``.  Each of ``group``, ``ring``, ``grading`` and
+``module`` may appear once, and each NAME once among the submodules and
+ideals and once among the mulsets.  ``groupring`` takes its grading group
+from the ``group`` directive; ``natural`` grading means by-degree for group
+rings and is an alias of ``trivial`` otherwise.  ``ring product N1 N2`` is
+Z/N1 × Z/N2, and ``module product``, which needs it, is each factor acting
+on itself, the two kept as the entry's ``factors``.  ``module self`` is
+graded like its ring, the other modules trivially.  Every group, ring and
+module size is checked against ``max_elements`` before its tables are built;
+``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which bounds each factor
+too.  The result is a fully validated corpus entry; its note is the file's
+leading comment.
 """
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass, field
+from itertools import takewhile
+from pathlib import Path
 
-from .constructions import _check_denominators
+from .constructions import _check_denominators, product_graded_module
 from .core import DEFAULT_MAX_ELEMENTS, first_invalid, make_group, make_module, make_ring
-from .corpus import CorpusEntry
-from .errors import InvalidDenominators, InvalidDescriptor, StructureParseError
+from .errors import GradedAlgError, InvalidDenominators, InvalidDescriptor, StructureParseError
 from .grading import (
+    GradedModule,
+    GradedRing,
     groupring_natural,
     module_same_as_ring,
     module_trivial,
     ring_trivial,
 )
-from .subobjects import SUBMODULE, span
+from .subobjects import SUBMODULE, enumerate_graded_subobjects, span
+
+
+@dataclass(eq=False)
+class CorpusEntry:
+    name: str
+    gring: GradedRing
+    gmodule: GradedModule
+    note: str = ""
+    named: dict = field(default_factory=dict)  # name -> SubobjectHandle
+    mulsets: dict = field(default_factory=dict)  # name -> tuple of denominator indices
+    factors: tuple | None = None  # (gmodule1, gmodule2) for product entries
+    max_elements: int = DEFAULT_MAX_ELEMENTS
+
+    def graded_submodules(self):
+        return enumerate_graded_subobjects(self.gmodule, self.max_elements)
+
+    def graded_ideals(self):
+        return enumerate_graded_subobjects(self.gring, self.max_elements)
+
+
+@dataclass
+class Corpus:
+    entries: list
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
 
 _TUPLE_RE = re.compile(r"^\((-?\d+(,-?\d+)*)\)$")
 
@@ -94,7 +129,7 @@ def parse_structure_text(
     group = None
     ring = None
     grading_mode = "trivial"
-    module = None
+    factor_rings = None  # the two Z/N of a ring product
     first_line = {}  # group/ring/grading/module -> the line that set it
     pending = []  # (lineno, directive, args) for submodule/ideal/mulset lines
 
@@ -131,6 +166,11 @@ def parse_structure_text(
                 case "ring", "zmod", (n,):
                     ring = _build("ring", make_ring, lineno, n, max_elements, ("zmod", n))
                     grade_natural = ring_trivial
+                case "ring", "product", (n1, n2):
+                    size = max(n1, 1) * max(n2, 1)
+                    factor_rings = [_build("ring", make_ring, lineno, size, max_elements, ("zmod", n))
+                                    for n in (n1, n2)]
+                    ring, grade_natural = make_ring(("product", *factor_rings)), ring_trivial
                 case "ring", "groupring", (p,):
                     if group is None:
                         raise StructureParseError("groupring needs a prior group directive", line=lineno)
@@ -143,6 +183,11 @@ def parse_structure_text(
                     module = _build("module", make_module, lineno, math.prod(sizes), max_elements,
                                     ("directsum", *sizes), ring)
                     grade_module = module_trivial
+                case "module", "product", ():
+                    if factor_rings is None:
+                        raise StructureParseError("module product needs a ring product", line=lineno)
+                    # built with its factors once the grading group is known
+                    module = grade_module = None
                 case _:
                     raise StructureParseError(f"no {directive} shape matches {' '.join(args)!r}", line=lineno)
         else:
@@ -151,21 +196,28 @@ def parse_structure_text(
 
     if ring is None:
         raise StructureParseError("no ring directive")
-    if module is None:
+    if "module" not in first_line:
         raise StructureParseError("no module directive")
     if group is None:
         group = make_group("trivial")
 
     # natural grading is by degree for a group ring and trivial otherwise
     gring = (grade_natural if grading_mode == "natural" else ring_trivial)(ring, group)
-    gmodule = grade_module(module, gring)
+    factors = None
+    if grade_module is None:
+        factors = tuple(module_same_as_ring(make_module(("self",), r), ring_trivial(r, group))
+                        for r in factor_rings)
+        gmodule = product_graded_module(*factors, gring)
+    else:
+        gmodule = grade_module(module, gring)
 
-    report = first_invalid(group, ring, module)
+    report = first_invalid(group, ring, gmodule.module)
     if report is not None:
         axiom, witness = report.failures[0]
         raise StructureParseError(f"structure axiom failed: {axiom} at {witness}", line=first_line["module"])
 
-    entry = CorpusEntry(name, gring, gmodule, max_elements=max_elements)
+    note = " ".join(c[1:].strip() for c in takewhile(lambda c: c.startswith("#"), text.splitlines()))
+    entry = CorpusEntry(name, gring, gmodule, note=note, factors=factors, max_elements=max_elements)
 
     first_named = {}  # (namespace, NAME) -> the line that defined it
     for lineno, directive, args in pending:
@@ -204,3 +256,18 @@ def parse_structure_file(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corp
     except (OSError, UnicodeDecodeError) as exc:
         raise StructureParseError(f"cannot read {path}: {exc}") from None
     return parse_structure_text(text, name=str(path), max_elements=max_elements)
+
+
+def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corpus:
+    """The ``*.gstruct`` files of ``directory`` in name order, each entry named
+    by its path; an error names the file it is in."""
+    paths = sorted(Path(directory).glob("*.gstruct"))
+    if not paths:
+        raise GradedAlgError(f"no .gstruct files in {directory}")
+    entries = []
+    for path in paths:
+        try:
+            entries.append(parse_structure_file(path, max_elements))
+        except StructureParseError as exc:
+            raise StructureParseError(f"{path}: {exc}") from None
+    return Corpus(entries)

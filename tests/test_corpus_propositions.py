@@ -42,13 +42,26 @@ CORPUS = build_standard_corpus()
 
 
 def test_corpus_composition():
-    names = [e.name for e in CORPUS]
-    for n in (4, 6, 8, 9, 12, 36):
-        assert f"zmod{n}" in names
-    assert "groupring2-c2" in names and "groupring3-c2" in names
-    assert "torsion180" in names
-    assert any(e.factors for e in CORPUS)
-    assert any(e.mulsets for e in CORPUS)
+    # the order decides the order of violation records and the first hit of a search
+    rows = [
+        (e.name, (e.gring.ring.size, e.gmodule.module.size, e.gring.grading.group.size), e.mulsets,
+         {name: len(h.members) for name, h in e.named.items()}, e.factors is not None)
+        for e in CORPUS
+    ]
+    assert rows == [
+        ("zmod4", (4, 4, 1), {}, {}, False),
+        ("zmod6", (6, 6, 1), {}, {}, False),
+        ("zmod8", (8, 8, 1), {}, {}, False),
+        ("zmod9", (9, 9, 1), {}, {}, False),
+        ("zmod12", (12, 12, 1), {"S": (1, 3, 9)}, {}, False),
+        ("zmod36", (36, 36, 1), {}, {}, False),
+        ("groupring2-c2", (4, 4, 2), {}, {}, False),
+        ("groupring3-c2", (9, 9, 2), {}, {}, False),
+        ("torsion180", (180, 180, 1), {"S5": (1, 5, 25, 65, 85, 125, 145)}, {"N": 36}, False),
+        ("z2-plane", (2, 4, 1), {}, {}, False),
+        ("product-z2xz3", (6, 6, 1), {}, {}, True),
+        ("product-z4xz9", (36, 36, 1), {}, {}, True),
+    ]
 
 
 def test_one_standard_corpus_per_cap():

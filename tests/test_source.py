@@ -168,3 +168,12 @@ def test_the_check_sees_a_label_built_elsewhere():
         "def check(n):\n    return {'N': _members_label(n)}\n"
     )
     assert _calls_outside(tree, "_members_label", "_named") == [6]
+
+
+def test_the_package_data_ships_every_standard_corpus_file():
+    # without the package-data entry a non-editable install has no standard corpus
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    shipped = {p for glob in config["tool"]["setuptools"]["package-data"]["gradedalg"] for p in PACKAGE.glob(glob)}
+    standard = set((PACKAGE / "standard").iterdir())
+    assert len(standard) == 12 and standard <= shipped

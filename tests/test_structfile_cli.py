@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gradedalg.core
+import gradedalg.corpus
 import gradedalg.structfile
 from gradedalg import StructureParseError, parse_structure_text
 from gradedalg.cli import run_cli
@@ -138,6 +139,7 @@ def test_cli_validate_rejects_oversized_ring_before_building_it(tmp_path, monkey
         ("group cyclic 4\nring groupring 3\nmodule self\n", 2),  # 3^4 = 81 elements
         ("ring zmod 16\nmodule directsum 16 2\n", 2),
         ("group product 4 5\nring zmod 2\nmodule self\n", 1),
+        ("ring product 4 5\nmodule product\n", 1),
     ],
 )
 def test_size_cap_is_checked_per_directive(text, line):
@@ -165,10 +167,14 @@ def test_size_cap_is_checked_per_directive(text, line):
         ("group product 2\nring zmod 2\nmodule self\n", 1),
         ("ring zmod 12\nmodule directsum\n", 2),
         ("group cyclic two\nring zmod 2\nmodule self\n", 1),
+        ("ring zmod 6\nmodule product\n", 2),
+        ("ring product 2 3\nmodule directsum 2\n", 2),
+        ("ring product 0 3\nmodule product\n", 1),
     ],
     ids=["zmod-1", "directsum-5-over-zmod-12", "cyclic-0", "groupring-4", "directsum-over-groupring",
          "cyclic-2-9", "product-2-3-4", "trivial-7", "zmod-12-99", "groupring-2-5", "self-3", "natural-bogus",
-         "product-2", "directsum-empty", "cyclic-two"],
+         "product-2", "directsum-empty", "cyclic-two", "module-product-over-zmod",
+         "directsum-over-ring-product", "ring-product-0-3"],
 )
 def test_bad_descriptor_is_line_numbered(tmp_path, capsys, text, line):
     with pytest.raises(StructureParseError) as exc:
@@ -246,11 +252,13 @@ def test_cli_verify_unknown_prop_exits_2(capsys):
 
 
 def test_cli_suite_bytes_match_the_benchmark_expectation():
-    # the benchmark checks the same bytes on every run; pin them in the tests too
+    # the benchmark checks the same bytes on every run; pin them in the tests too.
+    # The standard corpus and --corpus read the shipped files on one path.
     expected = json.loads((ROOT / "bench" / "expected.json").read_text())["suite"]
-    code, out = _run(["--report", "machine", "--threads", "1", "verify", "--suite", "all"])
-    assert code == expected["exit"] == 1
-    assert out == expected["stdout"]
+    for corpus in ([], ["--corpus", str(ROOT / "src" / "gradedalg" / "standard")]):
+        code, out = _run(["--report", "machine", "--threads", "1", "verify", "--suite", "all", *corpus])
+        assert code == expected["exit"] == 1
+        assert out == expected["stdout"]
 
 
 def test_cli_usage_error_exits_2():
@@ -304,6 +312,32 @@ def test_cli_search_rejects_a_budget_below_one(budget, capsys):
     code, out = _run(["search", "--expr", "second", "--budget", budget])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: search budget must be at least 1, got {budget}\n"
+
+
+def test_parse_product_structure():
+    entry = parse_structure_text("# Z/4 x Z/3\nring product 4 3\nmodule product\nsubmodule N gens (2,0)\n")
+    assert (entry.gring.ring.size, entry.gmodule.module.size, entry.note) == (12, 12, "Z/4 x Z/3")
+    assert [gm.module.size for gm in entry.factors] == [4, 3]
+    assert entry.named["N"].members == frozenset({0, 6})
+    assert parse_structure_text("ring product 4 3\nmodule self\n").factors is None
+
+
+def test_a_corpus_dir_error_names_its_file(tmp_path, capsys):
+    assert _run(["verify", "--prop", "closure-lemma", "--corpus", str(tmp_path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: no .gstruct files in {tmp_path}\n"
+    _write(tmp_path, "ring zmod 4\nmodule self\n", "a.gstruct")
+    bad = _write(tmp_path, "ring zmod 4\nmodule selff\n", "b.gstruct")
+    code, out = _run(["verify", "--prop", "closure-lemma", "--corpus", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {bad}: line 2: no module shape matches 'selff'\n"
+
+
+def test_the_standard_corpus_names_the_file_over_the_cap(capsys):
+    code, _ = _run(["--max-elements", "20", "verify", "--prop", "closure-lemma"])
+    assert code == 2
+    path = gradedalg.corpus._STANDARD / "06-zmod36.gstruct"
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 1: ring would have 36 elements, above the size cap 20\n")
 
 
 def test_cli_custom_corpus_dir(tmp_path):
