@@ -5,7 +5,7 @@ Grammar (one directive per line, ``#`` starts a comment):
     group trivial | cyclic N | product N1 N2
     ring zmod N | groupring P | product N1 N2
     grading trivial | natural
-    module self | directsum M1 M2 ... | product
+    module self | directsum M1 M2 ...
     submodule NAME gens TOK ...
     ideal NAME gens TOK ...
     mulset NAME TOK ...
@@ -17,12 +17,12 @@ tuples like ``(1,0,0)``.  Each of ``group``, ``ring``, ``grading`` and
 ideals and once among the mulsets.  ``groupring`` takes its grading group
 from the ``group`` directive; ``natural`` grading means by-degree for group
 rings and is an alias of ``trivial`` otherwise.  ``ring product N1 N2`` is
-Z/N1 × Z/N2, and ``module product``, which needs it, is each factor acting
-on itself, the two kept as the entry's ``factors``.  ``module self`` is
-graded like its ring, the other modules trivially.  Every group, ring and
-module size is checked against ``max_elements`` before its tables are built;
-``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which bounds each factor
-too.  The result is a fully validated corpus entry; its note is the file's
+Z/N1 × Z/N2, graded trivially; over it ``module self`` is the product of the
+factors acting on themselves, which are kept as the entry's ``factors``.
+``module self`` is graded like its ring, a direct sum trivially.  Every
+group, ring and module size is checked against ``max_elements`` before its
+tables are built; ``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which
+bounds each factor too.  The result is a fully validated corpus entry; its note is the file's
 leading comment.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import takewhile
 from pathlib import Path
 
-from .constructions import _check_denominators, product_graded_module
+from .constructions import _check_denominators
 from .core import DEFAULT_MAX_ELEMENTS, first_invalid, make_group, make_module, make_ring
 from .errors import GradedAlgError, InvalidDenominators, InvalidDescriptor, StructureParseError
 from .grading import (
@@ -129,6 +129,7 @@ def parse_structure_text(
     group = None
     ring = None
     grading_mode = "trivial"
+    module = None
     factor_rings = None  # the two Z/N of a ring product
     first_line = {}  # group/ring/grading/module -> the line that set it
     pending = []  # (lineno, directive, args) for submodule/ideal/mulset lines
@@ -183,11 +184,6 @@ def parse_structure_text(
                     module = _build("module", make_module, lineno, math.prod(sizes), max_elements,
                                     ("directsum", *sizes), ring)
                     grade_module = module_trivial
-                case "module", "product", ():
-                    if factor_rings is None:
-                        raise StructureParseError("module product needs a ring product", line=lineno)
-                    # built with its factors once the grading group is known
-                    module = grade_module = None
                 case _:
                     raise StructureParseError(f"no {directive} shape matches {' '.join(args)!r}", line=lineno)
         else:
@@ -196,25 +192,25 @@ def parse_structure_text(
 
     if ring is None:
         raise StructureParseError("no ring directive")
-    if "module" not in first_line:
+    if module is None:
         raise StructureParseError("no module directive")
     if group is None:
         group = make_group("trivial")
 
     # natural grading is by degree for a group ring and trivial otherwise
     gring = (grade_natural if grading_mode == "natural" else ring_trivial)(ring, group)
-    factors = None
-    if grade_module is None:
-        factors = tuple(module_same_as_ring(make_module(("self",), r), ring_trivial(r, group))
-                        for r in factor_rings)
-        gmodule = product_graded_module(*factors, gring)
-    else:
-        gmodule = grade_module(module, gring)
+    gmodule = grade_module(module, gring)
 
-    report = first_invalid(group, ring, gmodule.module)
+    report = first_invalid(group, ring, module)
     if report is not None:
         axiom, witness = report.failures[0]
         raise StructureParseError(f"structure axiom failed: {axiom} at {witness}", line=first_line["module"])
+
+    factors = None
+    if factor_rings is not None:
+        # a direct sum over a product ring is refused, so the module is R1 x R2 on itself
+        factors = tuple(module_same_as_ring(make_module(("self",), r), ring_trivial(r, group))
+                        for r in factor_rings)
 
     note = " ".join(c[1:].strip() for c in takewhile(lambda c: c.startswith("#"), text.splitlines()))
     entry = CorpusEntry(name, gring, gmodule, note=note, factors=factors, max_elements=max_elements)
@@ -269,5 +265,7 @@ def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> 
         try:
             entries.append(parse_structure_file(path, max_elements))
         except StructureParseError as exc:
-            raise StructureParseError(f"{path}: {exc}") from None
+            err = StructureParseError(f"{path}: {exc}")
+            err.line = exc.line
+            raise err from None
     return Corpus(entries)

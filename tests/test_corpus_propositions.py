@@ -293,8 +293,9 @@ def test_cold_corpus_build_validates_each_structure_once(monkeypatch):
     original = gradedalg.core.validate_axioms
     monkeypatch.setattr(gradedalg.core, "validate_axioms", lambda s: calls.append(s) or original(s))
     _standard_corpus.__wrapped__(DEFAULT_MAX_ELEMENTS)
-    # 12 groups, 12 rings and the 4 modules that are not a ring acting on itself
-    assert len(calls) == 28
+    # 12 groups, 12 rings and the 2 direct sums: every other module, the two
+    # products included, is its ring acting on itself
+    assert len(calls) == 26
 
 
 def _z12_entry(denominators, gmodule=None):

@@ -10,7 +10,7 @@ import pytest
 import gradedalg.core
 import gradedalg.corpus
 import gradedalg.structfile
-from gradedalg import StructureParseError, parse_structure_text
+from gradedalg import StructureParseError, parse_structure_text, product_graded_module
 from gradedalg.cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,7 +139,7 @@ def test_cli_validate_rejects_oversized_ring_before_building_it(tmp_path, monkey
         ("group cyclic 4\nring groupring 3\nmodule self\n", 2),  # 3^4 = 81 elements
         ("ring zmod 16\nmodule directsum 16 2\n", 2),
         ("group product 4 5\nring zmod 2\nmodule self\n", 1),
-        ("ring product 4 5\nmodule product\n", 1),
+        ("ring product 4 5\nmodule self\n", 1),
     ],
 )
 def test_size_cap_is_checked_per_directive(text, line):
@@ -167,14 +167,13 @@ def test_size_cap_is_checked_per_directive(text, line):
         ("group product 2\nring zmod 2\nmodule self\n", 1),
         ("ring zmod 12\nmodule directsum\n", 2),
         ("group cyclic two\nring zmod 2\nmodule self\n", 1),
-        ("ring zmod 6\nmodule product\n", 2),
         ("ring product 2 3\nmodule directsum 2\n", 2),
-        ("ring product 0 3\nmodule product\n", 1),
+        ("ring product 0 3\nmodule self\n", 1),
     ],
     ids=["zmod-1", "directsum-5-over-zmod-12", "cyclic-0", "groupring-4", "directsum-over-groupring",
          "cyclic-2-9", "product-2-3-4", "trivial-7", "zmod-12-99", "groupring-2-5", "self-3", "natural-bogus",
-         "product-2", "directsum-empty", "cyclic-two", "module-product-over-zmod",
-         "directsum-over-ring-product", "ring-product-0-3"],
+         "product-2", "directsum-empty", "cyclic-two", "directsum-over-ring-product",
+         "ring-product-0-3"],
 )
 def test_bad_descriptor_is_line_numbered(tmp_path, capsys, text, line):
     with pytest.raises(StructureParseError) as exc:
@@ -315,11 +314,15 @@ def test_cli_search_rejects_a_budget_below_one(budget, capsys):
 
 
 def test_parse_product_structure():
-    entry = parse_structure_text("# Z/4 x Z/3\nring product 4 3\nmodule product\nsubmodule N gens (2,0)\n")
+    entry = parse_structure_text("# Z/4 x Z/3\nring product 4 3\nmodule self\nsubmodule N gens (2,0)\n")
     assert (entry.gring.ring.size, entry.gmodule.module.size, entry.note) == (12, 12, "Z/4 x Z/3")
     assert [gm.module.size for gm in entry.factors] == [4, 3]
     assert entry.named["N"].members == frozenset({0, 6})
-    assert parse_structure_text("ring product 4 3\nmodule self\n").factors is None
+    # the product ring on itself is the product of its factors on themselves
+    product = product_graded_module(*entry.factors, entry.gring)
+    assert product.module.labels == entry.gmodule.module.labels
+    assert product.module.action == entry.gmodule.module.action
+    assert product.grading.components == entry.gmodule.grading.components
 
 
 def test_a_corpus_dir_error_names_its_file(tmp_path, capsys):
@@ -330,6 +333,9 @@ def test_a_corpus_dir_error_names_its_file(tmp_path, capsys):
     code, out = _run(["verify", "--prop", "closure-lemma", "--corpus", str(tmp_path)])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {bad}: line 2: no module shape matches 'selff'\n"
+    with pytest.raises(StructureParseError) as exc:
+        gradedalg.structfile.parse_structure_dir(tmp_path)
+    assert exc.value.line == 2
 
 
 def test_the_standard_corpus_names_the_file_over_the_cap(capsys):

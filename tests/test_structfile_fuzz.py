@@ -20,7 +20,7 @@ SEEDS = [
     "group product 2 2\nring groupring 2\ngrading natural\nmodule self\n",
     "group cyclic 3\nring groupring 3\ngrading trivial\nmodule self\nsubmodule M gens (1,2,0)\n",
     "ring zmod 36\nmodule directsum 2 9  # comment\nsubmodule T gens (1,3) (0,0)\n",
-    "# Z/4 x Z/3\nring product 4 3\nmodule product\nsubmodule P gens (2,0) (0,1)\nmulset U (1,1) (3,2)\n",
+    "# Z/4 x Z/3\nring product 4 3\nmodule self\nsubmodule P gens (2,0) (0,1)\nmulset U (1,1) (3,2)\n",
 ]
 
 _SEED_LINES = sorted({line for seed in SEEDS for line in seed.splitlines()})
