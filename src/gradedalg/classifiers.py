@@ -18,6 +18,13 @@ characterization form builds the same tables with bit i standing for the
 i-th distinct zN instead of a lattice element.  Bits follow the canonical
 order of hom(R) and of the lattice, so the lowest set bit of the first
 violating pair is the witness the nested loops found.
+
+A unit u of R_e maps each R_g onto itself, (ux)N = xN, and ux lies in an
+ideal exactly when x does, so every table above is equal along the orbit {ux}.
+The kernel scans only orbit-minimal x and y (``_orbit_min``, one table per
+ring), and ``_product_bits`` and ``_power_or`` build one row per orbit.  The
+witness is unchanged: the least member of x's orbit violates with the same bits
+as x and comes no later, so the first violating pair is orbit-minimal in both.
 """
 from __future__ import annotations
 
@@ -72,14 +79,28 @@ def _first_violation(xs, ys, mul, hyp, escx, escy):
     return None
 
 
+def _orbit_min(gring) -> tuple:
+    """``orbit_min[z]``: the least u*z over the units u of R_e (the u whose
+    multiplication row holds 1)."""
+    mul, one = gring.ring.mul, gring.ring.one
+    units = gring.grading.components[gring.group.identity]
+    return gring.memo("orbit_min", lambda: tuple(map(min, zip(*(mul[u] for u in units if one in mul[u])))))
+
+
+def _reps(gring, g=None) -> list:
+    """The orbit-minimal elements of h(R), or of R_g, in index order."""
+    orbit_min = _orbit_min(gring)
+    scalars = gring.hom if g is None else sorted(gring.grading.components[g])
+    return [x for x in scalars if orbit_min[x] == x]
+
+
 def _product_bits(gring, members) -> tuple:
     """For every ring element z, the bitset of the positions j with
-    z * hom[j] in ``members``."""
+    z * hom[j] in ``members``; one row per unit orbit, shared by its members."""
     mul = gring.ring.mul
-    hom = gring.hom
-    return tuple(
-        sum(1 << j for j, c in enumerate(hom) if row[c] in members) for row in mul
-    )
+    orbit_min = _orbit_min(gring)
+    row = {z: sum(1 << j for j, c in enumerate(gring.hom) if mul[z][c] in members) for z in set(orbit_min)}
+    return tuple(map(row.__getitem__, orbit_min))
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +127,18 @@ def classify_ideal(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
 def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
     gring = p.ctx
     hom = gring.hom
+    reps = _reps(gring)
     pm = p.members
     escape = pm if predicate in ("prime", "2-absorbing") else graded_radical(p).members
     if predicate in ("prime", "primary"):
         inside = tuple(int(z in pm) for z in range(gring.ring.size))
         esc = tuple(int(z in escape) for z in range(gring.ring.size))
-        hit = _first_violation(hom, hom, gring.ring.mul, inside, inside, esc)
+        hit = _first_violation(reps, reps, gring.ring.mul, inside, inside, esc)
         return PredicateVerdict(hit is None, None if hit is None else {"a": hit[0], "b": hit[1]})
     col = _product_bits(gring, pm)
     hyp = tuple(0 if z in pm else bits for z, bits in enumerate(col))
     esc = col if predicate == "2-absorbing" else _product_bits(gring, escape)
-    hit = _first_violation(hom, hom, gring.ring.mul, hyp, esc, esc)
+    hit = _first_violation(reps, reps, gring.ring.mul, hyp, esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"a": hit[0], "b": hit[1], "c": hom[hit[2]]})
 
 
@@ -131,12 +153,12 @@ def _containing(ws, ks) -> tuple:
     return tuple(map(row.__getitem__, ws))
 
 
-def _power_or(ring, bits) -> tuple:
-    """For every ring element r, the OR of ``bits[p]`` over the powers p of r;
-    equal values are shared (all units, say, get the same one)."""
-    seen = {}
-    ors = (reduce(or_, map(bits.__getitem__, ps)) for ps in ring.power_sets)
-    return tuple(seen.setdefault(v, v) for v in ors)
+def _power_or(gring, bits) -> tuple:
+    """For every ring element r, the OR of ``bits[p]`` over the powers p of r,
+    one per unit orbit: ``bits`` is equal along orbits, and (ur)^k = u^k r^k."""
+    orbit_min = _orbit_min(gring)
+    ors = {z: reduce(or_, map(bits.__getitem__, gring.ring.power_sets[z])) for z in set(orbit_min)}
+    return tuple(map(ors.__getitem__, orbit_min))
 
 
 def _hypothesis(n: SubobjectHandle, contains) -> tuple:
@@ -156,7 +178,7 @@ def _good_bits(n: SubobjectHandle, lattice) -> tuple:
     over the carrier's canonical lattice like ``_contains_bits``.  For
     homogeneous r (its own decomposition) that is r in Grad(lattice[i] :_R N);
     every reader looks at homogeneous r only."""
-    return n.ctx.memo(("good", n.members), lambda: _power_or(n.ctx.gring.ring, _contains_bits(n, lattice)))
+    return n.ctx.memo(("good", n.members), lambda: _power_or(n.ctx.gring, _contains_bits(n, lattice)))
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -221,10 +243,10 @@ def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_el
     gring = gm.gring
     if predicate == "second":
         zmask = rn_masks(n)
-        a = next((a for a in gring.hom if zmask[a] not in (1 << gm.module.zero, n.mask)), None)
+        a = next((a for a in _reps(gring) if zmask[a] not in (1 << gm.module.zero, n.mask)), None)
         return PredicateVerdict(a is None, None if a is None else {"a": a})
     lattice = enumerate_graded_subobjects(gm, max_elements)
-    scalars = gring.hom if g is None else tuple(sorted(gring.grading.components[g]))
+    scalars = _reps(gring, g)
     contains = _contains_bits(n, lattice)
     esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
     hit = _first_violation(scalars, scalars, gring.ring.mul, _hypothesis(n, contains), esc, esc)
@@ -245,8 +267,9 @@ def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
     gring = n.ctx.gring
     zmask = rn_masks(n)
     contains = _containing(zmask, sorted(set(zmask)))
-    esc = _power_or(gring.ring, contains)
-    hit = _first_violation(gring.hom, gring.hom, gring.ring.mul, _hypothesis(n, contains), esc, esc)
+    esc = _power_or(gring, contains)
+    reps = _reps(gring)
+    hit = _first_violation(reps, reps, gring.ring.mul, _hypothesis(n, contains), esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1]})
 
 

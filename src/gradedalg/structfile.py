@@ -245,13 +245,17 @@ def parse_structure_text(
     return entry
 
 
-def parse_structure_file(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CorpusEntry:
+def _read(path) -> str:
+    """The text of ``path``; an error names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise StructureParseError(f"cannot read {path}: {exc}") from None
-    return parse_structure_text(text, name=str(path), max_elements=max_elements)
+
+
+def parse_structure_file(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CorpusEntry:
+    return parse_structure_text(_read(path), name=str(path), max_elements=max_elements)
 
 
 def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corpus:
@@ -262,8 +266,9 @@ def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> 
         raise GradedAlgError(f"no .gstruct files in {directory}")
     entries = []
     for path in paths:
+        text = _read(path)  # a read error names the file already
         try:
-            entries.append(parse_structure_file(path, max_elements))
+            entries.append(parse_structure_text(text, name=str(path), max_elements=max_elements))
         except StructureParseError as exc:
             err = StructureParseError(f"{path}: {exc}")
             err.line = exc.line

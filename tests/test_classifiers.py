@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedalg import (
     IDEAL_PREDICATES,
@@ -25,7 +25,7 @@ from gradedalg import (
     whole_subobject,
     zero_subobject,
 )
-from gradedalg.classifiers import _good_bits
+from gradedalg.classifiers import _good_bits, _orbit_min
 from gradedalg.grading import groupring_natural, module_same_as_ring, ring_trivial
 from gradedalg.subobjects import rn_masks
 
@@ -364,6 +364,26 @@ def test_kernel_matches_oracle_on_standard_corpus(entry):
     _assert_kernel_matches_oracle(entry.gmodule)
 
 
+@pytest.mark.parametrize("entry", build_standard_corpus(), ids=lambda e: e.name)
+def test_unit_orbits_partition_the_ring_into_graded_pieces(entry):
+    gring = entry.gring
+    ring, components = gring.ring, gring.grading.components
+    units = [u for u in components[gring.group.identity] if any(v == ring.one for v in ring.mul[u])]
+    for u in units:
+        for comp in components:
+            assert {ring.mul[u][z] for z in comp} <= comp, (u, comp)
+    orbit_min = _orbit_min(gring)
+    classes = {}
+    for z in range(ring.size):
+        classes.setdefault(orbit_min[z], set()).add(z)
+    for rep, members in classes.items():
+        assert members == {ring.mul[u][rep] for u in units}, rep
+        assert rep == min(members)
+    if entry.name == "torsion180":
+        assert len(units) == 48
+        assert len([x for x in gring.hom if orbit_min[x] == x]) == 18
+
+
 _ZMOD_SELF = st.integers(2, 64).map(lambda n: f"ring zmod {n}\nmodule self\n")
 # at most 64 elements over the smallest ring that acts, Z/lcm: a larger
 # modulus only repeats scalars and makes the naive loops slow
@@ -375,9 +395,18 @@ _DIRECTSUM = (
 _GROUPRING = st.tuples(st.sampled_from((2, 3)), st.sampled_from((2, 3))).map(
     lambda pk: f"group cyclic {pk[1]}\nring groupring {pk[0]}\ngrading natural\nmodule self\n"
 )
+# R_e = R and R_g = {0} for g != e, so the g-form's scalars are not h(R)
+_TRIVIAL_C2 = st.integers(2, 36).map(lambda n: f"group cyclic 2\nring zmod {n}\ngrading trivial\nmodule self\n")
+# a unit group that is a product of two, so orbits under it are not cyclic
+_PRODUCT = (
+    st.tuples(st.integers(2, 16), st.integers(2, 16))
+    .filter(lambda ns: ns[0] * ns[1] <= 64)
+    .map(lambda ns: f"ring product {ns[0]} {ns[1]}\nmodule self\n")
+)
 
 
 @settings(max_examples=25, deadline=None)
-@given(text=st.one_of(_ZMOD_SELF, _DIRECTSUM, _GROUPRING))
+@given(text=st.one_of(_ZMOD_SELF, _DIRECTSUM, _GROUPRING, _TRIVIAL_C2, _PRODUCT))
+@example(text="group cyclic 2\nring zmod 12\ngrading trivial\nmodule self\n")  # Z/12 is not coprimary
 def test_kernel_matches_oracle_on_generated_structures(text):
     _assert_kernel_matches_oracle(parse_structure_text(text).gmodule)

@@ -338,6 +338,20 @@ def test_a_corpus_dir_error_names_its_file(tmp_path, capsys):
     assert exc.value.line == 2
 
 
+def test_an_unreadable_corpus_file_is_named_once(tmp_path, capsys):
+    _write(tmp_path, "ring zmod 4\nmodule self\n", "a.gstruct")
+    bad = tmp_path / "b.gstruct"
+    bad.write_bytes(b"ring zmod \xff\n")
+    code, out = _run(["verify", "--prop", "closure-lemma", "--corpus", str(tmp_path)])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert err.count(str(bad)) == 1 and err.count("\n") == 1
+    # the file alone reads the same through validate
+    assert _run(["validate", str(bad)]) == (2, "")
+    assert capsys.readouterr().err == err
+
+
 def test_the_standard_corpus_names_the_file_over_the_cap(capsys):
     code, _ = _run(["--max-elements", "20", "verify", "--prop", "closure-lemma"])
     assert code == 2
