@@ -65,14 +65,14 @@ class PredicateVerdict:
 # the first-violation kernel
 # ---------------------------------------------------------------------------
 
-def _first_violation(xs, ys, mul, hyp, escx, escy):
-    """First (x, y, i) in canonical order, x over ``xs`` then y over ``ys``,
-    whose ``hyp[xy] & ~escx[x] & ~escy[y]`` is non-zero, with i its lowest set
-    bit; None when every pair escapes."""
+def _first_violation(xs, mul, hyp, escx, escy):
+    """First (x, y, i) in canonical order, x and then y over ``xs``, whose
+    ``hyp[xy] & ~escx[x] & ~escy[y]`` is non-zero, with i its lowest set bit;
+    None when every pair escapes."""
     for x in xs:
         row = mul[x]
         keep = ~escx[x]
-        for y in ys:
+        for y in xs:
             bits = hyp[row[y]] & keep & ~escy[y]
             if bits:
                 return x, y, (bits & -bits).bit_length() - 1
@@ -133,12 +133,12 @@ def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
     if predicate in ("prime", "primary"):
         inside = tuple(int(z in pm) for z in range(gring.ring.size))
         esc = tuple(int(z in escape) for z in range(gring.ring.size))
-        hit = _first_violation(reps, reps, gring.ring.mul, inside, inside, esc)
+        hit = _first_violation(reps, gring.ring.mul, inside, inside, esc)
         return PredicateVerdict(hit is None, None if hit is None else {"a": hit[0], "b": hit[1]})
     col = _product_bits(gring, pm)
     hyp = tuple(0 if z in pm else bits for z, bits in enumerate(col))
     esc = col if predicate == "2-absorbing" else _product_bits(gring, escape)
-    hit = _first_violation(reps, reps, gring.ring.mul, hyp, esc, esc)
+    hit = _first_violation(reps, gring.ring.mul, hyp, esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"a": hit[0], "b": hit[1], "c": hom[hit[2]]})
 
 
@@ -249,7 +249,7 @@ def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_el
     scalars = _reps(gring, g)
     contains = _contains_bits(n, lattice)
     esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
-    hit = _first_violation(scalars, scalars, gring.ring.mul, _hypothesis(n, contains), esc, esc)
+    hit = _first_violation(scalars, gring.ring.mul, _hypothesis(n, contains), esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]})
 
 
@@ -269,7 +269,7 @@ def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
     contains = _containing(zmask, sorted(set(zmask)))
     esc = _power_or(gring, contains)
     reps = _reps(gring)
-    hit = _first_violation(reps, reps, gring.ring.mul, _hypothesis(n, contains), esc, esc)
+    hit = _first_violation(reps, gring.ring.mul, _hypothesis(n, contains), esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1]})
 
 

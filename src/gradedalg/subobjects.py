@@ -5,11 +5,16 @@ radical, and exhaustive enumeration of graded subobjects.
 A handle's ``kind`` is read from its carrier: ``"ideal"`` over a
 :class:`GradedRing`, ``"submodule"`` over a :class:`GradedModule`.  Member
 sets are frozensets of element indices; hot paths use the integer bitmask view.
+
+Member sets are additive subgroups: ``_sum`` forms every A + B as a union of
+cosets A + y, gradedness is decided by counting (|S| = Π_g |S ∩ M_g|), and
+Grad(P) is built one degree at a time from the rooted parts of each R_g.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .core import DEFAULT_MAX_ELEMENTS
 from .errors import PreconditionViolation, TooLarge
@@ -65,13 +70,10 @@ class SubobjectHandle:
 
 
 def is_graded_set(members, grading) -> bool:
-    """True iff every member's homogeneous components are members."""
-    decomposition = grading.decomposition
-    for x in members:
-        for part in decomposition[x]:
-            if part not in members:
-                return False
-    return True
+    """True iff the additive subgroup S = ``members`` is graded: the S ∩ M_g
+    sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|.  S must
+    be a subgroup, as every ``subobject`` member set is."""
+    return len(members) == prod(len(members & comp) for comp in grading.components)
 
 
 def subobject(ctx, members) -> SubobjectHandle:
@@ -84,9 +86,19 @@ def is_graded(handle: SubobjectHandle) -> bool:
     return is_graded_set(handle.members, handle.ctx.grading)
 
 
-def _additive_closure(seed, add, zero) -> set:
+def _sum(a, b, add) -> frozenset:
+    """A + B for an additive subgroup A: the union of the cosets A + y over
+    y in B, skipping each y already in the union (its coset is there)."""
+    out = set()
+    for y in b:
+        if y not in out:
+            out.update(map(add[y].__getitem__, a))
+    return frozenset(out)
+
+
+def _additive_closure(seed, add, zero) -> frozenset:
     """Subgroup of the additive group generated by ``seed``."""
-    closed = {zero}
+    closed = frozenset({zero})
     for x in sorted(seed):
         if x in closed:
             continue
@@ -95,7 +107,7 @@ def _additive_closure(seed, add, zero) -> set:
         while cur not in cyc:
             cyc.add(cur)
             cur = add[cur][x]
-        closed = {add[a][b] for a in closed for b in cyc}
+        closed = _sum(closed, cyc, add)
     return closed
 
 
@@ -123,14 +135,11 @@ def whole_subobject(ctx) -> SubobjectHandle:
 def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
     """sum / intersect of like handles, ideal_product (ideal x submodule -> IN),
     or scalar_product (homogeneous scalar x handle -> rN)."""
-    if op == "sum":
+    if op in ("sum", "intersect"):
         if a.ctx is not b.ctx:
-            raise PreconditionViolation("sum requires handles over the same carrier")
-        add = a.carrier.add
-        return subobject(a.ctx, {add[x][y] for x in a.members for y in b.members})
-    if op == "intersect":
-        if a.ctx is not b.ctx:
-            raise PreconditionViolation("intersect requires handles over the same carrier")
+            raise PreconditionViolation(f"{op} requires handles over the same carrier")
+        if op == "sum":
+            return subobject(a.ctx, _sum(a.members, b.members, a.carrier.add))
         return subobject(a.ctx, a.members & b.members)
     if op == "ideal_product":
         # a: ideal over the scalar ring of b's module
@@ -194,6 +203,9 @@ def annihilator(n: SubobjectHandle) -> SubobjectHandle:
 def graded_radical(p: SubobjectHandle) -> SubobjectHandle:
     """Grad(P): elements all of whose homogeneous components have a power in P.
 
+    Built one degree at a time: the sums of one rooted part per component (an
+    h in R_g with a power in P; these form a subgroup, the radical's R_g).
+
     Defined on graded ideals; for the improper ideal we use the convention
     Grad(R) = R so colon-radical compositions stay total.
     """
@@ -206,12 +218,10 @@ def graded_radical(p: SubobjectHandle) -> SubobjectHandle:
     if p.is_whole:
         return p
     powers = ring.power_sets
-    decomposition = gring.grading.decomposition
     pm = p.members
-    members = set()
-    for r in range(ring.size):
-        if all(not powers[part].isdisjoint(pm) for part in decomposition[r]):
-            members.add(r)
+    members = frozenset({ring.zero})
+    for comp in gring.grading.components:
+        members = _sum(members, [h for h in comp if not powers[h].isdisjoint(pm)], ring.add)
     return subobject(gring, members)
 
 
@@ -221,12 +231,9 @@ def ideal_component(i: SubobjectHandle, g: int) -> frozenset:
         raise PreconditionViolation("ideal_component takes an ideal")
     if not i.graded:
         raise PreconditionViolation("ideal_component takes a graded ideal")
+    if not 0 <= g < i.ctx.group.size:
+        raise PreconditionViolation(f"group element {g} outside the grading group")
     return i.members & i.ctx.grading.components[g]
-
-
-def _join(a: SubobjectHandle, b: SubobjectHandle) -> frozenset:
-    add = a.carrier.add
-    return frozenset(add[x][y] for x in a.members for y in b.members)
 
 
 def _capped_carrier(ctx, max_elements: int):
@@ -238,27 +245,16 @@ def _capped_carrier(ctx, max_elements: int):
 
 def _enumerate_by_generators(ctx, generators, max_elements: int):
     carrier = _capped_carrier(ctx, max_elements)
+    add = carrier.add
 
     # distinct cyclic spans of single generators
-    singles = {}
-    for x in sorted(generators):
-        h = span({x}, ctx)
-        singles.setdefault(h.members, h)
-    found = {frozenset({carrier.zero}): zero_subobject(ctx)}
-    frontier = list(found.values())
+    singles = {span({x}, ctx).members for x in sorted(generators)}
+    found = {frozenset({carrier.zero})}
+    frontier = set(found)
     while frontier:
-        nxt = []
-        for s in frontier:
-            for dm, d in singles.items():
-                if dm <= s.members:
-                    continue
-                joined = _join(s, d)
-                if joined not in found:
-                    h = subobject(ctx, joined)
-                    found[joined] = h
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(found.values(), key=lambda h: (len(h.members), h.sorted_members))
+        frontier = {_sum(s, d, add) for s in frontier for d in singles if not d <= s} - found
+        found |= frontier
+    return sorted((subobject(ctx, s) for s in found), key=lambda h: (len(h.members), h.sorted_members))
 
 
 def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):

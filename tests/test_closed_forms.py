@@ -1,4 +1,4 @@
-"""The ideal predicates on Z/n against number theory.
+"""The ideal and submodule predicates on Z/n against number theory.
 
 Every proper ideal of Z/n is dZ/n for a divisor d of n (d = n is the zero
 ideal), and its preimage in Z is dZ.  So, with p and q distinct primes:
@@ -9,15 +9,32 @@ ideal), and its preimage in Z is dZ.  So, with p and q distinct primes:
 - 2-absorbing primary iff d = p^a q^b (Badawi, Tekir and Yetkin 2014,
   Bull. Korean Math. Soc. 51).
 
+A non-zero submodule N of a Z/n-module has Ann(N) = eZ/n, where e is the
+gcd of n and the residues of Ann(N), and (xyN :_R N) = gcd(xy, e)Z/n.  So:
+
+- N is second iff e = p;
+- N is strongly 2-absorbing second iff e is p, p^2 or pq;
+- N is 2-absorbing coprimary (definition and characterization) iff e is p^a
+  or pq.
+
 These verdicts share neither the package's canonical order nor its subobject
-calculus: d is read off the member set and factored by trial division here.
+calculus: d and e are read off member sets and the action table, and factored
+by trial division here.
 """
 import math
 
 import pytest
 
-from gradedalg import IDEAL_PREDICATES, classify_ideal, enumerate_graded_subobjects, make_ring
-from gradedalg.grading import ring_trivial
+from gradedalg import (
+    IDEAL_PREDICATES,
+    classify_ideal,
+    classify_submodule,
+    coprimary_via_characterization,
+    enumerate_graded_subobjects,
+    make_module,
+    make_ring,
+)
+from gradedalg.grading import module_trivial, ring_trivial
 
 
 def _exponents(d):
@@ -85,3 +102,64 @@ def test_ideal_verdicts_match_the_closed_forms_below_200():
     bad, count = _mismatches(range(2, 200))
     assert bad == []
     assert count == 3548
+
+
+def submodule_closed_form(e, predicate):
+    exps = _exponents(e)
+    if predicate == "second":
+        return exps == [1]
+    if predicate == "strong-2a-second":
+        return sum(exps) in (1, 2)
+    return len(exps) == 1 or exps == [1, 1]
+
+
+def test_the_submodule_closed_forms_read_the_factorization():
+    assert [e for e in range(2, 30) if submodule_closed_form(e, "strong-2a-second")] == [
+        2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 25, 26, 29]
+    assert [e for e in range(2, 30) if not submodule_closed_form(e, "2a-coprimary-def")] == [12, 18, 20, 24, 28]
+
+
+_SUBMODULE_VERDICTS = {
+    "second": lambda n: classify_submodule(n, "second"),
+    "strong-2a-second": lambda n: classify_submodule(n, "strong-2a-second"),
+    "2a-coprimary-def": lambda n: classify_submodule(n, "2a-coprimary-def"),
+    "2a-coprimary-char": coprimary_via_characterization,
+}
+
+
+def _submodule_mismatches(ns):
+    """(n, shape, e, predicate) for each verdict on a non-zero submodule of
+    ``directsum d`` or ``directsum a b`` over Z/n, for n in ``ns``, d, a and b
+    dividing n and 1 < a <= b with ab <= 64, that differs from the closed form;
+    and the number of submodules."""
+    bad, count = [], 0
+    for n in ns:
+        gring = ring_trivial(make_ring(("zmod", n)))
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        shapes = [(d,) for d in divisors] + [(a, b) for a in divisors for b in divisors if a <= b and a * b <= 64]
+        for shape in shapes:
+            gm = module_trivial(make_module(("directsum",) + shape, gring.ring), gring)
+            act, zero = gm.module.action, gm.module.zero
+            for sub in enumerate_graded_subobjects(gm):
+                if sub.is_zero:
+                    continue
+                count += 1
+                e = math.gcd(n, *(r for r in range(n) if all(act[r][m] == zero for m in sub.members)))
+                for predicate, verdict in _SUBMODULE_VERDICTS.items():
+                    form = "2a-coprimary-def" if predicate == "2a-coprimary-char" else predicate
+                    if verdict(sub).value != submodule_closed_form(e, form):
+                        bad.append((n, shape, e, predicate))
+    return bad, count
+
+
+def test_submodule_verdicts_match_the_closed_forms():
+    bad, count = _submodule_mismatches(range(2, 41))
+    assert bad == []
+    assert count == 2291
+
+
+@pytest.mark.slow
+def test_submodule_verdicts_match_the_closed_forms_up_to_60():
+    bad, count = _submodule_mismatches(range(2, 61))
+    assert bad == []
+    assert count == 3801

@@ -82,10 +82,10 @@ def _dead_members(tree: ast.Module, naming: list) -> list:
     )
 
 
-def _memo_store_reads(tree: ast.Module) -> list:
-    """Lines of ``tree`` that name the carrier memo store ``_caches``."""
+def _attribute_reads(tree: ast.Module, attr: str) -> list:
+    """Lines of ``tree`` that name the attribute ``attr``."""
     return sorted({
-        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_caches"
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr
     })
 
 
@@ -143,17 +143,30 @@ def test_the_check_sees_a_dead_member():
     assert _dead_members(tree, [tree, bench]) == [(9, "Ring.neg")]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "grading.py"], ids=lambda p: p.name
-)
+NOT_GRADING = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "grading.py"]
+
+
+@pytest.mark.parametrize("path", NOT_GRADING, ids=lambda p: p.name)
 def test_only_grading_reads_the_memo_store(path):
     # every other module memoizes through the carrier's memo(key, build)
-    assert _memo_store_reads(_parse(path)) == []
+    assert _attribute_reads(_parse(path), "_caches") == []
 
 
 def test_the_check_sees_a_memo_store_read():
     tree = ast.parse("def f(ctx):\n    cache = ctx._caches\n    return ctx.memo('k', dict), cache\n")
-    assert _memo_store_reads(tree) == [2]
+    assert _attribute_reads(tree, "_caches") == [2]
+
+
+@pytest.mark.parametrize("path", NOT_GRADING, ids=lambda p: p.name)
+def test_only_grading_reads_the_decomposition(path):
+    # every other module works with components: gradedness by counting, the
+    # radical by degree
+    assert _attribute_reads(_parse(path), "decomposition") == []
+
+
+def test_the_check_sees_a_decomposition_read():
+    tree = ast.parse("def f(grading, x):\n    comps = grading.components\n    return grading.decomposition[x]\n")
+    assert _attribute_reads(tree, "decomposition") == [3]
 
 
 def test_propositions_label_handles_in_one_place():

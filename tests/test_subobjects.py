@@ -27,7 +27,7 @@ from gradedalg import (
     whole_subobject,
     zero_subobject,
 )
-from gradedalg.grading import groupring_natural, module_same_as_ring, module_trivial, ring_trivial
+from gradedalg.grading import attach_grading, groupring_natural, module_same_as_ring, module_trivial, ring_trivial
 from gradedalg.subobjects import _enumerate_by_generators
 
 
@@ -37,14 +37,81 @@ def enumerate_all_subobjects(ctx, max_elements=64):
     return _enumerate_by_generators(ctx, range(ctx.grading.carrier.size), max_elements)
 
 
+def graded_by_walk(members, grading):
+    """Oracle: a set is graded iff every member's homogeneous components are
+    members."""
+    return all(part in members for x in members for part in grading.decomposition[x])
+
+
+def sumset(a, b, add):
+    """Oracle: A + B as every pairwise sum."""
+    return frozenset(add[x][y] for x in a for y in b)
+
+
+def radical_by_walk(p):
+    """Oracle: Grad(P) as the r all of whose homogeneous components have a
+    power in P."""
+    ring = p.ctx.ring
+    return frozenset(
+        r for r in range(ring.size)
+        if all(not ring.power_sets[part].isdisjoint(p.members) for part in p.ctx.grading.decomposition[r])
+    )
+
+
 def _z12():
     return ring_trivial(make_ring(("zmod", 12)))
 
 
+def _natural(p, group):
+    group = make_group(group)
+    return groupring_natural(make_ring(("groupring", p, group)), group)
+
+
 def _gr2():
-    c2 = make_group(("cyclic", 2))
-    ring = make_ring(("groupring", 2, c2))
-    return groupring_natural(ring, c2)
+    return _natural(2, ("cyclic", 2))
+
+
+def _nilpotent_degrees(group):
+    """F2[G] for G = C2 or C2 x C2 is F2[x]/(x^2) or F2[x, y]/(x^2, y^2), with
+    x = 1 + g and y = 1 + h.  Grade each monomial by its group element, so the
+    radical of (0) has non-zero parts outside degree e."""
+    group = make_group(group)
+    ring = make_ring(("groupring", 2, group))
+    # the monomial of degree t is the sum of the group elements k below t bitwise
+    monomials = [ring.index[tuple(int(k & t == k) for k in range(group.size))] for t in range(group.size)]
+    return GradedRing(ring, attach_grading(ring, group, {t: {ring.zero, m} for t, m in enumerate(monomials)}))
+
+
+_LATTICE_RINGS = {
+    "zmod12": _z12,
+    "F2[C2]": _gr2,
+    "F3[C2]": lambda: _natural(3, ("cyclic", 2)),
+    "F2[C2xC2]": lambda: _natural(2, ("product", ("cyclic", 2), ("cyclic", 2))),
+    "F2[x]/(x2)": lambda: _nilpotent_degrees(("cyclic", 2)),
+    "F2[x,y]/(x2,y2)": lambda: _nilpotent_degrees(("product", ("cyclic", 2), ("cyclic", 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE_RINGS))
+def test_subgroup_arithmetic_matches_the_oracles_on_every_ideal(name):
+    gr = _LATTICE_RINGS[name]()
+    add = gr.ring.add
+    ideals = enumerate_all_subobjects(gr)
+    for a in ideals:
+        assert sumset(a.members, a.members, add) == a.members, a
+        assert is_graded(a) == a.graded == graded_by_walk(a.members, gr.grading), a
+        for b in ideals:
+            assert combine(a, b, "sum").members == sumset(a.members, b.members, add), (a, b)
+
+
+@pytest.mark.parametrize(
+    "gr",
+    [f() for _, f in sorted(_LATTICE_RINGS.items())] + [e.gmodule.gring for e in build_standard_corpus()],
+    ids=sorted(_LATTICE_RINGS) + [e.name for e in build_standard_corpus()],
+)
+def test_graded_radical_matches_the_decomposition_walk(gr):
+    for p in enumerate_graded_subobjects(gr):
+        assert graded_radical(p).members == radical_by_walk(p), p
 
 
 def test_span_principal_ideal():
@@ -159,6 +226,13 @@ def test_ideal_component():
     assert comp == gr.grading.components[1]
 
 
+@pytest.mark.parametrize("g", [-1, 2])
+def test_ideal_component_rejects_a_degree_outside_the_group(g):
+    gr = _gr2()
+    with pytest.raises(PreconditionViolation, match=f"group element {g} outside"):
+        ideal_component(whole_subobject(gr), g)
+
+
 def test_enumeration_zmod12_ideals():
     gr = _z12()
     ideals = enumerate_graded_subobjects(gr)
@@ -196,7 +270,7 @@ def test_enumeration_matches_exhaustive_oracle(n):
     slow = {
         h.members
         for h in enumerate_all_subobjects(gm)
-        if is_graded(h)
+        if graded_by_walk(h.members, gm.grading)
     }
     assert fast == slow
 
@@ -204,7 +278,7 @@ def test_enumeration_matches_exhaustive_oracle(n):
 def test_enumeration_oracle_group_ring():
     gr = _gr2()
     fast = {h.members for h in enumerate_graded_subobjects(gr)}
-    slow = {h.members for h in enumerate_all_subobjects(gr) if is_graded(h)}
+    slow = {h.members for h in enumerate_all_subobjects(gr) if graded_by_walk(h.members, gr.grading)}
     assert fast == slow
     # the non-graded ideal (1+g) exists but must not be in the graded list
     all_ideals = {h.members for h in enumerate_all_subobjects(gr)}
