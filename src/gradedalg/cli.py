@@ -3,35 +3,22 @@
 Subcommands: validate, classify, verify, search.  Exit codes: 0 = all pass or
 verdict printed, 1 = violation / unexpected counterexample, 2 = usage or parse
 error.  Machine reports are byte-stable across runs.  ``--threads N`` is
-accepted and ignored: propositions always run serially.
+accepted and ignored: propositions always run serially.  ``classify`` and
+``search`` name predicates in one vocabulary, resolved by
+``propositions.classify_named``; ``--max-elements`` is the size cap of every
+structure and lattice a run builds.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .classifiers import (
-    IDEAL_PREDICATES,
-    classify_ideal,
-    classify_submodule,
-    coprimary_via_characterization,
-    is_graded_comultiplication_module,
-)
 from .core import DEFAULT_MAX_ELEMENTS
 from .corpus import build_standard_corpus
 from .errors import GradedAlgError
-from .propositions import PROPOSITION_IDS, _members_label, g_coprimary_degree, search_counterexample, verify_proposition
+from .propositions import PROPOSITION_IDS, _members_label, classify_named, search_counterexample, verify_proposition
 from .structfile import Corpus, parse_structure_dir, parse_structure_file
-from .subobjects import IDEAL, whole_subobject, SUBMODULE
-
-_SUBMODULE_CLI_PREDICATES = (
-    "second",
-    "strong-2a-second",
-    "2a-coprimary",
-    "2a-coprimary-def",
-    "2a-coprimary-char",
-    "comultiplication",
-)
+from .subobjects import whole_subobject
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,30 +96,7 @@ def _cmd_classify(args, out) -> int:
         target = entry.named[args.target]
     else:
         raise GradedAlgError(f"no subobject named {args.target!r} in {args.file}")
-
-    if pred in IDEAL_PREDICATES:
-        if target.kind != IDEAL:
-            raise GradedAlgError(f"predicate {pred!r} needs an ideal target")
-        verdict = classify_ideal(target, pred)
-    elif pred == "comultiplication":
-        verdict = is_graded_comultiplication_module(entry.gmodule, max_elements=args.max_elements)
-    elif pred in _SUBMODULE_CLI_PREDICATES or pred.startswith("g-2a-coprimary:"):
-        if target.kind != SUBMODULE:
-            raise GradedAlgError(f"predicate {pred!r} needs a submodule target")
-        if pred == "2a-coprimary-char":
-            verdict = coprimary_via_characterization(target)
-        elif pred in ("2a-coprimary", "2a-coprimary-def"):
-            verdict = classify_submodule(target, "2a-coprimary-def", max_elements=args.max_elements)
-        elif pred.startswith("g-2a-coprimary:"):
-            g = g_coprimary_degree(entry, pred)
-            if g is None:
-                raise GradedAlgError(f"grading group has no element labeled {pred.split(':', 1)[1]!r}")
-            verdict = classify_submodule(target, "g-2a-coprimary", g=g, max_elements=args.max_elements)
-        else:
-            verdict = classify_submodule(target, pred, max_elements=args.max_elements)
-    else:
-        raise GradedAlgError(f"unknown predicate {pred!r}")
-
+    verdict = classify_named(entry, target, pred)
     if args.report == "machine":
         print(f"target={args.target} predicate={pred} value={str(verdict.value).lower()}", file=out)
     else:

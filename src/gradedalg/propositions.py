@@ -1,9 +1,11 @@
-"""Instance verification of every stated result over a corpus, plus the
-counterexample-search expression language.
+"""Instance verification of every stated result over a corpus, the one
+resolver of predicate names, and the counterexample-search expression language.
 
 A "pass" means no corpus counterexample was found: propositions are checked on
 exhaustively enumerated hypothesis instances, never assumed.  Vacuous
 candidates are tallied under ``skipped`` with a reason, never as passes.
+``classify_named`` maps a predicate name to its classifier call, for both
+``classify`` and ``search``, under the entry's size cap.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ from functools import reduce
 from operator import and_
 
 from .classifiers import (
+    IDEAL_PREDICATES,
+    PredicateVerdict,
     _contains_bits,
     _good_bits,
     classify_ideal,
@@ -35,6 +39,8 @@ from .constructions import (
 from .errors import PreconditionViolation, StructureParseError, UnknownProposition
 from .structfile import Corpus, CorpusEntry
 from .subobjects import (
+    IDEAL,
+    SUBMODULE,
     SubobjectHandle,
     annihilator,
     colon,
@@ -123,15 +129,11 @@ def _nonzero_subs(entry: CorpusEntry):
     return [h for h in entry.graded_submodules() if not h.is_zero]
 
 
-def _is_coprimary(n) -> bool:
-    return coprimary_via_characterization(n).value
-
-
 def _coprimary(subs, skip: Counter, reason: str = "N-not-coprimary", weight: int = 1):
     """Yield the 2-absorbing coprimary handles of ``subs``; every other handle
     is tallied ``weight`` times under ``reason``."""
     for n in subs:
-        if _is_coprimary(n):
+        if coprimary_via_characterization(n).value:
             yield n
         else:
             skip[reason] += weight
@@ -144,7 +146,7 @@ def _g_coprimary(entry: CorpusEntry, skip: Counter):
     subs = entry.graded_submodules()
     for g in range(entry.gmodule.group.size):
         for n in _nonzero_subs(entry):
-            if not classify_submodule(n, "g-2a-coprimary", g=g).value:
+            if not classify_submodule(n, "g-2a-coprimary", g=g, max_elements=entry.max_elements).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
             yield g, n, _good_bits(n, subs), annihilator(n).members
@@ -180,93 +182,86 @@ def _factor_pairs(entry: CorpusEntry, skip: Counter):
 
 
 # ---------------------------------------------------------------------------
-# proposition checkers: each yields (instances, violations, skipped) per entry
+# proposition checkers: a generator (entry, skip) yields, per hypothesis
+# instance, None or its violation record and tallies every other candidate in
+# skip; _counted counts it.  The two ideal-pair checkers count in bulk.
 # ---------------------------------------------------------------------------
 
-def _check_closure_lemma(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _counted(check):
+    """The checker ``entry -> (instances, violations, skipped)`` of the
+    generator ``check``."""
+    def counted(entry: CorpusEntry):
+        skip = Counter()
+        records = list(check(entry, skip))
+        return len(records), [r for r in records if r is not None], skip
+    return counted
+
+
+def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
     ideals = entry.graded_ideals()
     subs = entry.graded_submodules()
     gm = entry.gmodule
 
-    def expect_graded(handle, what, detail):
-        nonlocal inst
-        inst += 1
-        if not handle.graded:
-            bad.append({"op": what, "detail": detail})
+    def graded(handle, what, detail):
+        return None if handle.graded else {"op": what, "detail": detail}
 
     for i in ideals:
         for j in ideals:
-            expect_graded(combine(i, j, "sum"), "ideal-sum", (i, j))
-            expect_graded(combine(i, j, "intersect"), "ideal-intersect", (i, j))
+            yield graded(combine(i, j, "sum"), "ideal-sum", (i, j))
+            yield graded(combine(i, j, "intersect"), "ideal-intersect", (i, j))
     for n in subs:
         for k in subs:
-            expect_graded(combine(n, k, "sum"), "submodule-sum", (n, k))
-            expect_graded(combine(n, k, "intersect"), "submodule-intersect", (n, k))
+            yield graded(combine(n, k, "sum"), "submodule-sum", (n, k))
+            yield graded(combine(n, k, "intersect"), "submodule-intersect", (n, k))
     for x in gm.hom:
-        expect_graded(span({x}, gm), "cyclic-span", x)
+        yield graded(span({x}, gm), "cyclic-span", x)
     for i in ideals:
         for n in subs:
-            expect_graded(combine(i, n, "ideal_product"), "ideal-product", (i, n))
+            yield graded(combine(i, n, "ideal_product"), "ideal-product", (i, n))
     for r in gm.gring.hom:
         for n in subs:
-            expect_graded(combine(r, n, "scalar_product"), "scalar-multiple", r)
+            yield graded(combine(r, n, "scalar_product"), "scalar-multiple", r)
     whole = whole_subobject(gm)
     for n in subs:
-        expect_graded(colon(n, whole), "colon-into-module", n)
-        expect_graded(annihilator(n), "annihilator", n)
+        yield graded(colon(n, whole), "colon-into-module", n)
+        yield graded(annihilator(n), "annihilator", n)
     for x in gm.gring.hom:
         for n in subs:
-            expect_graded(colon_by_element(n, x), "colon-by-element", x)
-    return inst, bad, skip
+            yield graded(colon_by_element(n, x), "colon-by-element", x)
 
 
-def _check_colon_2ap(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_colon_2ap(entry: CorpusEntry, skip: Counter):
     subs = entry.graded_submodules()
     for n in _coprimary(_nonzero_subs(entry), skip, weight=len(subs)):
         for k in subs:
             if n.members <= k.members:
                 skip["N-contained-in-K"] += 1
                 continue
-            p = colon(k, n)  # proper: 1*N = N is not inside K
-            inst += 1
-            v = classify_ideal(p, "2-absorbing-primary")
-            if not v.value:
-                bad.append({"N": n, "K": k, "witness": v.witness})
-    return inst, bad, skip
+            v = classify_ideal(colon(k, n), "2-absorbing-primary")  # proper: 1*N = N is not inside K
+            yield None if v.value else {"N": n, "K": k, "witness": v.witness}
 
 
 def _ann_checker(ideal_of, predicate: str):
     """Checker of "N coprimary implies ``ideal_of(N)`` satisfies ``predicate``"."""
-    def check(entry: CorpusEntry):
-        inst, skip, bad = 0, Counter(), []
+    def check(entry: CorpusEntry, skip: Counter):
         for n in _coprimary(_nonzero_subs(entry), skip):
-            inst += 1
             v = classify_ideal(ideal_of(n), predicate)
-            if not v.value:
-                bad.append({"N": n, "witness": v.witness})
-        return inst, bad, skip
+            yield None if v.value else {"N": n, "witness": v.witness}
     return check
 
 
-def _check_scalar_multiple(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_scalar_multiple(entry: CorpusEntry, skip: Counter):
     for n in _coprimary(_nonzero_subs(entry), skip):
         ann = annihilator(n).members
         for a in entry.gmodule.gring.hom:
             if a in ann:
                 skip["scalar-annihilates-N"] += 1
                 continue
-            an = combine(a, n, "scalar_product")
-            inst += 1
-            if not _is_coprimary(an):
-                bad.append({"N": n, "a": a})
-    return inst, bad, skip
+            v = coprimary_via_characterization(combine(a, n, "scalar_product"))
+            yield None if v.value else {"N": n, "a": a}
 
 
-def _check_hom_image(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_hom_image(entry: CorpusEntry, skip: Counter):
     homs = entry.gmodule.memo("hom_family", lambda: _hom_family(entry))
     for n in _coprimary(_nonzero_subs(entry), skip):
         for r, f in homs:
@@ -274,15 +269,11 @@ def _check_hom_image(entry: CorpusEntry):
             if n.members <= ker.members:
                 skip["N-inside-kernel"] += 1
                 continue
-            inst += 1
             v = coprimary_via_characterization(hom_image(f, n))
-            if not v.value:
-                bad.append({"N": n, "r": r, "witness": v.witness})
-    return inst, bad, skip
+            yield None if v.value else {"N": n, "r": r, "witness": v.witness}
 
 
-def _check_hom_preimage(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_hom_preimage(entry: CorpusEntry, skip: Counter):
     homs = entry.gmodule.memo("hom_family", lambda: _hom_family(entry))
     ks = list(_coprimary(_nonzero_subs(entry), skip, "K-not-coprimary", len(homs)))
     whole = whole_subobject(entry.gmodule)
@@ -292,37 +283,27 @@ def _check_hom_preimage(entry: CorpusEntry):
             if not (k.members <= fm.members):
                 skip["K-not-inside-image"] += 1
                 continue
-            inst += 1
             v = coprimary_via_characterization(hom_preimage(f, k))
-            if not v.value:
-                bad.append({"K": k, "r": r, "witness": v.witness})
-    return inst, bad, skip
+            yield None if v.value else {"K": k, "r": r, "witness": v.witness}
 
 
-def _check_characterization_equiv(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter({"zero-submodule": 1}), []  # every lattice has one zero submodule
+def _check_characterization_equiv(entry: CorpusEntry, skip: Counter):
+    skip["zero-submodule"] += 1  # every lattice has one zero submodule
     for n in _nonzero_subs(entry):
-        inst += 1
-        d = classify_submodule(n, "2a-coprimary-def")
+        d = classify_submodule(n, "2a-coprimary-def", max_elements=entry.max_elements)
         c = coprimary_via_characterization(n)
-        if d.value != c.value:
-            bad.append({"N": n, "def": d.value, "char": c.value})
-    return inst, bad, skip
+        yield None if d.value == c.value else {"N": n, "def": d.value, "char": c.value}
 
 
-def _check_localization(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_localization(entry: CorpusEntry, skip: Counter):
     for sname, s in sorted(entry.mulsets.items()):
-        loc = entry.gmodule.memo(("loc", s), lambda: localize_module(entry.gmodule, s))
+        loc = localize_module(entry.gmodule, s)
         for n in _coprimary(_nonzero_subs(entry), skip):
             sn = localize_subobject(loc, n)
             if sn.is_zero:
                 skip["localizes-to-zero"] += 1
                 continue
-            inst += 1
-            if not _is_coprimary(sn):
-                bad.append({"S": sname, "N": n})
-    return inst, bad, skip
+            yield None if coprimary_via_characterization(sn).value else {"S": sname, "N": n}
 
 
 def _bit_indices(bits):
@@ -375,37 +356,29 @@ def _degree_singletons(gm, g, good, rows):
     return [(x, (x,), (x,), good[x]) for x in sorted(gm.gring.grading.components[g])]
 
 
-def _check_comultiplication(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
-    if not is_graded_comultiplication_module(entry.gmodule).value:
+def _check_comultiplication(entry: CorpusEntry, skip: Counter):
+    cap = entry.max_elements
+    if not is_graded_comultiplication_module(entry.gmodule, max_elements=cap).value:
         skip["module-not-comultiplication"] += len(_nonzero_subs(entry))
-        return inst, bad, skip
+        return
     for n in _coprimary(_nonzero_subs(entry), skip):
         ann = annihilator(n)
         if graded_radical(ann).members != ann.members:
             skip["radical-annihilator-differs"] += 1
             continue
-        inst += 1
-        if not classify_submodule(n, "strong-2a-second").value:
-            bad.append({"N": n})
-    return inst, bad, skip
+        yield None if classify_submodule(n, "strong-2a-second", max_elements=cap).value else {"N": n}
 
 
-def _check_product_part1(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_product_part1(entry: CorpusEntry, skip: Counter):
     factors = {product_submodule(n1, n2, entry.gmodule): (n1, n2) for n1, n2 in _factor_pairs(entry, skip)}
     for n in _coprimary(factors, skip):
         n1, n2 = factors[n]
-        inst += 1
         ok1 = classify_ideal(annihilator(n1), "primary").value
         ok2 = classify_ideal(annihilator(n2), "primary").value
-        if not (ok1 and ok2):
-            bad.append({"N1": n1, "N2": n2})
-    return inst, bad, skip
+        yield None if ok1 and ok2 else {"N1": n1, "N2": n2}
 
 
-def _check_product_part2(entry: CorpusEntry):
-    inst, skip, bad = 0, Counter(), []
+def _check_product_part2(entry: CorpusEntry, skip: Counter):
     for n1, n2 in _factor_pairs(entry, skip):
         if not classify_ideal(annihilator(n1), "primary").value:
             skip["Ann-N1-not-primary"] += 1
@@ -414,48 +387,41 @@ def _check_product_part2(entry: CorpusEntry):
             skip["Ann-N2-not-primary"] += 1
             continue
         n = product_submodule(n1, n2, entry.gmodule)
-        inst += 1
-        if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
-            bad.append({"N1": n1, "N2": n2})
-    return inst, bad, skip
+        yield None if classify_ideal(annihilator(n), "2-absorbing-primary").value else {"N1": n1, "N2": n2}
 
 
 def _side_checker(side: int):
     """Checker of "a coprimary factor N_side times the zero submodule of the
     other factor has a 2-absorbing primary annihilator"."""
-    def check(entry: CorpusEntry):
-        inst, skip, bad = 0, Counter(), []
+    def check(entry: CorpusEntry, skip: Counter):
         if entry.factors is None:
-            return inst, bad, skip
+            return
         lattices = [enumerate_graded_subobjects(gm, entry.max_elements) for gm in entry.factors]
         skip["zero-factor"] += 1  # lattices[side][0] is the zero submodule
         for ni in _coprimary(lattices[side][1:], skip, "factor-not-coprimary"):
             n1, n2 = (ni, lattices[1][0]) if side == 0 else (lattices[0][0], ni)
             n = product_submodule(n1, n2, entry.gmodule)
-            inst += 1
-            if not classify_ideal(annihilator(n), "2-absorbing-primary").value:
-                bad.append({"factor": ni, "side": side})
-        return inst, bad, skip
+            yield None if classify_ideal(annihilator(n), "2-absorbing-primary").value else {"factor": ni, "side": side}
     return check
 
 
 _CHECKERS = {
-    "closure-lemma": _check_closure_lemma,
-    "colon-2AP": _check_colon_2ap,
-    "ann-2AP": _ann_checker(lambda n: annihilator(n), "2-absorbing-primary"),
-    "grad-ann-2A": _ann_checker(lambda n: graded_radical(annihilator(n)), "2-absorbing"),
-    "scalar-multiple": _check_scalar_multiple,
-    "hom-image": _check_hom_image,
-    "hom-preimage": _check_hom_preimage,
-    "characterization-equiv": _check_characterization_equiv,
-    "localization": _check_localization,
+    "closure-lemma": _counted(_check_closure_lemma),
+    "colon-2AP": _counted(_check_colon_2ap),
+    "ann-2AP": _counted(_ann_checker(lambda n: annihilator(n), "2-absorbing-primary")),
+    "grad-ann-2A": _counted(_ann_checker(lambda n: graded_radical(annihilator(n)), "2-absorbing")),
+    "scalar-multiple": _counted(_check_scalar_multiple),
+    "hom-image": _counted(_check_hom_image),
+    "hom-preimage": _counted(_check_hom_preimage),
+    "characterization-equiv": _counted(_check_characterization_equiv),
+    "localization": _counted(_check_localization),
     "ideal-lemma": _ideal_pair_checker("x", "hypothesis-IxN-not-in-K", _degree_singletons),
     "two-ideal-theorem": _ideal_pair_checker("J", "hypothesis-IJN-not-in-K", lambda gm, g, good, rows: rows),
-    "comultiplication": _check_comultiplication,
-    "product-part-1": _check_product_part1,
-    "product-part-2": _check_product_part2,
-    "product-part-3": _side_checker(0),
-    "product-part-4": _side_checker(1),
+    "comultiplication": _counted(_check_comultiplication),
+    "product-part-1": _counted(_check_product_part1),
+    "product-part-2": _counted(_check_product_part2),
+    "product-part-3": _counted(_side_checker(0)),
+    "product-part-4": _counted(_side_checker(1)),
 }
 
 
@@ -476,11 +442,52 @@ def verify_proposition(prop_id: str, corpus: Corpus) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# counterexample search
+# predicate names
 # ---------------------------------------------------------------------------
 
-_SEARCH_PREDICATES = ("second", "strong-2a-second", "2a-coprimary", "comultiplication")
+_PREDICATES = IDEAL_PREDICATES + (
+    "second", "strong-2a-second", "2a-coprimary", "2a-coprimary-def", "2a-coprimary-char", "comultiplication"
+)
 
+
+def _known_predicate(name: str) -> bool:
+    return name in _PREDICATES or name.startswith("g-2a-coprimary:")
+
+
+class _NoSuchDegree(PreconditionViolation):
+    """``g-2a-coprimary:LABEL`` names no element of the entry's grading group."""
+
+
+def classify_named(entry: CorpusEntry, target: SubobjectHandle, name: str) -> PredicateVerdict:
+    """The verdict of predicate ``name`` on ``target``, a subobject of ``entry``:
+    an ideal predicate, "comultiplication" of the entry's module, or a submodule
+    predicate, where "2a-coprimary" is the definition and LABEL in
+    "g-2a-coprimary:LABEL" is a degree written like an element token."""
+    cap = entry.max_elements
+    if name == "comultiplication":
+        return is_graded_comultiplication_module(entry.gmodule, max_elements=cap)
+    if name in IDEAL_PREDICATES:
+        if target.kind != IDEAL:
+            raise PreconditionViolation(f"predicate {name!r} needs an ideal target")
+        return classify_ideal(target, name)
+    if not _known_predicate(name):
+        raise PreconditionViolation(f"unknown predicate {name!r}")
+    if target.kind != SUBMODULE:
+        raise PreconditionViolation(f"predicate {name!r} needs a submodule target")
+    if name == "2a-coprimary-char":
+        return coprimary_via_characterization(target)
+    if name.startswith("g-2a-coprimary:"):
+        label = name.split(":", 1)[1]
+        g = next((g for g, lab in enumerate(entry.gmodule.group.labels) if str(lab).replace(" ", "") == label), None)
+        if g is None:
+            raise _NoSuchDegree(f"grading group has no element labeled {label!r}")
+        return classify_submodule(target, "g-2a-coprimary", g=g, max_elements=cap)
+    return classify_submodule(target, "2a-coprimary-def" if name == "2a-coprimary" else name, max_elements=cap)
+
+
+# ---------------------------------------------------------------------------
+# counterexample search
+# ---------------------------------------------------------------------------
 
 def _parse_expr(text: str):
     # a degree label may be a tuple: g-2a-coprimary:(0,1) is one token
@@ -527,7 +534,9 @@ def _parse_expr(text: str):
             return node
         if tok in (")", "and", "or", "not"):
             raise StructureParseError(f"unexpected token {tok!r}")
-        if tok in _SEARCH_PREDICATES or tok.startswith("g-2a-coprimary:"):
+        if tok in IDEAL_PREDICATES:  # the search ranges over submodules
+            raise StructureParseError(f"predicate {tok!r} needs an ideal target")
+        if _known_predicate(tok):
             return ("pred", tok)
         raise StructureParseError(f"unknown predicate {tok!r}")
 
@@ -535,14 +544,6 @@ def _parse_expr(text: str):
     if pos != len(tokens):
         raise StructureParseError(f"trailing tokens in expression: {tokens[pos:]}")
     return node
-
-
-def g_coprimary_degree(entry: CorpusEntry, name: str) -> int | None:
-    """The degree g that ``g-2a-coprimary:LABEL`` names on ``entry``: the index
-    of the grading-group element whose label prints as LABEL, written without
-    spaces like an element token, or None."""
-    label = name.split(":", 1)[1]
-    return next((g for g, lab in enumerate(entry.gmodule.group.labels) if str(lab).replace(" ", "") == label), None)
 
 
 class _BudgetExhausted(Exception):
@@ -573,16 +574,10 @@ def search_counterexample(expr: str, corpus: Corpus, budget: int = 10**6):
         calls += 1
         if calls > budget:
             raise _BudgetExhausted
-        name = node[1]
-        if name == "2a-coprimary":
-            return _is_coprimary(n)
-        if name == "comultiplication":
-            return is_graded_comultiplication_module(entry.gmodule).value
-        if name.startswith("g-2a-coprimary:"):
-            g = g_coprimary_degree(entry, name)
-            # an entry whose grading group has no such element satisfies nothing
-            return g is not None and classify_submodule(n, "g-2a-coprimary", g=g).value
-        return classify_submodule(n, name).value  # second, strong-2a-second
+        try:
+            return classify_named(entry, n, node[1]).value
+        except _NoSuchDegree:  # an entry whose grading group has no such element satisfies nothing
+            return False
 
     try:
         for entry in corpus:

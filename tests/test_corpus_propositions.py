@@ -275,6 +275,9 @@ def test_search_parser_errors():
         search_counterexample("(second", CORPUS)
     with pytest.raises(StructureParseError):
         search_counterexample("bogus-predicate", CORPUS)
+    # caught before any evaluation, so an earlier atom that holds does not hide it
+    with pytest.raises(StructureParseError, match="^predicate 'prime' needs an ideal target$"):
+        search_counterexample("second or prime", CORPUS)
 
 
 def test_search_budget_exhaustion_returns_none():
@@ -416,7 +419,9 @@ def test_bitset_checker_reports_violations_like_oracle(prop_id, monkeypatch):
     # with the g-coprimary hypothesis forced open, non-coprimary N enter the
     # checkers and violate the conclusion: the violation records and their
     # order must match the naive loops
-    monkeypatch.setattr(gradedalg.propositions, "classify_submodule", lambda n, p, g=None: PredicateVerdict(True))
+    monkeypatch.setattr(
+        gradedalg.propositions, "classify_submodule", lambda n, p, g=None, max_elements=None: PredicateVerdict(True)
+    )
     total = 0
     for entry in CORPUS:
         if entry.gmodule.module.size > 36:

@@ -183,6 +183,33 @@ def test_the_check_sees_a_label_built_elsewhere():
     assert _calls_outside(tree, "_members_label", "_named") == [6]
 
 
+def _imports_of(tree: ast.Module, module: str) -> list:
+    """Lines of ``tree`` that import the package module ``module``, in any form."""
+    def paths(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        base = "." * node.level + (node.module or "")
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return sorted({
+        node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for path in paths(node) if path.rsplit(".", 1)[-1] == module
+    })
+
+
+def test_the_cli_imports_no_classifier():
+    # classify and search name predicates only through propositions.classify_named
+    assert _imports_of(_parse(PACKAGE / "cli.py"), "classifiers") == []
+
+
+def test_the_check_sees_an_import_of_classifiers():
+    tree = ast.parse(
+        "from .core import DEFAULT_MAX_ELEMENTS\nfrom .classifiers import classify_ideal\n"
+        "from . import classifiers\nimport gradedalg.classifiers\n"
+        "from .propositions import classify_named\n"
+    )
+    assert _imports_of(tree, "classifiers") == [2, 3, 4]
+
+
 def test_the_package_data_ships_every_standard_corpus_file():
     # without the package-data entry a non-editable install has no standard corpus
     tomllib = pytest.importorskip("tomllib")

@@ -272,6 +272,40 @@ def test_cli_search():
     assert code == 0 and out.strip() == "none"
 
 
+def test_cli_search_names_predicates_like_classify():
+    # one vocabulary: 2a-coprimary is the definition, and the characterization
+    # agrees with it on the standard corpus
+    found = {
+        name: _run(["--report", "machine", "search", "--expr", f"{name} and not strong-2a-second"])
+        for name in ("2a-coprimary", "2a-coprimary-def", "2a-coprimary-char")
+    }
+    assert found["2a-coprimary"] == found["2a-coprimary-def"] == found["2a-coprimary-char"]
+    assert found["2a-coprimary"] == (1, "entry=zmod8 members=0,1,2,3,4,5,6,7\n")
+
+
+@pytest.mark.parametrize("target, predicate, message", [
+    ("I", "second", "predicate 'second' needs a submodule target"),
+    ("M", "primary", "predicate 'primary' needs an ideal target"),
+    ("M", "bogus", "unknown predicate 'bogus'"),
+])
+def test_cli_classify_rejects_a_predicate_of_the_other_kind(tmp_path, capsys, target, predicate, message):
+    path = _write(tmp_path, "ring zmod 12\nmodule self\nideal I gens 4\n")
+    code, out = _run(["classify", "--file", path, "--target", target, "--predicate", predicate])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_classifier_call_takes_the_size_cap(tmp_path):
+    # a 521-element field is above the default cap of 512 and within --max-elements 600
+    _write(tmp_path, "ring zmod 521\nmodule self\n")
+    code, out = _run(["--max-elements", "600", "--report", "machine", "verify", "--suite", "all",
+                      "--corpus", str(tmp_path)])
+    assert code == 0 and out.count("status=pass") == 16
+    code, out = _run(["--max-elements", "600", "--report", "machine", "search", "--expr", "strong-2a-second",
+                      "--corpus", str(tmp_path)])
+    assert code == 1 and out.startswith(f"entry={tmp_path / 's.gstruct'} members=0,1,2,")
+
+
 def test_cli_classify_resolves_a_degree_label():
     path = str(ROOT / "structures" / "groupring2.gstruct")
     code, out = _run(["classify", "--file", path, "--target", "M", "--predicate", "g-2a-coprimary:1"])
