@@ -1,10 +1,9 @@
-"""Gradings on rings and modules: component maps, direct-sum certificates,
-homogeneous decomposition, and the graded-carrier wrapper objects used by the
-rest of the package.
+"""Gradings on rings and modules: validated component sets (a grading stores
+nothing else), the coset sum ``_sum`` that builds every additive subgroup in
+the package, and the graded-carrier wrapper objects used by the rest of it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -14,16 +13,24 @@ from .errors import GradingInvalid
 
 @dataclass(frozen=True, eq=False)
 class Grading:
-    """A validated decomposition of a ring or module into components.
-
-    ``components[g]`` is the element set of the degree-g component;
-    ``decomposition[x][g]`` is the unique degree-g part of element x.
-    """
+    """A validated decomposition of a ring or module into components:
+    ``components[g]`` is the element set of the degree-g component."""
 
     group: GradingGroup
     carrier: object  # FiniteRing | FiniteModule
     components: tuple  # tuple[frozenset[int], ...], indexed by group element
-    decomposition: tuple  # decomposition[x] = tuple of component parts per g
+
+
+def _sum(a, b, add) -> frozenset:
+    """A + B for additive subgroups: the union of the cosets of the larger over
+    the smaller, skipping each y already in the union (its coset is there)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = set()
+    for y in b:
+        if y not in out:
+            out.update(map(add[y].__getitem__, a))
+    return frozenset(out)
 
 
 def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Grading | None = None) -> Grading:
@@ -40,7 +47,7 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
         raise TypeError(f"cannot grade {type(carrier).__name__}")
     if not is_ring and ring_grading is None:
         raise GradingInvalid("module-grading-requires-ring-grading")
-    if not is_ring and ring_grading is not None and ring_grading.group is not group:
+    if not is_ring and ring_grading.group is not group:
         raise GradingInvalid("grading-group-mismatch")
 
     add = carrier.add
@@ -64,21 +71,15 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
                 if add[a][b] not in comp:
                     raise GradingInvalid("component-not-closed-under-add", (g, a, b))
 
-    # direct sum: summation from the product of components is a bijection,
-    # since it is injective and the product has n elements
-    total = 1
-    for comp in components:
-        total *= len(comp)
-    if total != n:
-        raise GradingInvalid("direct-sum-cardinality", (total, n))
-    decomposition = [None] * n
-    for parts in itertools.product(*(sorted(c) for c in components)):
-        s = zero
-        for p in parts:
-            s = add[s][p]
-        if decomposition[s] is not None:
-            raise GradingInvalid("direct-sum-collision", (s, decomposition[s], parts))
-        decomposition[s] = parts
+    # direct sum: each M_g meets the sum of those before it in 0, and all give M
+    total = frozenset({zero})
+    for g, comp in enumerate(components):
+        before = len(total)
+        total = _sum(total, comp, add)
+        if len(total) < before * len(comp):
+            raise GradingInvalid("direct-sum-collision", (g,))
+    if len(total) != n:
+        raise GradingInvalid("direct-sum-cardinality", (len(total), n))
 
     if is_ring and carrier.one not in components[group.identity]:
         raise GradingInvalid("one-not-in-identity-component", (carrier.one,))
@@ -94,7 +95,7 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
                     if action[r][m] not in components[gh]:
                         raise GradingInvalid(axiom, (g, h, r, m))
 
-    return Grading(group, carrier, tuple(components), tuple(decomposition))
+    return Grading(group, carrier, tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .constructions import (
     product_submodule,
 )
 from .errors import PreconditionViolation, StructureParseError, UnknownProposition
-from .structfile import Corpus, CorpusEntry
+from .structfile import Corpus, CorpusEntry, element_token
 from .subobjects import (
     IDEAL,
     SUBMODULE,
@@ -478,7 +478,7 @@ def classify_named(entry: CorpusEntry, target: SubobjectHandle, name: str) -> Pr
         return coprimary_via_characterization(target)
     if name.startswith("g-2a-coprimary:"):
         label = name.split(":", 1)[1]
-        g = next((g for g, lab in enumerate(entry.gmodule.group.labels) if str(lab).replace(" ", "") == label), None)
+        g = next((g for g, lab in enumerate(entry.gmodule.group.labels) if element_token(lab) == label), None)
         if g is None:
             raise _NoSuchDegree(f"grading group has no element labeled {label!r}")
         return classify_submodule(target, "g-2a-coprimary", g=g, max_elements=cap)
@@ -585,7 +585,7 @@ def search_counterexample(expr: str, corpus: Corpus, budget: int = 10**6):
                 if holds(node, n, entry):
                     return {
                         "entry": entry.name,
-                        "members": [str(n.carrier.labels[i]) for i in n.sorted_members],
+                        "members": [element_token(n.carrier.labels[i]) for i in n.sorted_members],
                         "handle": n,
                     }
     except _BudgetExhausted:

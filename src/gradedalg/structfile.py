@@ -14,16 +14,17 @@ Each shape takes exactly the integer arguments shown; an extra or missing
 argument is an error.  Element tokens are integers or parenthesized integer
 tuples like ``(1,0,0)``.  Each of ``group``, ``ring``, ``grading`` and
 ``module`` may appear once, and each NAME once among the submodules and
-ideals and once among the mulsets.  ``groupring`` takes its grading group
-from the ``group`` directive; ``natural`` grading means by-degree for group
-rings and is an alias of ``trivial`` otherwise.  ``ring product N1 N2`` is
-Z/N1 × Z/N2, graded trivially; over it ``module self`` is the product of the
-factors acting on themselves, which are kept as the entry's ``factors``.
-``module self`` is graded like its ring, a direct sum trivially.  Every
-group, ring and module size is checked against ``max_elements`` before its
-tables are built; ``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which
-bounds each factor too.  The result is a fully validated corpus entry; its note is the file's
-leading comment.
+ideals and once among the mulsets; ``M`` names the whole module, not a
+submodule or ideal.  ``groupring`` takes its grading group from the
+``group`` directive; ``natural`` grading means by-degree for group rings and
+is an alias of ``trivial`` otherwise.  ``ring product N1 N2`` is Z/N1 × Z/N2,
+graded trivially; over it ``module self`` is the product of the factors
+acting on themselves, which are kept as the entry's ``factors``.  ``module
+self`` is graded like its ring, a direct sum trivially.  Every group, ring
+and module size is checked against ``max_elements`` before its tables are
+built; ``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which bounds each
+factor too.  The result is a fully validated corpus entry; its note is the
+file's leading comment.
 """
 from __future__ import annotations
 
@@ -91,6 +92,11 @@ def _parse_token(tok: str, lineno: int):
 def _split_line(raw: str) -> list:
     # tuples may contain no spaces, so plain whitespace split is enough
     return raw.split("#", 1)[0].split()
+
+
+def element_token(label) -> str:
+    """An element label written as a token of this format: ``(0,1)``, ``5``."""
+    return str(label).replace(" ", "")
 
 
 def _lookup(carrier, label, lineno: int) -> int:
@@ -227,6 +233,8 @@ def parse_structure_text(
             sname, toks = args[0], args[2:]
         # submodules and ideals share entry.named; mulsets have entry.mulsets
         name = (directive == "mulset", sname)
+        if name == (False, "M"):
+            raise StructureParseError("name 'M' is reserved for the whole module", line=lineno)
         if name in first_named:
             raise StructureParseError(f"name {sname!r} already defined on line {first_named[name]}", line=lineno)
         first_named[name] = lineno

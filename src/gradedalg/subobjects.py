@@ -6,9 +6,11 @@ A handle's ``kind`` is read from its carrier: ``"ideal"`` over a
 :class:`GradedRing`, ``"submodule"`` over a :class:`GradedModule`.  Member
 sets are frozensets of element indices; hot paths use the integer bitmask view.
 
-Member sets are additive subgroups: ``_sum`` forms every A + B as a union of
-cosets A + y, gradedness is decided by counting (|S| = Π_g |S ∩ M_g|), and
-Grad(P) is built one degree at a time from the rooted parts of each R_g.
+Member sets are additive subgroups, each built by the one coset sum
+``grading._sum``: span(G) = Σ_{g∈G} R·g, IN is the span of the products i·n,
+and A + B, the lattice walk and Grad(P) (one degree at a time, from the rooted
+parts of each R_g) are sums too.  Gradedness is decided by counting
+(|S| = Π_g |S ∩ M_g|).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from math import prod
 
 from .core import DEFAULT_MAX_ELEMENTS
 from .errors import PreconditionViolation, TooLarge
-from .grading import IDEAL, SUBMODULE
+from .grading import IDEAL, SUBMODULE, _sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,42 +88,19 @@ def is_graded(handle: SubobjectHandle) -> bool:
     return is_graded_set(handle.members, handle.ctx.grading)
 
 
-def _sum(a, b, add) -> frozenset:
-    """A + B for an additive subgroup A: the union of the cosets A + y over
-    y in B, skipping each y already in the union (its coset is there)."""
-    out = set()
-    for y in b:
-        if y not in out:
-            out.update(map(add[y].__getitem__, a))
-    return frozenset(out)
-
-
-def _additive_closure(seed, add, zero) -> frozenset:
-    """Subgroup of the additive group generated by ``seed``."""
-    closed = frozenset({zero})
-    for x in sorted(seed):
-        if x in closed:
-            continue
-        cyc = {zero}
-        cur = x
-        while cur not in cyc:
-            cyc.add(cur)
-            cur = add[cur][x]
-        closed = _sum(closed, cyc, add)
-    return closed
-
-
 def span(generators, ctx) -> SubobjectHandle:
-    """Smallest subobject of the carrier containing the generators.  An ideal
-    is a submodule of the ring acting on itself, so both kinds are closed
-    under the carrier's add and action tables."""
+    """Smallest subobject of the carrier containing the generators: the sum
+    of the cyclic submodules R·g, column g of the carrier's action table.  An
+    ideal is a submodule of the ring acting on itself."""
     carrier = ctx.grading.carrier
     for g in generators:
         if not (0 <= g < carrier.size):
             raise PreconditionViolation(f"generator {g} outside the carrier")
-    orbit = {row[g] for row in carrier.action for g in generators}
-    orbit.add(carrier.zero)
-    return subobject(ctx, _additive_closure(orbit, carrier.add, carrier.zero))
+    members = frozenset({carrier.zero})
+    for g in generators:
+        if g not in members:
+            members = _sum(members, {row[g] for row in carrier.action}, carrier.add)
+    return subobject(ctx, members)
 
 
 def zero_subobject(ctx) -> SubobjectHandle:
@@ -146,8 +125,7 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
         if b.kind != SUBMODULE or b.ctx.gring is not a.ctx:
             raise PreconditionViolation("ideal_product takes (ideal, submodule) over the same ring")
         act = b.ctx.module.action
-        prods = {act[i][n] for i in a.members for n in b.members}
-        return subobject(b.ctx, _additive_closure(prods, b.ctx.module.add, b.ctx.module.zero))
+        return span({act[i][n] for i in a.members for n in b.members}, b.ctx)
     if op == "scalar_product":
         # a: homogeneous ring element (index), b: handle
         if a not in b.ctx.gring.hom_set:

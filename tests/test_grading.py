@@ -52,11 +52,9 @@ def test_decomposition_is_unique_sum():
     ring = make_ring(("groupring", 3, c2))
     gr = groupring_natural(ring, c2)
     x = ring.index[(2, 1)]  # 2 + g
-    parts = gr.grading.decomposition[x]
-    assert ring.labels[parts[0]] == (2, 0)
-    assert ring.labels[parts[1]] == (0, 1)
-    assert ring.add[parts[0]][parts[1]] == x
-    assert all(p in comp for p, comp in zip(parts, gr.grading.components))
+    e_part, g_part = gr.grading.components
+    sums = [(ring.labels[a], ring.labels[b]) for a in e_part for b in g_part if ring.add[a][b] == x]
+    assert sums == [((2, 0), (0, 1))]
 
 
 def test_homogeneity_flags():
@@ -84,10 +82,27 @@ def test_component_not_subgroup_rejected():
 def test_direct_sum_cardinality_rejected():
     ring = make_ring(("zmod", 4))
     group = make_group(("cyclic", 2))
-    # components {0,2} and {0,2} are subgroups but 2*2 != 4 as a direct sum
+    # components {0,2} and {0,2} are subgroups, but their sum is not direct
     with pytest.raises(GradingInvalid) as exc:
         attach_grading(ring, group, {0: {0, 2}, 1: {0, 2}})
     assert "direct-sum" in exc.value.axiom
+
+
+def test_a_component_meeting_the_sum_before_it_is_named():
+    # {0,2} + {0,2} has 2 elements, not 2*2: M_1 meets M_0 beyond 0
+    ring = make_ring(("zmod", 4))
+    group = make_group(("cyclic", 2))
+    with pytest.raises(GradingInvalid) as exc:
+        attach_grading(ring, group, {0: {0, 2}, 1: {0, 2}})
+    assert (exc.value.axiom, exc.value.witness) == ("direct-sum-collision", (1,))
+
+
+def test_components_summing_to_a_proper_subgroup_are_rejected():
+    ring = make_ring(("zmod", 4))
+    group = make_group(("cyclic", 2))
+    with pytest.raises(GradingInvalid) as exc:
+        attach_grading(ring, group, {0: {0, 2}, 1: {0}})
+    assert (exc.value.axiom, exc.value.witness) == ("direct-sum-cardinality", (2, 4))
 
 
 def test_component_product_escape_rejected():

@@ -159,8 +159,8 @@ def test_the_check_sees_a_memo_store_read():
 
 @pytest.mark.parametrize("path", NOT_GRADING, ids=lambda p: p.name)
 def test_only_grading_reads_the_decomposition(path):
-    # every other module works with components: gradedness by counting, the
-    # radical by degree
+    # a grading stores its components only; gradedness is decided by
+    # counting, the radical by degree, and the direct sum by counting too
     assert _attribute_reads(_parse(path), "decomposition") == []
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -306,6 +307,14 @@ def test_every_classifier_call_takes_the_size_cap(tmp_path):
     assert code == 1 and out.startswith(f"entry={tmp_path / 's.gstruct'} members=0,1,2,")
 
 
+def test_cli_classify_refuses_a_file_naming_a_submodule_M(tmp_path, capsys):
+    # the target M used to be the whole module Z/6, not the named {0,2,4}
+    path = _write(tmp_path, "ring zmod 6\nmodule self\nsubmodule M gens 2\n")
+    code, out = _run(["classify", "--file", path, "--target", "M", "--predicate", "second"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: line 3: name 'M' is reserved for the whole module\n"
+
+
 def test_cli_classify_resolves_a_degree_label():
     path = str(ROOT / "structures" / "groupring2.gstruct")
     code, out = _run(["classify", "--file", path, "--target", "M", "--predicate", "g-2a-coprimary:1"])
@@ -336,6 +345,16 @@ def test_a_tuple_degree_label_is_written_like_an_element_token(tmp_path):
     assert (code, out) == (0, "none\n")
     code, out = _run(["--report", "machine", "search", "--corpus", str(tmp_path), "--expr", "g-2a-coprimary:(1,1)"])
     assert code == 1 and out.startswith(f"entry={path} ")
+
+
+def test_cli_search_writes_members_as_element_tokens():
+    # a tuple label prints as "(0, 1)"; the record must split into key=value fields
+    code, out = _run(["--report", "machine", "search", "--corpus", str(ROOT / "structures"),
+                      "--expr", "g-2a-coprimary:1"])
+    assert code == 1
+    fields = out.split()
+    assert [f.split("=", 1)[0] for f in fields] == ["entry", "members"]
+    assert fields[1] == "members=(0,0),(0,1),(1,0),(1,1)"
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])
@@ -424,6 +443,17 @@ def test_bench_tracer_wraps_the_package_without_changing_the_report(tmp_path):
     assert stats["propositions.ideal-lemma"]["instances"] == 412557
 
 
+def test_every_traced_layer_names_a_package_function():
+    # bench/traced.py wraps each LAYERS name by getattr; a deleted or renamed
+    # function makes every traced run fail
+    spec = importlib.util.spec_from_file_location("bench_traced", ROOT / "bench" / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    missing = [(home, name) for home, names, _ in traced.LAYERS.values() for name in names
+               if not callable(getattr(importlib.import_module(f"gradedalg.{home}"), name, None))]
+    assert missing == []
+
+
 @pytest.mark.parametrize("module", ["gradedalg", "gradedalg.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -484,6 +514,16 @@ def test_a_repeated_name_names_its_first_line():
     with pytest.raises(StructureParseError, match="'N' already defined on line 3") as exc:
         parse_structure_text(text)
     assert exc.value.line == 5
+
+
+@pytest.mark.parametrize("directive", ["submodule", "ideal"])
+def test_no_subobject_is_named_like_the_whole_module(directive):
+    # classify --target M means the whole module, so a subobject named M
+    # could never be classified
+    with pytest.raises(StructureParseError, match="name 'M' is reserved for the whole module") as exc:
+        parse_structure_text(f"ring zmod 6\nmodule self\n{directive} M gens 2\n")
+    assert exc.value.line == 3
+    assert "M" in parse_structure_text("ring zmod 6\nmodule self\nmulset M 1 5\n").mulsets
 
 
 def test_a_mulset_may_share_a_submodule_name():

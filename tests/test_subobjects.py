@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,7 @@ from gradedalg import (
     make_group,
     make_module,
     make_ring,
+    parse_structure_text,
     span,
     subobject,
     whole_subobject,
@@ -37,10 +41,28 @@ def enumerate_all_subobjects(ctx, max_elements=64):
     return _enumerate_by_generators(ctx, range(ctx.grading.carrier.size), max_elements)
 
 
+@functools.cache
+def decomposition_by_walk(grading):
+    """Oracle: ``decomposition_by_walk(grading)[x]`` is the tuple of the
+    homogeneous parts of x, found by summing every tuple of one element per
+    component; each x is reached exactly once."""
+    carrier = grading.carrier
+    parts = [None] * carrier.size
+    for tup in itertools.product(*(sorted(c) for c in grading.components)):
+        x = carrier.zero
+        for part in tup:
+            x = carrier.add[x][part]
+        assert parts[x] is None, (x, parts[x], tup)
+        parts[x] = tup
+    assert None not in parts
+    return parts
+
+
 def graded_by_walk(members, grading):
     """Oracle: a set is graded iff every member's homogeneous components are
     members."""
-    return all(part in members for x in members for part in grading.decomposition[x])
+    decomposition = decomposition_by_walk(grading)
+    return all(part in members for x in members for part in decomposition[x])
 
 
 def sumset(a, b, add):
@@ -48,13 +70,22 @@ def sumset(a, b, add):
     return frozenset(add[x][y] for x in a for y in b)
 
 
+def closure_by_sums(seed, add):
+    """Oracle: the least superset of ``seed`` closed under pairwise sums."""
+    out = frozenset(seed)
+    while (grown := out | sumset(out, out, add)) != out:
+        out = grown
+    return out
+
+
 def radical_by_walk(p):
     """Oracle: Grad(P) as the r all of whose homogeneous components have a
     power in P."""
     ring = p.ctx.ring
+    decomposition = decomposition_by_walk(p.ctx.grading)
     return frozenset(
         r for r in range(ring.size)
-        if all(not ring.power_sets[part].isdisjoint(p.members) for part in p.ctx.grading.decomposition[r])
+        if all(not ring.power_sets[part].isdisjoint(p.members) for part in decomposition[r])
     )
 
 
@@ -112,6 +143,38 @@ def test_subgroup_arithmetic_matches_the_oracles_on_every_ideal(name):
 def test_graded_radical_matches_the_decomposition_walk(gr):
     for p in enumerate_graded_subobjects(gr):
         assert graded_radical(p).members == radical_by_walk(p), p
+
+
+_SPAN_CARRIERS = {
+    "zmod12": _z12,
+    "F2[C2xC2]": lambda: _natural(2, ("product", ("cyclic", 2), ("cyclic", 2))),
+    "directsum-4-2-over-zmod4": lambda: parse_structure_text("ring zmod 4\nmodule directsum 4 2\n").gmodule,
+    "ring-product-2-3": lambda: parse_structure_text("ring product 2 3\nmodule self\n").gring,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPAN_CARRIERS))
+def test_span_of_two_elements_is_the_closure_of_their_multiples(name):
+    # span({a, b}) is the least set holding every r*a and r*b that is closed
+    # under sums, whatever sum the package forms it by
+    ctx = _SPAN_CARRIERS[name]()
+    carrier = ctx.grading.carrier
+    for a, b in itertools.combinations_with_replacement(range(carrier.size), 2):
+        multiples = {row[x] for row in carrier.action for x in (a, b)}
+        assert span({a, b}, ctx).members == closure_by_sums(multiples, carrier.add), (a, b)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in build_standard_corpus() if max(e.gring.ring.size, e.gmodule.module.size) <= 36],
+    ids=lambda e: e.name,
+)
+def test_ideal_product_is_the_closure_of_the_products(entry):
+    module = entry.gmodule.module
+    for i in entry.graded_ideals():
+        for n in entry.graded_submodules():
+            products = {module.action[x][y] for x in i.members for y in n.members}
+            assert combine(i, n, "ideal_product").members == closure_by_sums(products, module.add), (i, n)
 
 
 def test_span_principal_ideal():
