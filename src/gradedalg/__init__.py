@@ -58,7 +58,7 @@ from .propositions import (
     search_counterexample,
     verify_proposition,
 )
-from .structfile import Corpus, CorpusEntry, parse_structure_file, parse_structure_text
+from .structfile import CorpusEntry, parse_structure_file, parse_structure_text
 from .subobjects import (
     IDEAL,
     SUBMODULE,

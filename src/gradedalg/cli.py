@@ -16,8 +16,8 @@ import sys
 from .core import DEFAULT_MAX_ELEMENTS
 from .corpus import build_standard_corpus
 from .errors import GradedAlgError
-from .propositions import PROPOSITION_IDS, _members_label, classify_named, search_counterexample, verify_proposition
-from .structfile import Corpus, parse_structure_dir, parse_structure_file
+from .propositions import PROPOSITION_IDS, _named, classify_named, search_counterexample, verify_proposition
+from .structfile import parse_structure_dir, parse_structure_file
 from .subobjects import whole_subobject
 
 
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_corpus(args) -> Corpus:
+def _load_corpus(args) -> tuple:
     if getattr(args, "corpus", None):
         return parse_structure_dir(args.corpus, args.max_elements)
     return build_standard_corpus(args.max_elements)
@@ -81,10 +81,7 @@ def _cmd_validate(args, out) -> int:
 def _witness_str(entry, verdict) -> str:
     if verdict.witness is None:
         return ""
-    rlabels = entry.gring.ring.labels
-    parts = [f"{key}={rlabels[val] if isinstance(val, int) else _members_label(val)}"
-             for key, val in verdict.witness.items()]
-    return " witness: " + " ".join(parts)
+    return " witness: " + " ".join(f"{key}={val}" for key, val in _named(verdict.witness, entry).items())
 
 
 def _cmd_classify(args, out) -> int:

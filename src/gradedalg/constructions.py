@@ -1,5 +1,9 @@
 """Transport machinery: graded module homomorphisms (image, preimage, kernel),
-localization at homogeneous multiplicative sets, and product modules."""
+localization at homogeneous multiplicative sets, and product modules.
+
+S^{-1}R and S^{-1}M come from one fraction builder as one
+:class:`Localization`: ``localized`` is the graded S^{-1}X, and a module's
+``ring_loc`` is the S^{-1}R it is a module over."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -105,37 +109,16 @@ def _check_denominators(gring: GradedRing, s) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalizedRing:
-    """S^{-1}R for a finite graded ring R and homogeneous multiplicative S."""
+class Localization:
+    """S^{-1}X for a finite graded ring or module X and homogeneous
+    multiplicative S, with the induced grading; a module's is over S^{-1}R."""
 
-    base: GradedRing
+    base: GradedRing | GradedModule
     denominators: tuple
-    gring: GradedRing
     reps: tuple  # reps[i] = (numerator index, denominator index) in the base
     class_of: dict  # (a, s) -> localized element index
-
-    @property
-    def localized(self) -> GradedRing:
-        return self.gring
-
-
-@dataclass(frozen=True, eq=False)
-class LocalizedModule:
-    """S^{-1}M over S^{-1}R, with the induced grading."""
-
-    base: GradedModule
-    ring_loc: LocalizedRing
-    gmodule: GradedModule
-    reps: tuple
-    class_of: dict
-
-    @property
-    def denominators(self) -> tuple:
-        return self.ring_loc.denominators
-
-    @property
-    def localized(self) -> GradedModule:
-        return self.gmodule
+    localized: GradedRing | GradedModule
+    ring_loc: Localization | None = None  # S^{-1}R when the base is a module
 
 
 def _fractions(base, s: tuple, ring_reps=None):
@@ -179,31 +162,29 @@ def _fractions(base, s: tuple, ring_reps=None):
             for sden in s:
                 if sden in rcomps[d]:
                     assignment[g].update(class_of[(a, sden)] for a in base.grading.components[h])
-    return reps, class_of, labels, ladd, laction, class_of[(x.zero, ring.one)], assignment
+    return tuple(reps), class_of, labels, ladd, laction, class_of[(x.zero, ring.one)], assignment
 
 
-def localize_ring(gring: GradedRing, s) -> LocalizedRing:
+def localize_ring(gring: GradedRing, s) -> Localization:
     s = _check_denominators(gring, s)
     reps, class_of, labels, add, mul, zero, assignment = _fractions(gring, s)
     one = gring.ring.one
     lring = FiniteRing(labels, add, mul, zero, class_of[(one, one)])
     grading = attach_grading(lring, gring.group, assignment)
-    return LocalizedRing(gring, s, GradedRing(lring, grading), tuple(reps), class_of)
+    return Localization(gring, s, reps, class_of, GradedRing(lring, grading))
 
 
-def localize_module(gm: GradedModule, s, ring_loc: LocalizedRing | None = None) -> LocalizedModule:
+def localize_module(gm: GradedModule, s, ring_loc: Localization | None = None) -> Localization:
     """S^{-1}M; a given ``ring_loc`` must be S^{-1}R for gm's ring and this S."""
     if ring_loc is None:
         ring_loc = localize_ring(gm.gring, s)
     elif ring_loc.base is not gm.gring or ring_loc.denominators != _check_denominators(gm.gring, s):
         raise PreconditionViolation("ring_loc must localize the module's ring at the same set")
-    reps, class_of, labels, add, action, zero, assignment = _fractions(
-        gm, ring_loc.denominators, ring_loc.reps
-    )
-    gring = ring_loc.gring
+    reps, class_of, labels, add, action, zero, assignment = _fractions(gm, ring_loc.denominators, ring_loc.reps)
+    gring = ring_loc.localized
     lmodule = FiniteModule(gring.ring, labels, add, zero, action)
     grading = attach_grading(lmodule, gm.group, assignment, ring_grading=gring.grading)
-    return LocalizedModule(gm, ring_loc, GradedModule(lmodule, gring, grading), tuple(reps), class_of)
+    return Localization(gm, ring_loc.denominators, reps, class_of, GradedModule(lmodule, gring, grading), ring_loc)
 
 
 def localize(base, s):
@@ -217,7 +198,7 @@ def localize(base, s):
 
 def localize_subobject(loc, n: SubobjectHandle) -> SubobjectHandle:
     """S^{-1}N: the classes of N's elements over all denominators."""
-    if not isinstance(loc, (LocalizedRing, LocalizedModule)):
+    if not isinstance(loc, Localization):
         raise PreconditionViolation("localize_subobject takes a localized structure")
     if n.ctx is not loc.base:
         raise PreconditionViolation("subobject must live on the localized base")

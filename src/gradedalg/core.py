@@ -141,7 +141,7 @@ def make_group(spec) -> GradingGroup:
     Descriptors: ``"trivial"``, ``("cyclic", n)`` with n >= 1, or
     ``("product", d1, d2)`` where d1/d2 are descriptors or built groups.
     """
-    if spec == "trivial" or spec == ("trivial",):
+    if spec == "trivial":
         return GradingGroup(("e",), ((0,),), 0, (0,))
     if isinstance(spec, GradingGroup):
         return spec

@@ -12,19 +12,19 @@ from functools import lru_cache
 from pathlib import Path
 
 from .core import DEFAULT_MAX_ELEMENTS
-from .structfile import Corpus, parse_structure_dir
+from .structfile import parse_structure_dir
 
 _STANDARD = Path(__file__).with_name("standard")
 
 
-def build_standard_corpus(max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corpus:
-    """Deterministic standard corpus; one per cap, however the cap is passed,
-    so repeated runs share memoized work."""
+def build_standard_corpus(max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple:
+    """Deterministic standard corpus, a tuple of entries; one per cap, however
+    the cap is passed, so repeated runs share memoized work."""
     return _standard_corpus(max_elements)
 
 
 @lru_cache(maxsize=4)
-def _standard_corpus(max_elements: int) -> Corpus:
+def _standard_corpus(max_elements: int) -> tuple:
     corpus = parse_structure_dir(_STANDARD, max_elements)
     for entry in corpus:
         entry.name = Path(entry.name).stem.split("-", 1)[1]

@@ -56,7 +56,7 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
 
     components = []
     for g in range(group.size):
-        comp = frozenset(assignment.get(g, ()) if hasattr(assignment, "get") else assignment[g])
+        comp = frozenset(assignment.get(g, ()))
         for x in comp:
             if not (0 <= x < n):
                 raise GradingInvalid("component-element-out-of-range", (g, x))

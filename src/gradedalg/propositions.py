@@ -5,7 +5,8 @@ A "pass" means no corpus counterexample was found: propositions are checked on
 exhaustively enumerated hypothesis instances, never assumed.  Vacuous
 candidates are tallied under ``skipped`` with a reason, never as passes.
 ``classify_named`` maps a predicate name to its classifier call, for both
-``classify`` and ``search``, under the entry's size cap.
+``classify`` and ``search``, under the entry's size cap.  The proposition ids
+are the keys of the checker table, and ``_named`` labels every record.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .constructions import (
     product_submodule,
 )
 from .errors import PreconditionViolation, StructureParseError, UnknownProposition
-from .structfile import Corpus, CorpusEntry, element_token
+from .structfile import CorpusEntry, element_token
 from .subobjects import (
     IDEAL,
     SUBMODULE,
@@ -52,26 +53,6 @@ from .subobjects import (
     span,
     whole_subobject,
 )
-
-PROPOSITION_IDS = (
-    "closure-lemma",
-    "colon-2AP",
-    "ann-2AP",
-    "grad-ann-2A",
-    "scalar-multiple",
-    "hom-image",
-    "hom-preimage",
-    "characterization-equiv",
-    "localization",
-    "ideal-lemma",
-    "two-ideal-theorem",
-    "comultiplication",
-    "product-part-1",
-    "product-part-2",
-    "product-part-3",
-    "product-part-4",
-)
-
 
 @dataclass
 class VerificationReport:
@@ -116,12 +97,24 @@ def _members_label(handle) -> str:
     return "{" + ",".join(str(labels[i]) for i in handle.sorted_members) + "}"
 
 
-def _named(value):
-    """A violation record's value as reported: handles, also in tuples, become labels."""
+_RING_KEYS = frozenset("rabcxy")  # the record and witness keys that hold a ring scalar
+
+
+def _named(value, entry: CorpusEntry, key=None):
+    """A violation record or witness as reported: handles, also in tuples,
+    become member sets, and an int under a ring-scalar key or ``g`` (at the
+    top level or in ``witness``) becomes its ring or degree label."""
     if isinstance(value, SubobjectHandle):
         return _members_label(value)
+    if isinstance(value, dict):  # an unchanged witness stays the verdict's own dict
+        named = {k: _named(v, entry, k) for k, v in value.items()}
+        return value if named == value else named
     if isinstance(value, tuple):
-        return tuple(_named(v) for v in value)
+        return tuple(_named(v, entry) for v in value)
+    if key in _RING_KEYS:
+        return entry.gring.ring.labels[value]
+    if key == "g":
+        return entry.gring.group.labels[value]
     return value
 
 
@@ -423,10 +416,12 @@ _CHECKERS = {
     "product-part-3": _counted(_side_checker(0)),
     "product-part-4": _counted(_side_checker(1)),
 }
+PROPOSITION_IDS = tuple(_CHECKERS)
 
 
-def verify_proposition(prop_id: str, corpus: Corpus) -> VerificationReport:
-    """Check one proposition on every hypothesis instance over the corpus."""
+def verify_proposition(prop_id: str, corpus) -> VerificationReport:
+    """Check one proposition on every hypothesis instance over the corpus, an
+    iterable of entries."""
     if prop_id not in _CHECKERS:
         raise UnknownProposition(f"unknown proposition {prop_id!r}")
     t0 = time.perf_counter()
@@ -435,7 +430,7 @@ def verify_proposition(prop_id: str, corpus: Corpus) -> VerificationReport:
         inst, bad, skip = _CHECKERS[prop_id](entry)
         report.instances += inst
         for record in bad:  # checkers record handles; only violations are labelled
-            report.violations.append({"entry": entry.name, **{k: _named(v) for k, v in record.items()}})
+            report.violations.append({"entry": entry.name, **_named(record, entry)})
         report.skipped.update(skip)
     report.wall_time = time.perf_counter() - t0
     return report
@@ -550,10 +545,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def search_counterexample(expr: str, corpus: Corpus, budget: int = 10**6):
-    """First corpus submodule (canonical order) satisfying the expression,
-    or None if there is none or finding it takes more than ``budget``
-    predicate evaluations.
+def search_counterexample(expr: str, corpus, budget: int = 10**6):
+    """First submodule (canonical order) of the corpus, an iterable of
+    entries, satisfying the expression, or None if there is none or finding
+    it takes more than ``budget`` predicate evaluations.
 
     Returns a dict with the entry name, the member list, and the handle.
     """

@@ -24,7 +24,7 @@ self`` is graded like its ring, a direct sum trivially.  Every group, ring
 and module size is checked against ``max_elements`` before its tables are
 built; ``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which bounds each
 factor too.  The result is a fully validated corpus entry; its note is the
-file's leading comment.
+file's leading comment.  A directory of files is a tuple of entries.
 """
 from __future__ import annotations
 
@@ -64,17 +64,6 @@ class CorpusEntry:
 
     def graded_ideals(self):
         return enumerate_graded_subobjects(self.gring, self.max_elements)
-
-
-@dataclass
-class Corpus:
-    entries: list
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 _TUPLE_RE = re.compile(r"^\((-?\d+(,-?\d+)*)\)$")
@@ -266,9 +255,9 @@ def parse_structure_file(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corp
     return parse_structure_text(_read(path), name=str(path), max_elements=max_elements)
 
 
-def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corpus:
-    """The ``*.gstruct`` files of ``directory`` in name order, each entry named
-    by its path; an error names the file it is in."""
+def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple:
+    """The entries of the ``*.gstruct`` files of ``directory`` in name order,
+    each named by its path; an error names the file it is in."""
     paths = sorted(Path(directory).glob("*.gstruct"))
     if not paths:
         raise GradedAlgError(f"no .gstruct files in {directory}")
@@ -281,4 +270,4 @@ def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> 
             err = StructureParseError(f"{path}: {exc}")
             err.line = exc.line
             raise err from None
-    return Corpus(entries)
+    return tuple(entries)

@@ -14,7 +14,7 @@ parts of each R_g) are sums too.  Gradedness is decided by counting
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -23,17 +23,13 @@ from .errors import PreconditionViolation, TooLarge
 from .grading import IDEAL, SUBMODULE, _sum
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubobjectHandle:
+    """Handles are equal when their carriers are one object and their members agree."""
+
     ctx: object  # GradedRing or GradedModule
     members: frozenset
-    graded: bool
-
-    def __eq__(self, other):
-        return isinstance(other, SubobjectHandle) and self.ctx is other.ctx and self.members == other.members
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.members))
+    graded: bool = field(compare=False)
 
     def __repr__(self):
         labels = [self.carrier.labels[i] for i in self.sorted_members[:8]]

@@ -24,7 +24,7 @@ from gradedalg import (
     subobject,
     whole_subobject,
 )
-from gradedalg.constructions import _check_denominators
+from gradedalg.constructions import Localization, _check_denominators
 from gradedalg.core import FiniteModule, FiniteRing, make_group
 from gradedalg.corpus import build_standard_corpus
 from gradedalg.grading import (
@@ -118,9 +118,14 @@ def test_localize_z12_at_powers_of_3():
 
 
 def test_localize_dispatch():
+    # a ring and a module localize to one type; the module's ring_loc is the
+    # localized ring it is a module over
     gr, gm = _z12_module()
-    assert localize(gr, (1, 3, 9)).gring.ring.size == 4
-    assert localize(gm, (1, 3, 9)).gmodule.module.size == 4
+    rloc, mloc = localize(gr, (1, 3, 9)), localize(gm, (1, 3, 9))
+    assert type(rloc) is type(mloc) is Localization
+    assert rloc.localized.ring.size == mloc.localized.module.size == 4
+    assert rloc.ring_loc is None
+    assert mloc.ring_loc.localized is mloc.localized.gring
 
 
 def test_localization_rejects_bad_sets():
@@ -136,7 +141,7 @@ def test_localize_module_checks_its_ring_localization():
     loc = localize_ring(gr, (1, 3, 9))
     # S^{-1}M at S = {1, 5} is all of Z/12 (5 is a unit), not the 4-element
     # localization at {1, 3, 9} that was passed in
-    assert localize_module(gm, (1, 5)).gmodule.module.size == 12
+    assert localize_module(gm, (1, 5)).localized.module.size == 12
     with pytest.raises(PreconditionViolation):
         localize_module(gm, (1, 5), ring_loc=loc)
     with pytest.raises(InvalidDenominators):
@@ -323,12 +328,12 @@ def test_localization_builder_matches_the_separate_ring_and_module_code():
         ring_loc = _oracle_localize_ring(gm.gring, s)
         want_s, want_gring, want_ring_reps, want_ring_class_of = ring_loc
         assert loc.ring_loc.denominators == want_s, name
-        _assert_same_graded(loc.ring_loc.gring, want_gring, "mul")
-        assert loc.ring_loc.gring.ring.one == want_gring.ring.one, (name, s)
+        _assert_same_graded(loc.ring_loc.localized, want_gring, "mul")
+        assert loc.ring_loc.localized.ring.one == want_gring.ring.one, (name, s)
         assert loc.ring_loc.reps == want_ring_reps, (name, s)
         assert loc.ring_loc.class_of == want_ring_class_of, (name, s)
         want_gm, want_reps, want_class_of = _oracle_localize_module(gm, ring_loc)
-        _assert_same_graded(loc.gmodule, want_gm, "action")
+        _assert_same_graded(loc.localized, want_gm, "action")
         assert loc.reps == want_reps, (name, s)
         assert loc.class_of == want_class_of, (name, s)
         seen += 1
@@ -342,8 +347,8 @@ def test_localized_structures_pass_validation():
 
     gr, gm = _z12_module()
     loc = localize_module(gm, (1, 3, 9))
-    assert validate_axioms(loc.ring_loc.gring.ring).ok
-    assert validate_axioms(loc.gmodule.module).ok
+    assert validate_axioms(loc.ring_loc.localized.ring).ok
+    assert validate_axioms(loc.localized.module).ok
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import gradedalg.core
 import gradedalg.propositions
 from gradedalg import (
     PROPOSITION_IDS,
-    Corpus,
     CorpusEntry,
     PredicateVerdict,
     StructureParseError,
@@ -65,7 +64,9 @@ def test_corpus_composition():
 
 
 def test_one_standard_corpus_per_cap():
-    # however the cap is passed, callers share one corpus and so its memos
+    # however the cap is passed, callers share one corpus and so its memos;
+    # it is a tuple, so no caller can append to it
+    assert type(CORPUS) is tuple
     assert build_standard_corpus() is CORPUS
     assert build_standard_corpus(DEFAULT_MAX_ELEMENTS) is CORPUS
     assert build_standard_corpus(max_elements=DEFAULT_MAX_ELEMENTS) is CORPUS
@@ -100,19 +101,23 @@ def test_propositions_hold_on_corpus(prop_id):
 def test_hom_preimage_violations_are_real():
     # the preimage transport statement fails on this corpus (see the z12
     # multiplication-by-2 instance); every reported violation must re-check
-    # against the definitional predicate, so the failure is self-certifying
+    # against the definitional predicate, so the failure is self-certifying;
+    # records name scalars by label, which on product-z4xz9 are pairs
     report = verify_proposition("hom-preimage", CORPUS)
     assert report.violations, "expected corpus counterexamples to the preimage statement"
     assert report.violations[0]["entry"] == "zmod12"
+    assert Counter(v["entry"] for v in report.violations)["product-z4xz9"] == 45
     entries = {e.name: e for e in CORPUS}
     for v in report.violations:
         entry = entries[v["entry"]]
         gm = entry.gmodule
         k = next(h for h in entry.graded_submodules() if _members_label(h) == v["K"])
-        f = multiplication_hom(gm, v["r"])
+        labels, index = gm.gring.ring.labels, gm.gring.ring.index
+        assert {v["r"], v["witness"]["x"], v["witness"]["y"]} <= set(labels), v
+        f = multiplication_hom(gm, index[v["r"]])
         assert classify_submodule(k, "2a-coprimary-def").value, v
         assert k.members <= hom_image(f, whole_subobject(gm)).members, v
-        x, y = v["witness"]["x"], v["witness"]["y"]
+        x, y = index[v["witness"]["x"]], index[v["witness"]["y"]]
         assert recheck_coprimary_violation(hom_preimage(f, k), x, y), v
 
 
@@ -123,7 +128,7 @@ def test_checkers_record_handles_and_verify_labels_them():
     for record in bad:
         assert list(record) == ["K", "r", "witness"]
         assert isinstance(record["K"], SubobjectHandle) and record["K"].ctx is entry.gmodule
-    report = verify_proposition("hom-preimage", Corpus([entry]))
+    report = verify_proposition("hom-preimage", [entry])
     assert [list(v.items()) for v in report.violations] == [
         [("entry", "zmod12"), ("K", _members_label(r["K"])), ("r", r["r"]), ("witness", r["witness"])] for r in bad
     ]
@@ -141,7 +146,7 @@ def test_closure_lemma_violations_keep_their_labelled_shapes(monkeypatch):
     entry = next(e for e in CORPUS if e.name == "zmod4")
     ideals, subs, gm = entry.graded_ideals(), entry.graded_submodules(), entry.gmodule
     details = {}
-    for v in verify_proposition("closure-lemma", Corpus([entry])).violations:
+    for v in verify_proposition("closure-lemma", [entry]).violations:
         assert list(v) == ["entry", "op", "detail"] and v["entry"] == entry.name
         details.setdefault(v["op"], []).append(v["detail"])
 
@@ -167,10 +172,10 @@ def test_hom_preimage_checker_matches_definitional_recomputation():
     # constructions and the definitional classifier, and compare violation sets
     report = verify_proposition("hom-preimage", CORPUS)
     modules = {e.name: e.gmodule for e in CORPUS}
-    records = [
-        (v["entry"], v["K"], multiplication_hom(modules[v["entry"]], v["r"]).mapping)
-        for v in report.violations
-    ]
+    records = []
+    for v in report.violations:  # records name scalars by label
+        gm = modules[v["entry"]]
+        records.append((v["entry"], v["K"], multiplication_hom(gm, gm.gring.ring.index[v["r"]]).mapping))
     instances, expected = 0, {}
     for entry in CORPUS:
         gm = entry.gmodule
@@ -312,11 +317,11 @@ def test_localization_memo_is_keyed_by_denominators():
     # same module and mulset name, different denominators: a memo keyed by
     # the name would hand the second entry the first entry's localization
     sets = ((1, 3, 9), (1, 5))
-    alone = [verify_proposition("localization", Corpus([_z12_entry(s)])).to_machine() for s in sets]
+    alone = [verify_proposition("localization", [_z12_entry(s)]).to_machine() for s in sets]
     assert alone[0] != alone[1]
     shared = _z12_entry(sets[0]).gmodule
     reports = [
-        verify_proposition("localization", Corpus([_z12_entry(s, shared)])).to_machine() for s in sets
+        verify_proposition("localization", [_z12_entry(s, shared)]).to_machine() for s in sets
     ]
     assert reports == alone
 
@@ -361,8 +366,8 @@ def oracle_ideal_lemma(entry, guard=_is_g_coprimary):
                         if all(mul[y][x] in ann for y in ig):
                             continue
                         bad.append({
-                            "entry": entry.name, "g": g, "N": _members_label(n),
-                            "I": _members_label(i), "x": x, "K": _members_label(k),
+                            "entry": entry.name, "g": gm.group.labels[g], "N": _members_label(n),
+                            "I": _members_label(i), "x": gm.gring.ring.labels[x], "K": _members_label(k),
                         })
     return inst, bad, skip
 
@@ -397,7 +402,7 @@ def oracle_two_ideal_theorem(entry, guard=_is_g_coprimary):
                         if all(mul[a][b] in ann for a in ig for b in jg):
                             continue
                         bad.append({
-                            "entry": entry.name, "g": g, "N": _members_label(n),
+                            "entry": entry.name, "g": gm.group.labels[g], "N": _members_label(n),
                             "I": _members_label(i), "J": _members_label(j), "K": _members_label(k),
                         })
     return inst, bad, skip
@@ -409,7 +414,7 @@ _ORACLES = {"ideal-lemma": oracle_ideal_lemma, "two-ideal-theorem": oracle_two_i
 @pytest.mark.parametrize("prop_id", sorted(_ORACLES))
 def test_bitset_checker_matches_oracle_on_standard_corpus(prop_id):
     for entry in CORPUS:
-        report = verify_proposition(prop_id, Corpus([entry]))
+        report = verify_proposition(prop_id, [entry])
         inst, bad, skip = _ORACLES[prop_id](entry)
         assert (report.instances, report.violations, report.skipped) == (inst, bad, skip), entry.name
 
@@ -426,7 +431,7 @@ def test_bitset_checker_reports_violations_like_oracle(prop_id, monkeypatch):
     for entry in CORPUS:
         if entry.gmodule.module.size > 36:
             continue
-        report = verify_proposition(prop_id, Corpus([entry]))
+        report = verify_proposition(prop_id, [entry])
         inst, bad, skip = _ORACLES[prop_id](entry, guard=lambda n, g: True)
         assert (report.instances, report.violations, report.skipped) == (inst, bad, skip), entry.name
         total += len(bad)

@@ -441,6 +441,19 @@ def test_bench_tracer_wraps_the_package_without_changing_the_report(tmp_path):
     stats = json.loads(trace.read_text())["stats"]
     assert stats["propositions.two-ideal-theorem"]["instances"] == 49606
     assert stats["propositions.ideal-lemma"]["instances"] == 412557
+    # a classify that prints a witness and a search go through the tracer's
+    # wrappers too, and print what the untraced CLI prints
+    for args, printed in (
+        (["classify", "--file", "structures/torsion180.gstruct", "--target", "N", "--predicate", "2a-coprimary"],
+         b"false witness: x=2 y=3 K="),
+        (["--report", "machine", "search", "--expr", "not 2a-coprimary"], b"entry=zmod12 members="),
+    ):
+        plain = subprocess.run([sys.executable, "-m", "gradedalg", *args], cwd=ROOT, env=env, capture_output=True,
+                               timeout=300)
+        traced = subprocess.run([sys.executable, "bench/traced.py", str(trace), *args], cwd=ROOT, env=env,
+                                capture_output=True, timeout=300)
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout), traced.stderr.decode()
+        assert plain.stdout.startswith(printed), plain
 
 
 def test_every_traced_layer_names_a_package_function():
