@@ -21,10 +21,12 @@ violating pair is the witness the nested loops found.
 
 A unit u of R_e maps each R_g onto itself, (ux)N = xN, and ux lies in an
 ideal exactly when x does, so every table above is equal along the orbit {ux}.
-The kernel scans only orbit-minimal x and y (``_orbit_min``, one table per
-ring), and ``_product_bits`` and ``_power_or`` build one row per orbit.  The
-witness is unchanged: the least member of x's orbit violates with the same bits
-as x and comes no later, so the first violating pair is orbit-minimal in both.
+The kernel scans only orbit-minimal x and y (the ring's ``orbit_min``, which
+the operators of ``subobjects`` and the proposition checkers read too), and
+``_product_bits``, ``_power_or`` and ``rn_masks`` build one row per orbit.
+The witness is unchanged: the least member of x's orbit violates with the same
+bits as x and comes no later, so the first violating pair is orbit-minimal in
+both.  Verdicts are memoized under the handle's mask.
 """
 from __future__ import annotations
 
@@ -79,17 +81,9 @@ def _first_violation(xs, mul, hyp, escx, escy):
     return None
 
 
-def _orbit_min(gring) -> tuple:
-    """``orbit_min[z]``: the least u*z over the units u of R_e (the u whose
-    multiplication row holds 1)."""
-    mul, one = gring.ring.mul, gring.ring.one
-    units = gring.grading.components[gring.group.identity]
-    return gring.memo("orbit_min", lambda: tuple(map(min, zip(*(mul[u] for u in units if one in mul[u])))))
-
-
 def _reps(gring, g=None) -> list:
     """The orbit-minimal elements of h(R), or of R_g, in index order."""
-    orbit_min = _orbit_min(gring)
+    orbit_min = gring.orbit_min
     scalars = gring.hom if g is None else sorted(gring.grading.components[g])
     return [x for x in scalars if orbit_min[x] == x]
 
@@ -97,8 +91,7 @@ def _reps(gring, g=None) -> list:
 def _product_bits(gring, members) -> tuple:
     """For every ring element z, the bitset of the positions j with
     z * hom[j] in ``members``; one row per unit orbit, shared by its members."""
-    mul = gring.ring.mul
-    orbit_min = _orbit_min(gring)
+    mul, orbit_min = gring.ring.mul, gring.orbit_min
     row = {z: sum(1 << j for j, c in enumerate(gring.hom) if mul[z][c] in members) for z in set(orbit_min)}
     return tuple(map(row.__getitem__, orbit_min))
 
@@ -121,7 +114,7 @@ def classify_ideal(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
         raise PreconditionViolation("classify_ideal takes a proper ideal")
     if predicate not in IDEAL_PREDICATES:
         raise PreconditionViolation(f"unknown ideal predicate {predicate!r}")
-    return p.ctx.memo(("ideal_verdict", predicate, p.members), lambda: _ideal_verdict(p, predicate))
+    return p.ctx.memo(("ideal_verdict", predicate, p.mask), lambda: _ideal_verdict(p, predicate))
 
 
 def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
@@ -156,7 +149,7 @@ def _containing(ws, ks) -> tuple:
 def _power_or(gring, bits) -> tuple:
     """For every ring element r, the OR of ``bits[p]`` over the powers p of r,
     one per unit orbit: ``bits`` is equal along orbits, and (ur)^k = u^k r^k."""
-    orbit_min = _orbit_min(gring)
+    orbit_min = gring.orbit_min
     ors = {z: reduce(or_, map(bits.__getitem__, gring.ring.power_sets[z])) for z in set(orbit_min)}
     return tuple(map(ors.__getitem__, orbit_min))
 
@@ -170,7 +163,7 @@ def _hypothesis(n: SubobjectHandle, contains) -> tuple:
 def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
     """``contains[r]``: bit i set iff rN is inside ``lattice[i]``.  The key
     leaves out ``lattice``: it is always the carrier's canonical lattice."""
-    return n.ctx.memo(("contains", n.members), lambda: _containing(rn_masks(n), [k.mask for k in lattice]))
+    return n.ctx.memo(("contains", n.mask), lambda: _containing(rn_masks(n), [k.mask for k in lattice]))
 
 
 def _good_bits(n: SubobjectHandle, lattice) -> tuple:
@@ -178,7 +171,7 @@ def _good_bits(n: SubobjectHandle, lattice) -> tuple:
     over the carrier's canonical lattice like ``_contains_bits``.  For
     homogeneous r (its own decomposition) that is r in Grad(lattice[i] :_R N);
     every reader looks at homogeneous r only."""
-    return n.ctx.memo(("good", n.members), lambda: _power_or(n.ctx.gring, _contains_bits(n, lattice)))
+    return n.ctx.memo(("good", n.mask), lambda: _power_or(n.ctx.gring, _contains_bits(n, lattice)))
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -233,7 +226,7 @@ def classify_submodule(
     if predicate != "second":  # the lattice the other predicates need is capped
         _capped_carrier(n.ctx, max_elements)
     return n.ctx.memo(
-        ("submodule_verdict", predicate, g, n.members),
+        ("submodule_verdict", predicate, g, n.mask),
         lambda: _submodule_verdict(n, predicate, g, max_elements),
     )
 
@@ -257,7 +250,7 @@ def coprimary_via_characterization(n: SubobjectHandle) -> PredicateVerdict:
     """Quantifier-free coprimary test: for all homogeneous x, y, some bounded
     power of x or of y carries N into xyN, or xy annihilates N."""
     _require_classifiable(n)
-    return n.ctx.memo(("submodule_verdict", "2a-coprimary-char", None, n.members), lambda: _char_verdict(n))
+    return n.ctx.memo(("submodule_verdict", "2a-coprimary-char", None, n.mask), lambda: _char_verdict(n))
 
 
 def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:

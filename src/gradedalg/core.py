@@ -72,15 +72,16 @@ class FiniteRing:
         """power_sets[x] = {x^k : 1 <= k <= |R|} as a frozenset of indices.
 
         The exponent bound |R| suffices: the power sequence of any element of a
-        finite ring is eventually periodic within |R| steps.
+        finite ring is eventually periodic within |R| steps.  The walk stops at
+        the first repeated power, since x^(k+1) depends only on x^k.
         """
         out = []
-        for x in range(self.size):
-            seen = []
+        for x, row in enumerate(self.mul):
+            seen = set()
             cur = x
-            for _ in range(self.size):
-                seen.append(cur)
-                cur = self.mul[cur][x]
+            while cur not in seen:
+                seen.add(cur)
+                cur = row[cur]
             out.append(frozenset(seen))
         return tuple(out)
 

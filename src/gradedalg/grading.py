@@ -1,6 +1,7 @@
 """Gradings on rings and modules: validated component sets (a grading stores
 nothing else), the coset sum ``_sum`` that builds every additive subgroup in
-the package, and the graded-carrier wrapper objects used by the rest of it.
+the package, and the graded-carrier wrapper objects used by the rest of it,
+which also hold the component masks and the unit-orbit map ``orbit_min``.
 """
 from __future__ import annotations
 
@@ -122,6 +123,23 @@ class _GradedCarrier:
     @cached_property
     def hom(self) -> tuple:
         return tuple(sorted(self.hom_set))
+
+    @cached_property
+    def component_masks(self) -> tuple:
+        """The bitmasks of the components other than {0}, in degree order."""
+        return tuple(sum(1 << x for x in comp) for comp in self.grading.components if len(comp) > 1)
+
+    @cached_property
+    def orbit_min(self) -> tuple:
+        """``orbit_min[z]``: the least u*z over the units u of R_e (the u whose
+        multiplication row holds 1), read through the carrier's action.  A unit
+        of R_e keeps each component, and u*z spans, annihilates and is carried
+        into a subobject exactly as z is."""
+        gring = self.gring
+        ring = gring.ring
+        units = [u for u in gring.grading.components[gring.group.identity] if ring.one in ring.mul[u]]
+        action = self.grading.carrier.action
+        return tuple(map(min, zip(*(action[u] for u in units))))
 
     @cached_property
     def _caches(self) -> dict:

@@ -43,6 +43,7 @@ from .subobjects import (
     IDEAL,
     SUBMODULE,
     SubobjectHandle,
+    _bits,
     annihilator,
     colon,
     colon_by_element,
@@ -146,19 +147,32 @@ def _g_coprimary(entry: CorpusEntry, skip: Counter):
 
 
 def _hom_family(entry: CorpusEntry):
-    """Canonical finite hom family as (scalar, hom) pairs: the identity
+    """Canonical finite hom family as (r, f) pairs: the identity
     (multiplication by one) plus every multiplication by a degree-e
-    homogeneous scalar, deduplicated by mapping table; each hom keeps the
-    first scalar that gives it, so ``multiplication_hom(gm, r)`` rebuilds it."""
+    homogeneous scalar r, one per mapping table, from the first r that gives
+    it.  f is the first hom of r's unit orbit: ×ur is ×r followed by the
+    automorphism ×u, so f(N), ker f and f⁻¹(K) are those of ×r."""
     gm = entry.gmodule
-    fams = [(gm.gring.ring.one, identity_hom(gm))]
-    seen = {fams[0][1].mapping}
+    orbit_min, one = gm.gring.orbit_min, gm.gring.ring.one
+    fams = [(one, identity_hom(gm))]
+    seen, first = {fams[0][1].mapping}, {orbit_min[one]: fams[0][1]}
     for r in sorted(gm.gring.grading.components[gm.group.identity]):
         h = multiplication_hom(gm, r)
         if h.mapping not in seen:
             seen.add(h.mapping)
-            fams.append((r, h))
+            fams.append((r, first.setdefault(orbit_min[r], h)))
     return fams
+
+
+def _per_orbit(xs, orbit_min, build):
+    """(x, ``build`` at the least member of x's unit orbit) for every x of
+    ``xs``, built once per orbit and kept for one loop only."""
+    built = {}
+    for x in xs:
+        m = orbit_min[x]
+        if m not in built:
+            built[m] = build(m)
+        yield x, built[m]
 
 
 def _factor_pairs(entry: CorpusEntry, skip: Counter):
@@ -194,6 +208,8 @@ def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
     ideals = entry.graded_ideals()
     subs = entry.graded_submodules()
     gm = entry.gmodule
+    gring = gm.gring
+    module_labels, ring_labels = gm.module.labels, gring.ring.labels
 
     def graded(handle, what, detail):
         return None if handle.graded else {"op": what, "detail": detail}
@@ -206,28 +222,29 @@ def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
         for k in subs:
             yield graded(combine(n, k, "sum"), "submodule-sum", (n, k))
             yield graded(combine(n, k, "intersect"), "submodule-intersect", (n, k))
-    for x in gm.hom:
-        yield graded(span({x}, gm), "cyclic-span", x)
+    # R·ux = R·x and (ur)N = rN: one span per module orbit, one rN per ring orbit
+    for x, rx in _per_orbit(gm.hom, gm.orbit_min, lambda m: span({m}, gm)):
+        yield graded(rx, "cyclic-span", module_labels[x])
     for i in ideals:
         for n in subs:
             yield graded(combine(i, n, "ideal_product"), "ideal-product", (i, n))
-    for r in gm.gring.hom:
-        for n in subs:
-            yield graded(combine(r, n, "scalar_product"), "scalar-multiple", r)
+    for r, rns in _per_orbit(gring.hom, gring.orbit_min, lambda m: [combine(m, n, "scalar_product") for n in subs]):
+        for rn in rns:
+            yield graded(rn, "scalar-multiple", ring_labels[r])
     whole = whole_subobject(gm)
     for n in subs:
         yield graded(colon(n, whole), "colon-into-module", n)
         yield graded(annihilator(n), "annihilator", n)
-    for x in gm.gring.hom:
+    for x in gring.hom:
         for n in subs:
-            yield graded(colon_by_element(n, x), "colon-by-element", x)
+            yield graded(colon_by_element(n, x), "colon-by-element", ring_labels[x])
 
 
 def _check_colon_2ap(entry: CorpusEntry, skip: Counter):
     subs = entry.graded_submodules()
     for n in _coprimary(_nonzero_subs(entry), skip, weight=len(subs)):
         for k in subs:
-            if n.members <= k.members:
+            if n <= k:
                 skip["N-contained-in-K"] += 1
                 continue
             v = classify_ideal(colon(k, n), "2-absorbing-primary")  # proper: 1*N = N is not inside K
@@ -256,13 +273,16 @@ def _check_scalar_multiple(entry: CorpusEntry, skip: Counter):
 
 def _check_hom_image(entry: CorpusEntry, skip: Counter):
     homs = entry.gmodule.memo("hom_family", lambda: _hom_family(entry))
+    kernels = {f: hom_kernel(f) for f in dict.fromkeys(f for _, f in homs)}
     for n in _coprimary(_nonzero_subs(entry), skip):
+        images = {}
         for r, f in homs:
-            ker = entry.gmodule.memo(("kernel", f.mapping), lambda: hom_kernel(f))
-            if n.members <= ker.members:
+            if n <= kernels[f]:
                 skip["N-inside-kernel"] += 1
                 continue
-            v = coprimary_via_characterization(hom_image(f, n))
+            if f not in images:
+                images[f] = hom_image(f, n)
+            v = coprimary_via_characterization(images[f])
             yield None if v.value else {"N": n, "r": r, "witness": v.witness}
 
 
@@ -270,13 +290,16 @@ def _check_hom_preimage(entry: CorpusEntry, skip: Counter):
     homs = entry.gmodule.memo("hom_family", lambda: _hom_family(entry))
     ks = list(_coprimary(_nonzero_subs(entry), skip, "K-not-coprimary", len(homs)))
     whole = whole_subobject(entry.gmodule)
+    preimages = {}  # per hom of an orbit: f⁻¹(K) for each K inside f(M), else None
     for r, f in homs:
-        fm = hom_image(f, whole)
-        for k in ks:
-            if not (k.members <= fm.members):
+        if f not in preimages:
+            fm = hom_image(f, whole)
+            preimages[f] = [hom_preimage(f, k) if k <= fm else None for k in ks]
+        for k, pre in zip(ks, preimages[f]):
+            if pre is None:
                 skip["K-not-inside-image"] += 1
                 continue
-            v = coprimary_via_characterization(hom_preimage(f, k))
+            v = coprimary_via_characterization(pre)
             yield None if v.value else {"K": k, "r": r, "witness": v.witness}
 
 
@@ -299,14 +322,6 @@ def _check_localization(entry: CorpusEntry, skip: Counter):
             yield None if coprimary_via_characterization(sn).value else {"S": sname, "N": n}
 
 
-def _bit_indices(bits):
-    """Indices of the set bits of ``bits``, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _ideal_pair_checker(key: str, reason: str, second):
     """Checker of "for N g-2-absorbing coprimary and IJN inside K, I_g or J_g
     lies in Grad(K :_R N), or I_g J_g annihilates N", I over the graded
@@ -326,7 +341,7 @@ def _ideal_pair_checker(key: str, reason: str, second):
             rows = [(i, i.members, ig, reduce(and_, (good[y] for y in ig), full)) for i, ig in zip(ideals, comps)]
             js = second(gm, g, good, rows)
             for i, _, ig, ig_good in rows:
-                in_handle = gm.memo(("IN", i.members, n.members), lambda: combine(i, n, "ideal_product"))
+                in_handle = gm.memo(("IN", i.mask, n.mask), lambda: combine(i, n, "ideal_product"))
                 ixn = _contains_bits(in_handle, subs)  # ixn[y]: the K containing IyN
                 for j, jm, jg, jg_good in js:
                     hyp = full  # becomes the K containing IJN
@@ -337,7 +352,7 @@ def _ideal_pair_checker(key: str, reason: str, second):
                     misses += len(subs) - found
                     bits = hyp & ~(ig_good | jg_good)
                     if bits and not all(mul[a][b] in ann for a in ig for b in jg):
-                        bad.extend({"g": g, "N": n, "I": i, key: j, "K": subs[k]} for k in _bit_indices(bits))
+                        bad.extend({"g": g, "N": n, "I": i, key: j, "K": subs[k]} for k in _bits(bits))
         if misses:  # a reason counted 0 times would still be printed
             skip[reason] += misses
         return inst, bad, skip
@@ -356,7 +371,7 @@ def _check_comultiplication(entry: CorpusEntry, skip: Counter):
         return
     for n in _coprimary(_nonzero_subs(entry), skip):
         ann = annihilator(n)
-        if graded_radical(ann).members != ann.members:
+        if graded_radical(ann) != ann:
             skip["radical-annihilator-differs"] += 1
             continue
         yield None if classify_submodule(n, "strong-2a-second", max_elements=cap).value else {"N": n}

@@ -3,14 +3,21 @@ calculus on them: span, sum/intersection/products, colon, annihilator, graded
 radical, and exhaustive enumeration of graded subobjects.
 
 A handle's ``kind`` is read from its carrier: ``"ideal"`` over a
-:class:`GradedRing`, ``"submodule"`` over a :class:`GradedModule`.  Member
-sets are frozensets of element indices; hot paths use the integer bitmask view.
+:class:`GradedRing`, ``"submodule"`` over a :class:`GradedModule`.  A handle
+is its int mask (bit i for element i): an intersection is ``a & b``, and the
+member set is derived on demand, or kept from the set a sum built.
 
 Member sets are additive subgroups, each built by the one coset sum
-``grading._sum``: span(G) = Σ_{g∈G} R·g, IN is the span of the products i·n,
-and A + B, the lattice walk and Grad(P) (one degree at a time, from the rooted
-parts of each R_g) are sums too.  Gradedness is decided by counting
-(|S| = Π_g |S ∩ M_g|).
+``grading._sum``: span(G) = Σ_{g∈G} R·g, IN = Σ_{i∈I} iN, and A + B, the
+lattice walk and Grad(P) (one degree at a time, from the rooted parts of each
+R_g) are sums too.  Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|,
+one popcount per component mask).
+
+A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
+every per-scalar value is computed once per unit orbit (the carrier's
+``orbit_min``): ``rn_masks`` builds one row per orbit, IN sums iN over the
+orbit-minimal i, ``colon_by_element`` is memoized at the orbit's least
+member, and the lattice walk joins the spans of orbit-minimal generators.
 """
 from __future__ import annotations
 
@@ -25,10 +32,11 @@ from .grading import IDEAL, SUBMODULE, _sum
 
 @dataclass(frozen=True)
 class SubobjectHandle:
-    """Handles are equal when their carriers are one object and their members agree."""
+    """A subobject as its int mask.  Handles are equal when their carriers are
+    one object and their masks agree."""
 
     ctx: object  # GradedRing or GradedModule
-    members: frozenset
+    mask: int  # bit i set iff element i is a member
     graded: bool = field(compare=False)
 
     def __repr__(self):
@@ -38,6 +46,10 @@ class SubobjectHandle:
             f"<{self.kind} |{len(self.members)}| graded={self.graded} "
             f"members={labels}{more}>"
         )
+
+    def __le__(self, other) -> bool:
+        """Inclusion of subobjects of one carrier."""
+        return not self.mask & ~other.mask
 
     @property
     def kind(self) -> str:
@@ -49,39 +61,56 @@ class SubobjectHandle:
 
     @cached_property
     def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members))
+        return tuple(_bits(self.mask))
 
     @cached_property
-    def mask(self) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << i
-        return m
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members)
 
     @property
     def is_zero(self) -> bool:
-        return len(self.members) == 1
+        return self.mask == 1 << self.carrier.zero
 
     @property
     def is_whole(self) -> bool:
-        return len(self.members) == self.carrier.size
+        return self.mask == (1 << self.carrier.size) - 1
 
 
-def is_graded_set(members, grading) -> bool:
-    """True iff the additive subgroup S = ``members`` is graded: the S ∩ M_g
-    sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|.  S must
-    be a subgroup, as every ``subobject`` member set is."""
-    return len(members) == prod(len(members & comp) for comp in grading.components)
+def _bits(mask: int) -> list:
+    """The set bits of ``mask``, lowest first."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _mask(members) -> int:
+    m = 0
+    for x in members:
+        m |= 1 << x
+    return m
+
+
+def _graded(ctx, mask: int) -> bool:
+    """True iff the additive subgroup S with bitmask ``mask`` is graded: the
+    S ∩ M_g sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|.
+    A carrier with one non-zero component is that component."""
+    masks = ctx.component_masks
+    return len(masks) < 2 or mask.bit_count() == prod((mask & c).bit_count() for c in masks)
+
+
+def _handle(ctx, mask: int) -> SubobjectHandle:
+    return SubobjectHandle(ctx, mask, _graded(ctx, mask))
 
 
 def subobject(ctx, members) -> SubobjectHandle:
-    """Wrap an already-closed member set in a handle (gradedness computed)."""
+    """Wrap an already-closed member set in a handle (gradedness computed),
+    which keeps the set as its derived ``members``."""
     members = frozenset(members)
-    return SubobjectHandle(ctx, members, is_graded_set(members, ctx.grading))
+    handle = _handle(ctx, _mask(members))
+    handle.__dict__["members"] = members  # what the cached property would derive
+    return handle
 
 
 def is_graded(handle: SubobjectHandle) -> bool:
-    return is_graded_set(handle.members, handle.ctx.grading)
+    return _graded(handle.ctx, handle.mask)
 
 
 def span(generators, ctx) -> SubobjectHandle:
@@ -100,11 +129,11 @@ def span(generators, ctx) -> SubobjectHandle:
 
 
 def zero_subobject(ctx) -> SubobjectHandle:
-    return SubobjectHandle(ctx, frozenset({ctx.grading.carrier.zero}), True)
+    return SubobjectHandle(ctx, 1 << ctx.grading.carrier.zero, True)
 
 
 def whole_subobject(ctx) -> SubobjectHandle:
-    return subobject(ctx, range(ctx.grading.carrier.size))
+    return _handle(ctx, (1 << ctx.grading.carrier.size) - 1)
 
 
 def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
@@ -113,58 +142,70 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
     if op in ("sum", "intersect"):
         if a.ctx is not b.ctx:
             raise PreconditionViolation(f"{op} requires handles over the same carrier")
-        if op == "sum":
-            return subobject(a.ctx, _sum(a.members, b.members, a.carrier.add))
-        return subobject(a.ctx, a.members & b.members)
+        if op == "intersect":
+            return _handle(a.ctx, a.mask & b.mask)
+        if b <= a:
+            return a
+        if a <= b:
+            return b
+        return subobject(a.ctx, _sum(a.members, b.members, a.carrier.add))
     if op == "ideal_product":
         # a: ideal over the scalar ring of b's module
         if b.kind != SUBMODULE or b.ctx.gring is not a.ctx:
             raise PreconditionViolation("ideal_product takes (ideal, submodule) over the same ring")
-        act = b.ctx.module.action
-        return span({act[i][n] for i in a.members for n in b.members}, b.ctx)
+        rn, orbit_min = rn_masks(b), a.ctx.orbit_min
+        members, mask = frozenset({b.carrier.zero}), 1 << b.carrier.zero
+        for i in a.sorted_members:
+            if orbit_min[i] == i and rn[i] & ~mask:  # iN is not in the sum yet
+                members = _sum(members, _bits(rn[i]), b.carrier.add)
+                mask = _mask(members)
+        return subobject(b.ctx, members)
     if op == "scalar_product":
         # a: homogeneous ring element (index), b: handle
         if a not in b.ctx.gring.hom_set:
             raise PreconditionViolation("scalar_product requires a homogeneous scalar")
-        act = b.carrier.action
-        return subobject(b.ctx, {act[a][n] for n in b.members})
+        return _handle(b.ctx, rn_masks(b)[a])
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
 
 def rn_masks(n: SubobjectHandle) -> tuple:
-    """``rn_masks(n)[r]``: the mask of rN, for every ring element r."""
+    """``rn_masks(n)[r]``: the mask of rN, for every ring element r; one row
+    per unit orbit, since (ur)N = rN."""
     def build():
-        act = n.ctx.module.action
-        members = n.sorted_members
-        zmask = []
-        for z in range(n.ctx.gring.ring.size):
-            row = act[z]
-            m = 0
-            for x in members:
-                m |= 1 << row[x]
-            zmask.append(m)
-        return tuple(zmask)
-    return n.ctx.memo(("zmask", n.members), build)
+        act, orbit_min = n.carrier.action, n.ctx.gring.orbit_min
+        row = {z: _mask(map(act[z].__getitem__, n.sorted_members)) for z in set(orbit_min)}
+        return tuple(map(row.__getitem__, orbit_min))
+    return n.ctx.memo(("zmask", n.mask), build)
 
 
 def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
     """(K :_R N) = {r in R : r*N subset K}, an ideal of the scalar ring."""
     if n.kind != SUBMODULE or k.ctx is not n.ctx:
         raise PreconditionViolation("colon takes two submodules of the same module")
-    km = k.mask
-    return subobject(n.ctx.gring, {r for r, w in enumerate(rn_masks(n)) if w & km == w})
+    km, rk = k.mask, 0
+    for r, w in enumerate(rn_masks(n)):
+        if w & km == w:
+            rk |= 1 << r
+    return _handle(n.ctx.gring, rk)
 
 
 def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:
-    """(K :_M x) = {m in M : x*m in K}, for homogeneous x."""
+    """(K :_M x) = {m in M : x*m in K}, for homogeneous x; memoized at the
+    least member of x's unit orbit, which has the same colon."""
     if k.kind != SUBMODULE:
         raise PreconditionViolation("colon_by_element takes a submodule")
     gm = k.ctx
     if x not in gm.gring.hom_set:
         raise PreconditionViolation("colon_by_element requires a homogeneous ring element")
-    act = gm.module.action
-    km = k.members
-    return subobject(gm, {m for m in range(gm.module.size) if act[x][m] in km})
+    x = gm.gring.orbit_min[x]
+
+    def build():
+        km, mask = k.members, 0
+        for m, xm in enumerate(gm.module.action[x]):
+            if xm in km:
+                mask |= 1 << m
+        return _handle(gm, mask)
+    return gm.memo(("colon_by_element", k.mask, x), build)
 
 
 def annihilator(n: SubobjectHandle) -> SubobjectHandle:
@@ -235,9 +276,13 @@ def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """All graded subobjects, in canonical order (size, then member list).
 
     Graded subobjects are exactly those generated by homogeneous elements, so
-    the lattice is walked by repeatedly joining homogeneous cyclic spans.
-    Results are memoized on the carrier; the cap is checked on every call and
-    only decides whether the lattice may be returned.
+    the lattice is walked by repeatedly joining homogeneous cyclic spans, one
+    per unit orbit (R·ux = R·x).  Results are memoized on the carrier; the cap
+    is checked on every call and only decides whether the lattice may be
+    returned.
     """
     _capped_carrier(ctx, max_elements)
-    return ctx.memo("graded_subobjects", lambda: _enumerate_by_generators(ctx, ctx.hom, max_elements))
+
+    def build():
+        return _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x], max_elements)
+    return ctx.memo("graded_subobjects", build)

@@ -25,7 +25,7 @@ from gradedalg import (
     whole_subobject,
     zero_subobject,
 )
-from gradedalg.classifiers import _good_bits, _orbit_min
+from gradedalg.classifiers import _good_bits
 from gradedalg.grading import groupring_natural, module_same_as_ring, ring_trivial
 from gradedalg.subobjects import rn_masks
 
@@ -120,7 +120,7 @@ def test_recheck_does_not_read_the_memoized_rn_masks(n, predicate, recheck):
     gr, gm = _self_module(n)
     whole = whole_subobject(gm)
     w = classify_submodule(whole, predicate).witness
-    gm._caches[("zmask", whole.members)] = (0,) * gr.ring.size  # rN = {} for every r
+    gm._caches[("zmask", whole.mask)] = (0,) * gr.ring.size  # rN = {} for every r
     assert recheck(whole, w["x"], w["y"], w["K"])
     if recheck is recheck_coprimary_violation:
         assert recheck(whole, w["x"], w["y"])
@@ -167,10 +167,10 @@ def test_g_form_rejects_a_degree_outside_the_grading_group(g):
     whole = whole_subobject(entry.gmodule)
     with pytest.raises(PreconditionViolation, match=f"group element {g} outside the grading group"):
         classify_submodule(whole, "g-2a-coprimary", g=g)
-    assert ("submodule_verdict", "g-2a-coprimary", g, whole.members) not in entry.gmodule._caches
+    assert ("submodule_verdict", "g-2a-coprimary", g, whole.mask) not in entry.gmodule._caches
     # the key the lookup would use: a valid degree is cached under it
     classify_submodule(whole, "g-2a-coprimary", g=1)
-    assert ("submodule_verdict", "g-2a-coprimary", 1, whole.members) in entry.gmodule._caches
+    assert ("submodule_verdict", "g-2a-coprimary", 1, whole.mask) in entry.gmodule._caches
 
 
 def test_g_form_is_the_definitional_verdict_where_r_g_holds_every_homogeneous_scalar():
@@ -190,7 +190,7 @@ def test_g_form_at_a_proper_component_has_its_own_verdict():
     assert gring.grading.components[e] != gring.hom_set
     whole = whole_subobject(entry.gmodule)
     classify_submodule(whole, "g-2a-coprimary", g=e)
-    assert ("submodule_verdict", "g-2a-coprimary", e, whole.members) in entry.gmodule._caches
+    assert ("submodule_verdict", "g-2a-coprimary", e, whole.mask) in entry.gmodule._caches
 
 
 _CAPPED = {
@@ -366,22 +366,25 @@ def test_kernel_matches_oracle_on_standard_corpus(entry):
 
 @pytest.mark.parametrize("entry", build_standard_corpus(), ids=lambda e: e.name)
 def test_unit_orbits_partition_the_ring_into_graded_pieces(entry):
+    # and the module too: its orbit map reads the ring's units through the action
     gring = entry.gring
-    ring, components = gring.ring, gring.grading.components
-    units = [u for u in components[gring.group.identity] if any(v == ring.one for v in ring.mul[u])]
-    for u in units:
-        for comp in components:
-            assert {ring.mul[u][z] for z in comp} <= comp, (u, comp)
-    orbit_min = _orbit_min(gring)
-    classes = {}
-    for z in range(ring.size):
-        classes.setdefault(orbit_min[z], set()).add(z)
-    for rep, members in classes.items():
-        assert members == {ring.mul[u][rep] for u in units}, rep
-        assert rep == min(members)
+    ring = gring.ring
+    units = [u for u in gring.grading.components[gring.group.identity] if any(v == ring.one for v in ring.mul[u])]
+    for ctx in (gring, entry.gmodule):
+        act = ctx.grading.carrier.action
+        for u in units:
+            for comp in ctx.grading.components:
+                assert {act[u][z] for z in comp} <= comp, (u, comp)
+        orbit_min = ctx.orbit_min
+        classes = {}
+        for z in range(ctx.grading.carrier.size):
+            classes.setdefault(orbit_min[z], set()).add(z)
+        for rep, members in classes.items():
+            assert members == {act[u][rep] for u in units}, rep
+            assert rep == min(members)
     if entry.name == "torsion180":
         assert len(units) == 48
-        assert len([x for x in gring.hom if orbit_min[x] == x]) == 18
+        assert len([x for x in gring.hom if gring.orbit_min[x] == x]) == 18
 
 
 _ZMOD_SELF = st.integers(2, 64).map(lambda n: f"ring zmod {n}\nmodule self\n")

@@ -116,6 +116,20 @@ def test_power_sets():
     assert r.power_sets[1] == frozenset({1})
 
 
+@pytest.mark.parametrize("entry", build_standard_corpus(), ids=lambda e: e.name)
+def test_power_sets_match_the_full_length_walk(entry):
+    # the definition: x^1 .. x^|R|, every one of the |R| steps taken
+    ring = entry.gring.ring
+    expected = []
+    for x in range(ring.size):
+        powers, cur = set(), x
+        for _ in range(ring.size):
+            powers.add(cur)
+            cur = ring.mul[cur][x]
+        expected.append(frozenset(powers))
+    assert ring.power_sets == tuple(expected)
+
+
 # ---------------------------------------------------------------------------
 # validate_axioms against a full-broadcast oracle
 # ---------------------------------------------------------------------------

@@ -134,26 +134,31 @@ def test_checkers_record_handles_and_verify_labels_them():
     ]
 
 
-def test_closure_lemma_violations_keep_their_labelled_shapes(monkeypatch):
-    # with combine, colon and span forced to return non-graded handles, every
-    # instance they give is a violation, reported with labels: a pair of
-    # labels, one label or a scalar, as each record had before
+def _forced_closure_details(patch, entry, names=("combine", "colon", "span")):
+    """closure-lemma's violation details on ``entry``, by op, with the
+    propositions-module operators ``names`` patched to return non-graded
+    handles, so that every instance they give is a violation."""
     def ungraded(op):
         return lambda *args: dataclasses.replace(op(*args), graded=False)
 
-    for name in ("combine", "colon", "span"):
-        monkeypatch.setattr(gradedalg.propositions, name, ungraded(getattr(gradedalg.propositions, name)))
-    entry = next(e for e in CORPUS if e.name == "zmod4")
-    ideals, subs, gm = entry.graded_ideals(), entry.graded_submodules(), entry.gmodule
+    for name in names:
+        patch.setattr(gradedalg.propositions, name, ungraded(getattr(gradedalg.propositions, name)))
     details = {}
     for v in verify_proposition("closure-lemma", [entry]).violations:
         assert list(v) == ["entry", "op", "detail"] and v["entry"] == entry.name
         details.setdefault(v["op"], []).append(v["detail"])
+    return details
+
+
+def _zmod4_forced_details():
+    """What ``_forced_closure_details`` gives on zmod4, where labels are indices."""
+    entry = next(e for e in CORPUS if e.name == "zmod4")
+    ideals, subs, gm = entry.graded_ideals(), entry.graded_submodules(), entry.gmodule
 
     def pairs(a, b):
         return [(_members_label(x), _members_label(y)) for x in a for y in b]
 
-    assert details == {
+    return entry, {
         "ideal-sum": pairs(ideals, ideals),
         "ideal-intersect": pairs(ideals, ideals),
         "submodule-sum": pairs(subs, subs),
@@ -163,6 +168,39 @@ def test_closure_lemma_violations_keep_their_labelled_shapes(monkeypatch):
         "scalar-multiple": [r for r in gm.gring.hom for _ in subs],
         "colon-into-module": [_members_label(n) for n in subs],
     }
+
+
+def test_closure_lemma_violations_keep_their_labelled_shapes(monkeypatch):
+    # with combine, colon and span forced to return non-graded handles, every
+    # instance they give is a violation, reported with labels: a pair of
+    # labels, one label or a scalar, as each record had before
+    entry, expected = _zmod4_forced_details()
+    assert _forced_closure_details(monkeypatch, entry) == expected
+
+
+def test_closure_lemma_violations_name_elements_by_label(monkeypatch):
+    # product-z4xz9 labels its elements by pairs, so a table index in a
+    # detail would name another element
+    entry = next(e for e in CORPUS if e.name == "product-z4xz9")
+    subs, gm = entry.graded_submodules(), entry.gmodule
+    ring_labels, module_labels = gm.gring.ring.labels, gm.module.labels
+    details = _forced_closure_details(monkeypatch, entry, ("combine", "colon", "span", "colon_by_element"))
+    assert details["cyclic-span"] == [module_labels[x] for x in gm.hom]
+    assert details["scalar-multiple"] == [ring_labels[r] for r in gm.gring.hom for _ in subs]
+    assert details["colon-by-element"] == [ring_labels[x] for x in gm.gring.hom for _ in subs]
+    for op in ("cyclic-span", "scalar-multiple", "colon-by-element"):
+        assert all(isinstance(d, tuple) and len(d) == 2 for d in details[op]), op
+
+
+def test_closure_lemma_keeps_no_shared_memo_between_checker_and_operators(monkeypatch):
+    # the checker's per-orbit values live for one call: a run before the
+    # patch must not hide the patched operators, and the patched handles
+    # must not reach a later unpatched run
+    assert verify_proposition("closure-lemma", CORPUS).violations == []
+    entry, expected = _zmod4_forced_details()
+    with monkeypatch.context() as patch:
+        assert _forced_closure_details(patch, entry) == expected
+    assert verify_proposition("closure-lemma", CORPUS).violations == []
 
 
 def test_hom_preimage_checker_matches_definitional_recomputation():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from gradedalg import (
     GradedModule,
     GradedRing,
     PreconditionViolation,
+    SubobjectHandle,
     TooLarge,
     annihilator,
     build_standard_corpus,
@@ -18,6 +20,9 @@ from gradedalg import (
     combine,
     enumerate_graded_subobjects,
     graded_radical,
+    hom_image,
+    hom_kernel,
+    hom_preimage,
     ideal_component,
     is_graded,
     localize,
@@ -32,6 +37,7 @@ from gradedalg import (
     zero_subobject,
 )
 from gradedalg.grading import attach_grading, groupring_natural, module_same_as_ring, module_trivial, ring_trivial
+from gradedalg.propositions import _hom_family
 from gradedalg.subobjects import _enumerate_by_generators
 
 
@@ -408,3 +414,65 @@ def test_a_handle_equals_a_rebuilt_handle_on_the_same_carrier():
     # the ring and the ring acting on itself share element indices, not a carrier
     assert h != subobject(gr, h.members)
     assert h != subobject(_z12_self()[1], h.members)
+
+
+# ---------------------------------------------------------------------------
+# the unit-orbit reduction against the per-element definitions: every
+# per-scalar value is computed at the least member of the scalar's orbit
+# ---------------------------------------------------------------------------
+
+_STANDARD = build_standard_corpus()
+
+
+@pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)
+def test_colon_by_element_matches_the_per_element_definition(entry):
+    gm = entry.gmodule
+    act = gm.module.action
+    for x in gm.gring.hom:
+        for k in entry.graded_submodules():
+            expected = {m for m in range(gm.module.size) if act[x][m] in k.members}
+            assert colon_by_element(k, x).members == expected, (x, k)
+
+
+@pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)
+def test_scalar_product_matches_the_per_element_definition(entry):
+    for ctx, subs in ((entry.gring, entry.graded_ideals()), (entry.gmodule, entry.graded_submodules())):
+        act = ctx.grading.carrier.action
+        for a in ctx.gring.hom:
+            for n in subs:
+                assert combine(a, n, "scalar_product").members == {act[a][m] for m in n.members}, (a, n)
+
+
+@pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)
+def test_each_multiplication_hom_has_the_image_kernel_and_preimage_of_its_orbit_hom(entry):
+    # the hom checkers use the first hom of r's unit orbit in place of ×r
+    gm = entry.gmodule
+    module = gm.module
+    for r, f in _hom_family(entry):
+        times_r = module.action[r]  # the identity when r is one
+        assert hom_kernel(f).members == {m for m in range(module.size) if times_r[m] == module.zero}, r
+        for n in entry.graded_submodules():
+            assert hom_image(f, n).members == {times_r[m] for m in n.members}, (r, n)
+            assert hom_preimage(f, n).members == {m for m in range(module.size) if times_r[m] in n.members}, (r, n)
+
+
+@pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)
+def test_the_lattice_from_orbit_minimal_generators_is_the_lattice_from_all(entry):
+    for ctx in (entry.gring, entry.gmodule):
+        # handles compare by mask, so the canonical order must agree too
+        assert enumerate_graded_subobjects(ctx) == _enumerate_by_generators(ctx, ctx.hom, entry.max_elements)
+
+
+@pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)
+def test_a_handle_is_its_mask_and_is_graded_counts_its_members(entry):
+    for ctx in (entry.gring, entry.gmodule):
+        comps = ctx.grading.components
+        # the graded lattice and every cyclic span, graded or not
+        handles = list(enumerate_graded_subobjects(ctx)) + [span({x}, ctx) for x in range(ctx.grading.carrier.size)]
+        for h in handles:
+            derived = SubobjectHandle(ctx, h.mask, h.graded)  # members read off the mask
+            assert derived.members == h.members and derived == h
+            assert sum(1 << m for m in h.members) == h.mask
+            assert derived.sorted_members == h.sorted_members == tuple(sorted(h.members))
+            assert is_graded(h) == h.graded == (len(h.members) == math.prod(len(h.members & c) for c in comps))
+        assert any(not h.graded for h in handles) == (entry.name in ("groupring2-c2", "groupring3-c2"))
