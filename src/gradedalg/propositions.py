@@ -164,17 +164,6 @@ def _hom_family(entry: CorpusEntry):
     return fams
 
 
-def _per_orbit(xs, orbit_min, build):
-    """(x, ``build`` at the least member of x's unit orbit) for every x of
-    ``xs``, built once per orbit and kept for one loop only."""
-    built = {}
-    for x in xs:
-        m = orbit_min[x]
-        if m not in built:
-            built[m] = build(m)
-        yield x, built[m]
-
-
 def _factor_pairs(entry: CorpusEntry, skip: Counter):
     """Yield every pair (N1, N2) of non-zero graded factor submodules.  A zero
     factor makes the factor annihilator improper, and the product statements
@@ -222,15 +211,18 @@ def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
         for k in subs:
             yield graded(combine(n, k, "sum"), "submodule-sum", (n, k))
             yield graded(combine(n, k, "intersect"), "submodule-intersect", (n, k))
-    # R·ux = R·x and (ur)N = rN: one span per module orbit, one rN per ring orbit
-    for x, rx in _per_orbit(gm.hom, gm.orbit_min, lambda m: span({m}, gm)):
-        yield graded(rx, "cyclic-span", module_labels[x])
+    spans = {}  # R·ux = R·x: one span per module orbit, kept for this call only
+    for x in gm.hom:
+        m = gm.orbit_min[x]
+        if m not in spans:
+            spans[m] = span({m}, gm)
+        yield graded(spans[m], "cyclic-span", module_labels[x])
     for i in ideals:
         for n in subs:
             yield graded(combine(i, n, "ideal_product"), "ideal-product", (i, n))
-    for r, rns in _per_orbit(gring.hom, gring.orbit_min, lambda m: [combine(m, n, "scalar_product") for n in subs]):
-        for rn in rns:
-            yield graded(rn, "scalar-multiple", ring_labels[r])
+    for r in gring.hom:
+        for n in subs:
+            yield graded(combine(r, n, "scalar_product"), "scalar-multiple", ring_labels[r])
     whole = whole_subobject(gm)
     for n in subs:
         yield graded(colon(n, whole), "colon-into-module", n)

@@ -90,10 +90,8 @@ def _mask(members) -> int:
 
 def _graded(ctx, mask: int) -> bool:
     """True iff the additive subgroup S with bitmask ``mask`` is graded: the
-    S ∩ M_g sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|.
-    A carrier with one non-zero component is that component."""
-    masks = ctx.component_masks
-    return len(masks) < 2 or mask.bit_count() == prod((mask & c).bit_count() for c in masks)
+    S ∩ M_g sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|."""
+    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)
 
 
 def _handle(ctx, mask: int) -> SubobjectHandle:
@@ -144,10 +142,6 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
             raise PreconditionViolation(f"{op} requires handles over the same carrier")
         if op == "intersect":
             return _handle(a.ctx, a.mask & b.mask)
-        if b <= a:
-            return a
-        if a <= b:
-            return b
         return subobject(a.ctx, _sum(a.members, b.members, a.carrier.add))
     if op == "ideal_product":
         # a: ideal over the scalar ring of b's module
