@@ -21,10 +21,21 @@ from .structfile import parse_structure_dir, parse_structure_file
 from .subobjects import whole_subobject
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gradedalg")
-    top.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS)
-    top.add_argument("--threads", type=int, default=1, help="accepted and ignored; runs are serial")
+    top.add_argument("--max-elements", type=_at_least_one, default=DEFAULT_MAX_ELEMENTS)
+    top.add_argument("--threads", type=_at_least_one, default=1, help="accepted and ignored; runs are serial")
     top.add_argument("--report", choices=("plain", "machine"), default="plain")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
+# no floating-point linear algebra here, and OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .errors import InvalidDescriptor

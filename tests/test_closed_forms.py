@@ -22,11 +22,13 @@ calculus: d and e are read off member sets and the action table, and factored
 by trial division here.
 """
 import math
+from pathlib import Path
 
 import pytest
 
 from gradedalg import (
     IDEAL_PREDICATES,
+    build_standard_corpus,
     classify_ideal,
     classify_submodule,
     coprimary_via_characterization,
@@ -35,6 +37,7 @@ from gradedalg import (
     make_ring,
 )
 from gradedalg.grading import module_trivial, ring_trivial
+from gradedalg.structfile import parse_structure_dir
 
 
 def _exponents(d):
@@ -163,3 +166,50 @@ def test_submodule_verdicts_match_the_closed_forms_up_to_60():
     bad, count = _submodule_mismatches(range(2, 61))
     assert bad == []
     assert count == 3801
+
+
+# The local-ring law.  If every homogeneous non-unit of R is nilpotent, every
+# non-zero graded N is 2-absorbing coprimary and every proper graded ideal is
+# primary.  For xyN ⊆ K: a non-unit x has x^m = 0 in (K :_R N), so x is in its
+# graded radical; if x and y are both units, N = (xy)^-1 xyN ⊆ K.  For ab ∈ P
+# with a ∉ P: b is not a unit, or a = ab·b^-1 would lie in P, so b is nilpotent.
+# The condition is read off the tables alone: a unit's mul row holds the one,
+# and a nilpotent's powers hold the zero.
+
+def _homogeneous_non_units_are_nilpotent(gring):
+    ring = gring.ring
+    return all(
+        ring.one in ring.mul[x] or ring.zero in ring.power_sets[x]
+        for component in gring.grading.components for x in component
+    )
+
+
+_LAW_CORPORA = {
+    "standard": build_standard_corpus(),
+    "structures": parse_structure_dir(Path(__file__).resolve().parents[1] / "structures"),
+}
+
+
+def test_the_local_ring_condition_is_met_by_the_local_and_natural_entries():
+    qualifying = {
+        name: [Path(e.name).stem for e in corpus if _homogeneous_non_units_are_nilpotent(e.gring)]
+        for name, corpus in _LAW_CORPORA.items()
+    }
+    assert qualifying == {
+        "standard": ["zmod4", "zmod8", "zmod9", "groupring2-c2", "groupring3-c2", "z2-plane"],
+        "structures": ["groupring2"],
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for corpus in _LAW_CORPORA.values() for e in corpus if _homogeneous_non_units_are_nilpotent(e.gring)],
+    ids=lambda e: Path(e.name).stem,
+)
+def test_the_local_ring_law(entry):
+    submodules = [n for n in entry.graded_submodules() if not n.is_zero]
+    ideals = [p for p in entry.graded_ideals() if not p.is_whole]
+    assert submodules and ideals
+    assert [n for n in submodules if not classify_submodule(n, "2a-coprimary-def").value] == []
+    assert [n for n in submodules if not coprimary_via_characterization(n).value] == []
+    assert [p for p in ideals if not classify_ideal(p, "primary").value] == []

@@ -210,6 +210,58 @@ def test_the_check_sees_an_import_of_classifiers():
     assert _imports_of(tree, "classifiers") == [2, 3, 4]
 
 
+def _package_imports(tree: ast.AST, package: str) -> list:
+    """Lines of ``tree`` that import the top-level package ``package`` or a
+    submodule of it."""
+    return sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == package for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == package
+    })
+
+
+def _sets_blas_default(node: ast.stmt) -> bool:
+    return (
+        isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "os.environ.setdefault"
+        and isinstance(node.value.args[0], ast.Constant) and node.value.args[0].value == "OPENBLAS_NUM_THREADS"
+    )
+
+
+def _blas_default_before_numpy(tree: ast.Module) -> bool:
+    """Whether a top-level ``os.environ.setdefault("OPENBLAS_NUM_THREADS", …)``
+    comes before the first top-level statement that imports numpy."""
+    for node in tree.body:
+        if _sets_blas_default(node):
+            return True
+        if _package_imports(node, "numpy"):
+            return False
+    return False
+
+
+def test_only_core_imports_numpy_and_after_the_blas_default():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it; a second
+    # module that imported numpy first would bring back its thread pool
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if _package_imports(_parse(p), "numpy")] == ["core.py"]
+    assert _blas_default_before_numpy(_parse(PACKAGE / "core.py"))
+
+
+def test_the_check_sees_numpy_imported_before_the_blas_default():
+    tree = ast.parse(
+        "import os\nimport numpy.linalg\nfrom numpy import zeros\nfrom .core import numpy\n"
+        "def f():\n    import numpy as np\n"
+    )
+    assert _package_imports(tree, "numpy") == [2, 3, 6]
+    default = 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n'
+    assert _blas_default_before_numpy(ast.parse("import os\n" + default + "import numpy as np\n"))
+    assert not _blas_default_before_numpy(ast.parse("import os\nimport numpy as np\n" + default))
+    assert not _blas_default_before_numpy(ast.parse("import os\nos.environ.setdefault('OMP_NUM_THREADS', '1')\n"
+                                                    "import numpy as np\n"))
+    # an assignment would override a value the user exported
+    assert not _blas_default_before_numpy(ast.parse("import os\nos.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+                                                    "import numpy as np\n"))
+
+
 def test_the_package_data_ships_every_standard_corpus_file():
     # without the package-data entry a non-editable install has no standard corpus
     tomllib = pytest.importorskip("tomllib")

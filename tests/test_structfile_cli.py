@@ -245,6 +245,17 @@ def test_cli_verify_single_prop():
     assert suite[0] == suite[1] and suite[0][1]
 
 
+@pytest.mark.parametrize("flag", ["--threads", "--max-elements"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_rejects_a_count_flag_below_one(capsys, flag, value):
+    # --threads -3 used to run, and --max-elements 0 blamed the first corpus file
+    code, out = _run([flag, value, "--report", "machine", "verify", "--prop", "ann-2AP"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradedalg ")
+    assert err.endswith(f"error: argument {flag}: must be at least 1, got {value}\n")
+
+
 def test_cli_verify_unknown_prop_exits_2(capsys):
     code, _ = _run(["verify", "--prop", "unknown-name"])
     assert code == 2
@@ -485,6 +496,39 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert missing.stderr.count("\n") == 1
     # the package must not import gradedalg.cli, or runpy warns before running it
     assert "RuntimeWarning" not in verified.stderr + missing.stderr
+
+
+_THREAD_PROBE = """\
+import io, json, os
+import gradedalg
+imported = len(os.listdir("/proc/self/task"))
+from gradedalg.cli import run_cli
+code = run_cli(["--report", "machine", "verify", "--prop", "ann-2AP"], out=io.StringIO())
+print(json.dumps([imported, len(os.listdir("/proc/self/task")), code, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+def test_a_cold_run_has_one_os_thread():
+    # numpy's OpenBLAS would start a busy-waiting worker per extra CPU for linear
+    # algebra the package never does, unless core sets its default first. This
+    # process imported core and holds that default, so the child starts without it.
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(ROOT / "src")
+
+    def probe(**extra):
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], cwd=ROOT, env={**env, **extra},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    assert probe() == [1, 1, 0, "1"]
+    # a value the user exported wins, and the count sees the pool it asks for
+    imported, verified, code, value = probe(OPENBLAS_NUM_THREADS="2")
+    assert (code, value) == (0, "2")
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert imported == verified == 2
 
 
 def test_unreadable_structure_file_exits_2(tmp_path, capsys):
