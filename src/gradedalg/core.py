@@ -130,13 +130,23 @@ def _product_table(t1, t2, s2: int) -> np.ndarray:
     return out.reshape(t1.shape[0] * t2.shape[0], t1.shape[1] * t2.shape[1])
 
 
+def _digit_add(radices) -> np.ndarray:
+    """The add table of Z/m_1 x ... x Z/m_k on :func:`_digits`' indices: the
+    iterated product table of the cyclic add tables."""
+    out = np.zeros((1, 1), np.int64)
+    for m in radices:
+        a = np.arange(m)
+        out = _product_table(out, (a[:, None] + a) % m, m)
+    return out
+
+
 def _table(a: np.ndarray) -> tuple:
     """A table as a tuple of tuples of ints.  Its values are elements of the
-    carrier its columns index; each row is mapped through one shared tuple of
-    those ints, so the table holds no per-cell int objects (a whole-array
-    ``tolist()`` would make about n^2 of them)."""
-    ints = tuple(range(a.shape[1]))
-    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in a)
+    carrier its columns index; each block of 64 rows is gathered from one
+    object array of those ints, so the table holds no per-cell int objects (a
+    whole-array ``tolist()`` would make about n^2 of them)."""
+    ints = np.array(range(a.shape[1]), dtype=object)
+    return tuple(tuple(row) for lo in range(0, len(a), 64) for row in ints[a[lo:lo + 64]].tolist())
 
 
 def make_group(spec) -> GradingGroup:
@@ -156,8 +166,7 @@ def make_group(spec) -> GradingGroup:
         n = spec[1]
         if not isinstance(n, int) or n <= 0:
             raise InvalidDescriptor(f"cyclic order must be a positive integer, got {n!r}")
-        a = np.arange(n)
-        return GradingGroup(tuple(range(n)), _table((a[:, None] + a) % n), 0,
+        return GradingGroup(tuple(range(n)), _table(_digit_add((n,))), 0,
                             tuple((-i) % n for i in range(n)))
     if kind == "product":
         g1 = make_group(spec[1])
@@ -188,7 +197,7 @@ def make_ring(spec) -> FiniteRing:
         if not isinstance(n, int) or n < 2:
             raise InvalidDescriptor(f"zmod modulus must be >= 2, got {n!r}")
         a = np.arange(n)
-        return FiniteRing(tuple(range(n)), _table((a[:, None] + a) % n),
+        return FiniteRing(tuple(range(n)), _table(_digit_add((n,))),
                           _table(a[:, None] * a % n), 0, 1 % n)
     if kind == "groupring":
         p, group = spec[1], make_group(spec[2])
@@ -196,10 +205,15 @@ def make_ring(spec) -> FiniteRing:
             raise InvalidDescriptor(f"group ring coefficient modulus must be prime, got {p!r}")
         k = group.size
         d, places = _digits((p,) * k)
-        op = np.asarray(group.op)
-        # coefficient g of a*b is the sum of a_i b_j over op[i][j] == g
-        add = sum((d[:, None, g] + d[None, :, g]) % p * w for g, w in enumerate(places))
-        mul = sum((d @ (op == g) @ d.T) % p * w for g, w in enumerate(places))
+        add = _digit_add((p,) * k)
+        # mul by linearity, places filled from the last up: the row of e_t moves
+        # coefficient j of b to t*j, and with a' below place t the rows of
+        # c*e_t + a' are add[rows of (c-1)*e_t + a', row of e_t]
+        mul = np.zeros_like(add)
+        for t in reversed(range(k)):
+            w, row = places[t], d @ np.take(places, group.op[t])
+            for c in range(1, p):
+                mul[c * w:(c + 1) * w] = add[mul[(c - 1) * w:c * w], row]
         return FiniteRing(tuple(itertools.product(range(p), repeat=k)), _table(add),
                           _table(mul), 0, places[group.identity])
     if kind == "product":
@@ -241,12 +255,11 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
                 )
         d, places = _digits(ms)
         r = np.arange(n)[:, None]
-        add, action = np.zeros((len(d), len(d)), np.int64), np.zeros((n, len(d)), np.int64)
+        action = np.zeros((n, len(d)), np.int64)
         for t, (m, w) in enumerate(zip(ms, places)):
-            add += (d[:, None, t] + d[None, :, t]) % m * w
             action += r * d[None, :, t] % m * w
         return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))),
-                            _table(add), 0, _table(action))
+                            _table(_digit_add(ms)), 0, _table(action))
     if kind == "product":
         m1, m2 = spec[1], spec[2]
         n2 = m2.size
@@ -295,16 +308,17 @@ def _law_mismatch(rows):
 
 def _generators(t: np.ndarray):
     """The greedy index-order generating set of the carrier under table ``t``:
-    each element outside the closure of the earlier picks is picked.  In a
-    group each pick at least doubles the closure, so past floor(log2 n) + 1
-    picks the search gives up and returns None."""
+    each element outside the closure of the earlier picks is picked.  Index 0,
+    the zero of every built table, comes last: in a group the closure of the
+    other picks reaches it.  Then each non-zero pick at least doubles the
+    closure, so past floor(log2 n) of them the search gives up and returns None."""
     n = len(t)
     inside, closure = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
     picks, size, done = [], 0, 0
-    for g in range(n):
+    for g in (*range(1, n), 0):
         if inside[g]:
             continue
-        if len(picks) == n.bit_length():
+        if g and len(picks) == n.bit_length() - 1:
             return None
         picks.append(g)
         inside[g], closure[size], size = True, g, size + 1

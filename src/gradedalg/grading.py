@@ -205,14 +205,12 @@ def module_trivial(module: FiniteModule, gring: GradedRing) -> GradedModule:
 
 def groupring_natural(ring: FiniteRing, group: GradingGroup) -> GradedRing:
     """Natural grading of a group ring: component g = the coefficient line of g."""
-    k = group.size
-    assignment = {}
-    for g in range(k):
-        comp = set()
-        for i, lab in enumerate(ring.labels):
-            if all(c == 0 for t, c in enumerate(lab) if t != g):
-                comp.add(i)
-        assignment[g] = comp
+    assignment = {g: set() for g in range(group.size)}
+    for i, lab in enumerate(ring.labels):
+        support = [t for t, c in enumerate(lab) if c]
+        if len(support) <= 1:  # homogeneous; the zero label lies in every component
+            for g in support or assignment:
+                assignment[g].add(i)
     grading = attach_grading(ring, group, assignment)
     return GradedRing(ring, grading)
 

@@ -77,12 +77,10 @@ class VerificationReport:
         )
 
     def to_plain(self) -> str:
-        lines = [f"[{self.prop_id}] {self.status.upper()}"]
-        lines.append(f"  instances: {self.instances}")
         reasons = ", ".join(f"{k}: {v}" for k, v in sorted(self.skipped.items()))
-        lines.append(f"  skipped:   {sum(self.skipped.values())}" + (f" ({reasons})" if reasons else ""))
-        for v in self.violations[:10]:
-            lines.append(f"  violation: {v}")
+        lines = [f"[{self.prop_id}] {self.status.upper()}", f"  instances: {self.instances}",
+                 f"  skipped:   {sum(self.skipped.values())}" + (f" ({reasons})" if reasons else "")]
+        lines += (f"  violation: {v}" for v in self.violations[:10])
         if len(self.violations) > 10:
             lines.append(f"  ... {len(self.violations) - 10} more violations")
         lines.append(f"  wall:      {self.wall_time:.2f}s")
@@ -203,14 +201,12 @@ def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
     def graded(handle, what, detail):
         return None if handle.graded else {"op": what, "detail": detail}
 
-    for i in ideals:
-        for j in ideals:
-            yield graded(combine(i, j, "sum"), "ideal-sum", (i, j))
-            yield graded(combine(i, j, "intersect"), "ideal-intersect", (i, j))
-    for n in subs:
-        for k in subs:
-            yield graded(combine(n, k, "sum"), "submodule-sum", (n, k))
-            yield graded(combine(n, k, "intersect"), "submodule-intersect", (n, k))
+    for objs, kind in ((ideals, "ideal"), (subs, "submodule")):
+        add, meet = kind + "-sum", kind + "-intersect"
+        for a in objs:
+            for b in objs:
+                yield graded(combine(a, b, "sum"), add, (a, b))
+                yield graded(combine(a, b, "intersect"), meet, (a, b))
     spans = {}  # R·ux = R·x: one span per module orbit, kept for this call only
     for x in gm.hom:
         m = gm.orbit_min[x]
@@ -319,18 +315,20 @@ def _ideal_pair_checker(key: str, reason: str, second):
     lies in Grad(K :_R N), or I_g J_g annihilates N", I over the graded
     ideals.  ``second(gm, g, good, rows)`` lists the J as rows (J, members,
     J_g, the K whose radical holds J_g), given ``rows`` of the graded ideals;
-    a violation record names J under ``key``."""
+    a violation record names J under ``key``.  Sets keep one element per
+    unit orbit: (uy)IN = yIN, good is orbit-constant, Ann(N) an ideal."""
     def check(entry: CorpusEntry):
         inst, skip, bad = 0, Counter(), []
         gm = entry.gmodule
-        ideals = entry.graded_ideals()
         subs = entry.graded_submodules()
         full = (1 << len(subs)) - 1
-        mul = gm.gring.ring.mul
-        misses = 0
+        mul, orbit_min = gm.gring.ring.mul, gm.gring.orbit_min
+        ideals, comps, misses = entry.graded_ideals(), {}, 0
         for g, n, good, ann in _g_coprimary(entry, skip):
-            comps = [ideal_component(i, g) for i in ideals]
-            rows = [(i, i.members, ig, reduce(and_, (good[y] for y in ig), full)) for i, ig in zip(ideals, comps)]
+            if g not in comps:
+                comps[g] = [(i, {orbit_min[x] for x in i.members}, {orbit_min[x] for x in ideal_component(i, g)})
+                            for i in ideals]
+            rows = [(i, im, ig, reduce(and_, (good[y] for y in ig), full)) for i, im, ig in comps[g]]
             js = second(gm, g, good, rows)
             for i, _, ig, ig_good in rows:
                 in_handle = gm.memo(("IN", i.mask, n.mask), lambda: combine(i, n, "ideal_product"))
@@ -505,19 +503,15 @@ def _parse_expr(text: str):
         pos += 1
         return tok
 
-    def parse_or():
-        node = parse_and()
-        while peek() == "or":
+    def parse_binary(op, operand):
+        node = operand()
+        while peek() == op:
             take()
-            node = ("or", node, parse_and())
+            node = (op, node, operand())
         return node
 
-    def parse_and():
-        node = parse_not()
-        while peek() == "and":
-            take()
-            node = ("and", node, parse_not())
-        return node
+    def parse_or():
+        return parse_binary("or", lambda: parse_binary("and", parse_not))
 
     def parse_not():
         if peek() == "not":
@@ -585,11 +579,8 @@ def search_counterexample(expr: str, corpus, budget: int = 10**6):
         for entry in corpus:
             for n in _nonzero_subs(entry):
                 if holds(node, n, entry):
-                    return {
-                        "entry": entry.name,
-                        "members": [element_token(n.carrier.labels[i]) for i in n.sorted_members],
-                        "handle": n,
-                    }
+                    members = [element_token(n.carrier.labels[i]) for i in n.sorted_members]
+                    return {"entry": entry.name, "members": members, "handle": n}
     except _BudgetExhausted:
-        return None
+        pass
     return None

@@ -507,6 +507,30 @@ def test_make_product_module_matches_per_element_oracle(specs1, specs2):
     assert validate_axioms(got).ok
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", [("groupring", 3, ("cyclic", 6)), ("groupring", 5, ("cyclic", 4))],
+                         ids=["f3-c6", "f5-c4"])
+def test_make_ring_matches_per_element_oracle_beyond_the_cap(spec):
+    # 729 and 625 elements: carries with coefficients up to p - 1 over more
+    # places than the tier-1 range reaches
+    _assert_same_tables(make_ring(spec), _oracle_make_ring(spec))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: make_ring(_F2C9).add,
+        lambda: make_ring(_F2C9).mul,
+        lambda: make_ring(("zmod", 512)).add,
+        lambda: make_module(("directsum",) + (2,) * 9, make_ring(("zmod", 2))).add,
+    ],
+    ids=["f2-c9-add", "f2-c9-mul", "zmod-512-add", "directsum-2x9-add"],
+)
+def test_a_table_holds_at_most_n_int_objects(table):
+    t = table()
+    assert len({id(v) for row in t for v in row}) <= len(t[0]) == 512
+
+
 def test_groupring_construction_memory_is_row_by_row():
     # 512^2-cell tables as tuples of shared ints take about 4.3 MB and the
     # build peaks near 9 MB; converting each whole array with tolist() makes
@@ -588,8 +612,8 @@ def test_generators_generate_every_table_of_the_families_within_the_bound(table)
 
 
 def test_generators_of_f2_c9_and_zmod_n():
-    assert core._generators(np.asarray(make_ring(_F2C9).add)) == [0] + [2 ** k for k in range(9)]
-    assert core._generators(np.asarray(make_ring(("zmod", 512)).add)) == [0, 1]
+    assert core._generators(np.asarray(make_ring(_F2C9).add)) == [2 ** k for k in range(9)]
+    assert core._generators(np.asarray(make_ring(("zmod", 512)).add)) == [1]
 
 
 class _CountedTable:
