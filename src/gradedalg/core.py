@@ -47,15 +47,33 @@ class GradingGroup:
         return len(self.labels)
 
 
+def _store(structure, *fields) -> None:
+    """Normalise the named table fields of a frozen structure to its one stored
+    form: a read-only array in the narrowest unsigned dtype that holds every
+    index of the carrier its columns index.  Takes arrays or nested tuples; an
+    array already in that form is kept as it is, so structures can share it."""
+    for name in fields:
+        table = np.asarray(getattr(structure, name))
+        table = table.astype(np.min_scalar_type(table.shape[1] - 1), copy=False)
+        table.flags.writeable = False
+        object.__setattr__(structure, name, table)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
-    """A finite commutative ring with unity, as addition/multiplication tables."""
+    """A finite commutative ring with unity, as addition/multiplication tables.
+
+    The arrays are the stored tables; ``add`` and ``mul`` are their tuple rows,
+    built the first time a kernel reads them."""
 
     labels: tuple
-    add: tuple
-    mul: tuple
+    add_array: np.ndarray
+    mul_array: np.ndarray
     zero: int
     one: int
+
+    def __post_init__(self):
+        _store(self, "add_array", "mul_array")
 
     @property
     def size(self) -> int:
@@ -65,10 +83,22 @@ class FiniteRing:
     def index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    @cached_property
+    def add(self) -> tuple:
+        return _table(self.add_array)
+
+    @cached_property
+    def mul(self) -> tuple:
+        return _table(self.mul_array)
+
     @property
     def action(self) -> tuple:
         """The ring acting on itself, as a module over itself: action[r][x] = r*x."""
         return self.mul
+
+    @property
+    def action_array(self) -> np.ndarray:
+        return self.mul_array
 
     @cached_property
     def power_sets(self) -> tuple:
@@ -91,13 +121,18 @@ class FiniteRing:
 
 @dataclass(frozen=True, eq=False)
 class FiniteModule:
-    """A finite unital module over a :class:`FiniteRing`, as explicit tables."""
+    """A finite unital module over a :class:`FiniteRing`, as explicit tables
+    stored as a ring's are.  The ring acting on itself shares the ring's
+    arrays, and so its tuple rows."""
 
     ring: FiniteRing
     labels: tuple
-    add: tuple
+    add_array: np.ndarray
     zero: int
-    action: tuple  # action[r][m] -> module element index
+    action_array: np.ndarray  # action_array[r, m] -> module element index
+
+    def __post_init__(self):
+        _store(self, "add_array", "action_array")
 
     @property
     def size(self) -> int:
@@ -106,6 +141,16 @@ class FiniteModule:
     @cached_property
     def index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def add(self) -> tuple:
+        ring = self.ring
+        return ring.add if self.add_array is ring.add_array else _table(self.add_array)
+
+    @cached_property
+    def action(self) -> tuple:
+        ring = self.ring
+        return ring.mul if self.action_array is ring.mul_array else _table(self.action_array)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +169,11 @@ def _digits(radices):
 def _product_table(t1, t2, s2: int) -> np.ndarray:
     """The componentwise table of two tables under the product index convention
     (i1, i2) -> i1*s2 + i2, where s2 is the size of the carrier t2's values
-    lie in: serves group op, ring add and mul, module add and action."""
-    t1, t2 = np.asarray(t1, dtype=np.int64), np.asarray(t2, dtype=np.int64)
+    lie in: serves group op, ring add and mul, module add and action.  The
+    values lie in the carrier the columns index, so the table is built in the
+    narrowest unsigned dtype that holds its column indices (and s2)."""
+    dtype = np.min_scalar_type(max(np.shape(t1)[1] * s2 - 1, s2))
+    t1, t2 = np.asarray(t1).astype(dtype), np.asarray(t2).astype(dtype)
     out = t1[:, None, :, None] * s2 + t2[None, :, None, :]
     return out.reshape(t1.shape[0] * t2.shape[0], t1.shape[1] * t2.shape[1])
 
@@ -133,18 +181,20 @@ def _product_table(t1, t2, s2: int) -> np.ndarray:
 def _digit_add(radices) -> np.ndarray:
     """The add table of Z/m_1 x ... x Z/m_k on :func:`_digits`' indices: the
     iterated product table of the cyclic add tables."""
-    out = np.zeros((1, 1), np.int64)
+    out = np.zeros((1, 1), np.uint8)
     for m in radices:
-        a = np.arange(m)
+        a = np.arange(m, dtype=np.min_scalar_type(2 * (m - 1)))  # wide enough for the sums
         out = _product_table(out, (a[:, None] + a) % m, m)
     return out
 
 
 def _table(a: np.ndarray) -> tuple:
-    """A table as a tuple of tuples of ints.  Its values are elements of the
-    carrier its columns index; each block of 64 rows is gathered from one
-    object array of those ints, so the table holds no per-cell int objects (a
-    whole-array ``tolist()`` would make about n^2 of them)."""
+    """A table as a tuple of tuples of ints: a group's op, and the tuple rows
+    of a ring or module array, built the first time a kernel reads them.  Its
+    values are elements of the carrier its columns index; each block of 64
+    rows is gathered from one object array of those ints, so the table holds
+    no per-cell int objects (a whole-array ``tolist()`` would make about n^2
+    of them)."""
     ints = np.array(range(a.shape[1]), dtype=object)
     return tuple(tuple(row) for lo in range(0, len(a), 64) for row in ints[a[lo:lo + 64]].tolist())
 
@@ -196,9 +246,8 @@ def make_ring(spec) -> FiniteRing:
         n = spec[1]
         if not isinstance(n, int) or n < 2:
             raise InvalidDescriptor(f"zmod modulus must be >= 2, got {n!r}")
-        a = np.arange(n)
-        return FiniteRing(tuple(range(n)), _table(_digit_add((n,))),
-                          _table(a[:, None] * a % n), 0, 1 % n)
+        a = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))  # wide enough for the products
+        return FiniteRing(tuple(range(n)), _digit_add((n,)), a[:, None] * a % n, 0, 1 % n)
     if kind == "groupring":
         p, group = spec[1], make_group(spec[2])
         if not _is_prime(p):
@@ -214,16 +263,15 @@ def make_ring(spec) -> FiniteRing:
             w, row = places[t], d @ np.take(places, group.op[t])
             for c in range(1, p):
                 mul[c * w:(c + 1) * w] = add[mul[(c - 1) * w:c * w], row]
-        return FiniteRing(tuple(itertools.product(range(p), repeat=k)), _table(add),
-                          _table(mul), 0, places[group.identity])
+        return FiniteRing(tuple(itertools.product(range(p), repeat=k)), add, mul, 0, places[group.identity])
     if kind == "product":
         r1 = make_ring(spec[1])
         r2 = make_ring(spec[2])
         n2 = r2.size
         # index convention relied on by product gradings/submodules: (i1, i2) -> i1*n2 + i2
         return FiniteRing(tuple(itertools.product(r1.labels, r2.labels)),
-                          _table(_product_table(r1.add, r2.add, n2)),
-                          _table(_product_table(r1.mul, r2.mul, n2)),
+                          _product_table(r1.add_array, r2.add_array, n2),
+                          _product_table(r1.mul_array, r2.mul_array, n2),
                           r1.zero * n2 + r2.zero, r1.one * n2 + r2.one)
     raise InvalidDescriptor(f"unknown ring descriptor kind: {kind!r}")
 
@@ -240,7 +288,7 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
         raise InvalidDescriptor(f"bad module descriptor: {spec!r}")
     kind = spec[0]
     if kind == "self":
-        return FiniteModule(ring, ring.labels, ring.add, ring.zero, ring.mul)
+        return FiniteModule(ring, ring.labels, ring.add_array, ring.zero, ring.mul_array)
     if kind == "directsum":
         ms = spec[1:]
         if ring.labels != tuple(range(ring.size)):
@@ -258,8 +306,7 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
         action = np.zeros((n, len(d)), np.int64)
         for t, (m, w) in enumerate(zip(ms, places)):
             action += r * d[None, :, t] % m * w
-        return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))),
-                            _table(_digit_add(ms)), 0, _table(action))
+        return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))), _digit_add(ms), 0, action)
     if kind == "product":
         m1, m2 = spec[1], spec[2]
         n2 = m2.size
@@ -267,9 +314,32 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
         if ring.labels != expected:
             raise InvalidDescriptor("product module requires the product of the factor rings")
         return FiniteModule(ring, tuple(itertools.product(m1.labels, m2.labels)),
-                            _table(_product_table(m1.add, m2.add, n2)), m1.zero * n2 + m2.zero,
-                            _table(_product_table(m1.action, m2.action, n2)))
+                            _product_table(m1.add_array, m2.add_array, n2), m1.zero * n2 + m2.zero,
+                            _product_table(m1.action_array, m2.action_array, n2))
     raise InvalidDescriptor(f"unknown module descriptor kind: {kind!r}")
+
+
+def image(table: np.ndarray, rows, cols, inside=None) -> tuple:
+    """``table[r, c]`` over r in ``rows`` and c in ``cols`` (sized iterables of
+    indices, read in their iteration order) as one whole-array gather.
+
+    Returns the frozenset of the values reached and, unless ``inside`` is
+    None, the first (r, c) in that row-major order whose value is not in
+    ``inside``, or None when every value is.
+    """
+    rows, cols = np.fromiter(rows, np.intp, len(rows)), np.fromiter(cols, np.intp, len(cols))
+    cells = table[rows[:, None], cols]
+    reached = np.zeros(table.shape[1], dtype=bool)
+    reached[cells] = True
+    outside = None
+    if inside is not None:
+        allowed = np.zeros(table.shape[1], dtype=bool)
+        allowed[np.fromiter(inside, np.intp, len(inside))] = True
+        bad = np.flatnonzero(~allowed[cells])
+        if len(bad):
+            i, j = divmod(int(bad[0]), len(cols))
+            outside = (int(rows[i]), int(cols[j]))
+    return frozenset(np.flatnonzero(reached).tolist()), outside
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +454,16 @@ def validate_axioms(structure) -> ValidationReport:
     Otherwise (a prerequisite failed or the search for S gave up), or when a
     slice fails, the law is scanned row by row over its first argument in
     O(n^2) memory.  Only that scan gives a witness, the law's first mismatch in
-    C order, e.g. ``(a, b, c)``: a failing slice at c need not contain it.  The
-    tables are held in the narrowest unsigned dtype that fits every index; the
-    checks only gather and compare, so verdicts and witnesses do not depend on it.
+    C order, e.g. ``(a, b, c)``: a failing slice at c need not contain it.  A
+    ring or module is checked on its stored read-only arrays, each in the
+    narrowest unsigned dtype that holds its carrier's indices, and builds no
+    tuple rows; a group's op is copied into one such array.  The checks only
+    gather and compare, so verdicts and witnesses do not depend on the dtype.
     """
     failures = []
     if isinstance(structure, GradingGroup):
         n = structure.size
-        op = np.asarray(structure.op, dtype=np.min_scalar_type(n))
+        op = np.asarray(structure.op, dtype=np.min_scalar_type(n - 1))
         _record(failures, "group-associativity", _assoc(op, op, _generators(op)))
         e = structure.identity
         if _first_mismatch(op[e], np.arange(n)) is not None or _first_mismatch(
@@ -405,9 +477,7 @@ def validate_axioms(structure) -> ValidationReport:
 
     if isinstance(structure, FiniteRing):
         n = structure.size
-        dtype = np.min_scalar_type(n)
-        add = np.asarray(structure.add, dtype=dtype)
-        mul = np.asarray(structure.mul, dtype=dtype)
+        add, mul = structure.add_array, structure.mul_array
         gens = _check_abelian_group(failures, add, structure.zero, "ring")[0]
         distributivity = _distrib(mul, add, gens)
         _record(failures, "mul-associativity", _assoc(mul, mul, gens if distributivity is None else None))
@@ -420,11 +490,7 @@ def validate_axioms(structure) -> ValidationReport:
 
     if isinstance(structure, FiniteModule):
         ring = structure.ring
-        dtype = np.min_scalar_type(max(structure.size, ring.size))
-        add = np.asarray(structure.add, dtype=dtype)
-        radd = np.asarray(ring.add, dtype=dtype)
-        rmul = np.asarray(ring.mul, dtype=dtype)
-        act = np.asarray(structure.action, dtype=dtype)
+        add, act, radd, rmul = structure.add_array, structure.action_array, ring.add_array, ring.mul_array
         gens, commutative = _check_abelian_group(failures, add, structure.zero, "module")
         over_module_add = _distrib(act, add, gens)
         _record(failures, "action-distributes-over-module-add", over_module_add)
@@ -447,13 +513,13 @@ def first_invalid(group: GradingGroup, ring: FiniteRing, module: FiniteModule):
     failing :class:`ValidationReport`, or None when all three are valid.
 
     The module is skipped when it is the ring acting on itself (it shares the
-    ring's add and mul tables): its additive group is the ring's, r(m+m') is
+    ring's add and mul arrays): its additive group is the ring's, r(m+m') is
     distributivity, (r+r')m is distributivity plus commutativity, (rr')m is
     associativity and the unital action is one-identity.
     """
     structures = [group, ring]
-    if not (module.ring is ring and module.add is ring.add and module.action is ring.mul
-            and module.zero == ring.zero):
+    if not (module.ring is ring and module.add_array is ring.add_array
+            and module.action_array is ring.mul_array and module.zero == ring.zero):
         structures.append(module)
     for structure in structures:
         report = validate_axioms(structure)

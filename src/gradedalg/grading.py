@@ -1,6 +1,6 @@
 """Gradings on rings and modules: validated component sets (a grading stores
-nothing else), the coset sum ``_sum`` that builds every additive subgroup in
-the package, and the graded-carrier wrapper objects used by the rest of it,
+nothing else), the coset sum ``_sum`` that builds every subobject's member
+set, and the graded-carrier wrapper objects used by the rest of the package,
 which also hold the component masks and the unit-orbit map ``orbit_min``.
 """
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteModule, FiniteRing, GradingGroup, make_group
+from .core import FiniteModule, FiniteRing, GradingGroup, image, make_group
 from .errors import GradingInvalid
 
 
@@ -41,6 +41,11 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     element indices.  For a module grading, ``ring_grading`` must be the
     already-validated grading of the scalar ring over the same group.
 
+    Component closure, the direct-sum count and R_g M_h ⊆ M_gh are
+    whole-array gathers on the carrier's stored arrays (:func:`image`), so
+    grading builds no tuple rows.  Each witness is the first failing cell
+    with the components read in their frozenset iteration order.
+
     Raises :class:`GradingInvalid` naming the violated axiom and a witness.
     """
     is_ring = isinstance(carrier, FiniteRing)
@@ -51,7 +56,7 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     if not is_ring and ring_grading.group is not group:
         raise GradingInvalid("grading-group-mismatch")
 
-    add = carrier.add
+    add = carrier.add_array
     zero = carrier.zero
     n = carrier.size
 
@@ -67,16 +72,15 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     for g, comp in enumerate(components):
         if zero not in comp:
             raise GradingInvalid("component-missing-zero", (g,))
-        for a in comp:
-            for b in comp:
-                if add[a][b] not in comp:
-                    raise GradingInvalid("component-not-closed-under-add", (g, a, b))
+        outside = image(add, comp, comp, comp)[1]
+        if outside is not None:
+            raise GradingInvalid("component-not-closed-under-add", (g, *outside))
 
     # direct sum: each M_g meets the sum of those before it in 0, and all give M
     total = frozenset({zero})
     for g, comp in enumerate(components):
         before = len(total)
-        total = _sum(total, comp, add)
+        total = image(add, total, comp)[0]
         if len(total) < before * len(comp):
             raise GradingInvalid("direct-sum-collision", (g,))
     if len(total) != n:
@@ -87,14 +91,12 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     # R_g acting on M_h lands in M_gh, where a ring is M = R acting on itself
     rcomps = components if is_ring else ring_grading.components
     axiom = "component-product-escapes" if is_ring else "action-escapes-component"
-    action = carrier.action
+    action = carrier.action_array
     for g in range(group.size):
         for h in range(group.size):
-            gh = group.op[g][h]
-            for r in rcomps[g]:
-                for m in components[h]:
-                    if action[r][m] not in components[gh]:
-                        raise GradingInvalid(axiom, (g, h, r, m))
+            outside = image(action, rcomps[g], components[h], components[group.op[g][h]])[1]
+            if outside is not None:
+                raise GradingInvalid(axiom, (g, h, *outside))
 
     return Grading(group, carrier, tuple(components))
 

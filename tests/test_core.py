@@ -16,9 +16,12 @@ from gradedalg import (
     make_module,
     make_ring,
     parse_structure_file,
+    parse_structure_text,
     validate_axioms,
 )
+from gradedalg.constructions import localize_module
 from gradedalg.core import FiniteModule, FiniteRing, GradingGroup, ValidationReport, first_invalid
+from gradedalg.grading import module_trivial, ring_trivial
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,6 +131,51 @@ def test_power_sets_match_the_full_length_walk(entry):
             cur = ring.mul[cur][x]
         expected.append(frozenset(powers))
     assert ring.power_sets == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# the stored tables
+# ---------------------------------------------------------------------------
+
+def _array_fields(structure) -> tuple:
+    return ("add_array", "mul_array") if isinstance(structure, FiniteRing) else ("add_array", "action_array")
+
+
+def _arrays(structure):
+    return [getattr(structure, name) for name in _array_fields(structure)]
+
+
+def test_ring_and_module_tables_are_read_only_arrays_in_the_narrowest_dtype():
+    structures = [s for e in build_standard_corpus() for s in (e.gring.ring, e.gmodule.module)]
+    structures += [make_ring(("zmod", n)) for n in (255, 256, 257, 512)] + [make_ring(_F2C9)]
+    structures.append(make_module(("directsum", 2, 3, 5), make_ring(("zmod", 300))))
+    loc = localize_module(module_trivial(make_module(("self",), make_ring(("zmod", 12))),
+                                         ring_trivial(make_ring(("zmod", 12)))), (1, 3, 9))
+    structures += [loc.localized.module, loc.ring_loc.localized.ring]  # built from tuple rows
+    assert {a.dtype for s in structures for a in _arrays(s)} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    for structure in structures:
+        for table in _arrays(structure):
+            # uint8 holds every index of a carrier of up to 256 elements, uint16 up to the cap
+            assert table.dtype == (np.uint8 if table.shape[1] <= 256 else np.uint16), structure.labels[:3]
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+
+def test_a_ring_on_itself_shares_the_ring_tables_and_is_validated_once(monkeypatch):
+    ring = make_ring(_F2C9)
+    module = make_module(("self",), ring)
+    assert module.add_array is ring.add_array and module.action_array is ring.mul_array
+    assert module.add is ring.add and module.action is ring.mul  # rows read first through the module
+    group = make_group(("cyclic", 9))
+    validated = []
+    monkeypatch.setattr(core, "validate_axioms", lambda s: validated.append(s) or ValidationReport("", []))
+    assert first_invalid(group, ring, module) is None
+    assert validated == [group, ring]
+    corpus = build_standard_corpus()
+    # the corpus builds one set of tables for each ring on itself
+    shared = {e.name for e in corpus if e.gmodule.module.add is e.gring.ring.add
+              and e.gmodule.module.action is e.gring.ring.mul}
+    assert shared == {e.name for e in corpus} - {"torsion180", "z2-plane"}
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +302,24 @@ def _table_structures(draw):
     zmod = draw(st.booleans())
     ring = make_ring(("zmod", draw(st.integers(2, 30)))) if zmod else draw(st.sampled_from(_GROUPRINGS))
     if kind == "ring":
-        return ring, ("add", "mul")
+        return ring, ("add_array", "mul_array")
     if zmod and draw(st.booleans()):
         divisors = [d for d in range(1, ring.size + 1) if ring.size % d == 0]
         sizes = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
         if np.prod(sizes) <= 64:
-            return make_module(("directsum", *sizes), ring), ("add", "action")
-    return make_module(("self",), ring), ("add", "action")
+            return make_module(("directsum", *sizes), ring), ("add_array", "action_array")
+    return make_module(("self",), ring), ("add_array", "action_array")
+
+
+def _corrupt(structure, field, i, j, v):
+    """``structure`` with cell (i, j) of its table ``field`` set to v: a
+    writable copy of a ring or module array, or of a group's op rows, is
+    written and passed to the constructor."""
+    table = np.array(getattr(structure, field))
+    table[i, j] = v
+    if field == "op":
+        table = tuple(map(tuple, table.tolist()))
+    return dataclasses.replace(structure, **{field: table})
 
 
 @given(st.data())
@@ -268,13 +327,12 @@ def _table_structures(draw):
 def test_validate_axioms_matches_full_broadcast_oracle_on_corrupted_tables(data):
     structure, fields = data.draw(_table_structures())
     field = data.draw(st.sampled_from(fields))
-    table = [list(row) for row in getattr(structure, field)]
-    i = data.draw(st.integers(0, len(table) - 1))
-    j = data.draw(st.integers(0, len(table[i]) - 1))
+    rows, cols = np.shape(getattr(structure, field))
+    i = data.draw(st.integers(0, rows - 1))
+    j = data.draw(st.integers(0, cols - 1))
     # a table's values lie in the carrier of its row length (module elements
     # for the action)
-    table[i][j] = data.draw(st.integers(0, len(table[i]) - 1))
-    broken = dataclasses.replace(structure, **{field: tuple(tuple(row) for row in table)})
+    broken = _corrupt(structure, field, i, j, data.draw(st.integers(0, cols - 1)))
     got, want = validate_axioms(broken), _oracle_validate_axioms(broken)
     assert (got.structure, got.failures) == (want.structure, want.failures)
 
@@ -282,13 +340,11 @@ def test_validate_axioms_matches_full_broadcast_oracle_on_corrupted_tables(data)
 def test_validate_axioms_matches_oracle_on_every_cell_of_a_small_ring():
     ring = make_ring(("zmod", 6))
     seen_invalid = 0
-    for field in ("add", "mul"):
+    for field in ("add_array", "mul_array"):
         for i in range(ring.size):
             for j in range(ring.size):
                 for v in range(ring.size):
-                    table = [list(row) for row in getattr(ring, field)]
-                    table[i][j] = v
-                    broken = dataclasses.replace(ring, **{field: tuple(tuple(r) for r in table)})
+                    broken = _corrupt(ring, field, i, j, v)
                     want = _oracle_validate_axioms(broken)
                     assert validate_axioms(broken).failures == want.failures
                     seen_invalid += not want.ok
@@ -459,7 +515,9 @@ def _directsum_specs(draw, max_ring=64, max_elements=64):
 
 
 def _assert_same_tables(got, want):
-    names = [f.name for f in dataclasses.fields(want) if f.name != "ring"]
+    """Equal labels, indices and tables, each table as tuple rows of ints (a
+    group's op, a ring or module's rows built from its array)."""
+    names = [f.name.removesuffix("_array") for f in dataclasses.fields(want) if f.name != "ring"]
     assert {name: getattr(got, name) for name in names} == {name: getattr(want, name) for name in names}
     for name in names:
         value = getattr(got, name)
@@ -531,10 +589,11 @@ def test_a_table_holds_at_most_n_int_objects(table):
     assert len({id(v) for row in t for v in row}) <= len(t[0]) == 512
 
 
-def test_groupring_construction_memory_is_row_by_row():
-    # 512^2-cell tables as tuples of shared ints take about 4.3 MB and the
-    # build peaks near 9 MB; converting each whole array with tolist() makes
-    # about 262k fresh ints per table and peaks near 19 MB
+def test_groupring_construction_holds_each_table_once_in_a_narrow_dtype():
+    # the two 512^2-cell tables take 0.52 MB each in uint16 and the build
+    # peaks near 1.5 MB traced.  Tuple rows of shared ints would add 2.1 MB
+    # per table, and building in int64 1.6 MB per table: with both, the
+    # build peaked near 8.8 MB
     c9 = make_group(("cyclic", 9))
     tracemalloc.start()
     try:
@@ -543,13 +602,25 @@ def test_groupring_construction_memory_is_row_by_row():
     finally:
         tracemalloc.stop()
     assert ring.size == 512
-    assert peak < 12_000_000, f"make_ring peaked at {peak} bytes"
+    assert "add" not in ring.__dict__ and "mul" not in ring.__dict__
+    assert peak < 2_000_000, f"make_ring peaked at {peak} bytes"
 
 
-def _corrupt(structure, field, i, j, v):
-    table = [list(row) for row in getattr(structure, field)]
-    table[i][j] = v
-    return dataclasses.replace(structure, **{field: tuple(tuple(row) for row in table)})
+def test_parsing_the_bare_cap_structure_builds_no_tuple_rows():
+    # building, grading and validating F2[C9] on itself reads only the stored
+    # arrays and peaks near 2.5 MB traced; the two tables' tuple rows alone
+    # would take 4.2 MB, and with them and int64 copies it peaked near 8.8 MB
+    text = "group cyclic 9\nring groupring 2\ngrading natural\nmodule self\n"
+    tracemalloc.start()
+    try:
+        entry = parse_structure_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ring, module = entry.gring.ring, entry.gmodule.module
+    assert ring.size == 512 and module.add_array is ring.add_array
+    assert not {"add", "mul"} & ring.__dict__.keys() and not {"add", "action"} & module.__dict__.keys()
+    assert peak < 3_000_000, f"parsing the cap structure peaked at {peak} bytes"
 
 
 @pytest.mark.parametrize(
@@ -563,10 +634,10 @@ def _corrupt(structure, field, i, j, v):
     ids=["zmod-255", "zmod-256", "zmod-257", "directsum-2-3-5-over-zmod-300"],
 )
 def test_validate_axioms_matches_oracle_across_the_uint8_uint16_switch(build):
-    # zmod 255 is checked in uint8, the others in uint16; the module is small
-    # but its ring indices (up to 299) set the dtype
+    # zmod 255 and 256 are held in uint8, zmod 257 in uint16; the module's
+    # arrays are uint8 and its ring's (indices up to 299) uint16
     structure = build()
-    fields = ("add", "mul") if isinstance(structure, FiniteRing) else ("add", "action")
+    fields = _array_fields(structure)
     last = structure.size - 1
     cells = [
         (fields[0], 1, 2, 0),
@@ -635,8 +706,8 @@ def test_a_constant_add_fails_as_under_the_row_scan_and_the_search_gives_up(n, m
     # under a constant add every element generates only itself and the
     # constant, so an unbounded search would pick all n elements
     ring = make_ring(("groupring", 2, ("cyclic", n.bit_length() - 1)))
-    constant = dataclasses.replace(ring, add=((0,) * n,) * n)
-    counted = _CountedTable(constant.add)
+    constant = dataclasses.replace(ring, add_array=np.zeros_like(ring.add_array))
+    counted = _CountedTable(constant.add_array)
     assert core._generators(counted) is None
     assert counted.reads <= 2 * n.bit_length()  # two reads per element multiplied
     got = validate_axioms(constant).failures

@@ -1,11 +1,17 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedalg import GradingInvalid, make_group, make_module, make_ring
+from gradedalg.core import FiniteRing
 from gradedalg.grading import (
+    _sum,
     attach_grading,
     groupring_natural,
     module_same_as_ring,
     module_trivial,
+    product_assignment,
     ring_trivial,
     trivial_assignment,
 )
@@ -169,3 +175,147 @@ def test_module_grading_names_the_escaping_action():
     with pytest.raises(GradingInvalid) as exc:
         attach_grading(module, c2, trivial_assignment(module, c2), ring_grading=gr.grading)
     assert (exc.value.axiom, exc.value.witness) == ("action-escapes-component", (1, 0, g, g))
+
+
+# ---------------------------------------------------------------------------
+# attach_grading against the nested-loop validator
+# ---------------------------------------------------------------------------
+
+def _oracle_attach_grading(carrier, group, assignment, ring_grading=None):
+    """The checks of attach_grading as they were before they became
+    whole-array gathers: nested loops over the tuple rows, with the direct
+    sum counted by the coset sum.  Returns the components."""
+    is_ring = isinstance(carrier, FiniteRing)
+    add, zero, n = carrier.add, carrier.zero, carrier.size
+    components = []
+    for g in range(group.size):
+        comp = frozenset(assignment.get(g, ()))
+        for x in comp:
+            if not (0 <= x < n):
+                raise GradingInvalid("component-element-out-of-range", (g, x))
+        components.append(comp)
+    for g, comp in enumerate(components):
+        if zero not in comp:
+            raise GradingInvalid("component-missing-zero", (g,))
+        for a in comp:
+            for b in comp:
+                if add[a][b] not in comp:
+                    raise GradingInvalid("component-not-closed-under-add", (g, a, b))
+    total = frozenset({zero})
+    for g, comp in enumerate(components):
+        before = len(total)
+        total = _sum(total, comp, add)
+        if len(total) < before * len(comp):
+            raise GradingInvalid("direct-sum-collision", (g,))
+    if len(total) != n:
+        raise GradingInvalid("direct-sum-cardinality", (len(total), n))
+    if is_ring and carrier.one not in components[group.identity]:
+        raise GradingInvalid("one-not-in-identity-component", (carrier.one,))
+    rcomps = components if is_ring else ring_grading.components
+    axiom = "component-product-escapes" if is_ring else "action-escapes-component"
+    action = carrier.action
+    for g in range(group.size):
+        for h in range(group.size):
+            gh = group.op[g][h]
+            for r in rcomps[g]:
+                for m in components[h]:
+                    if action[r][m] not in components[gh]:
+                        raise GradingInvalid(axiom, (g, h, r, m))
+    return tuple(components)
+
+
+_GROUPRINGS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)]
+
+
+@st.composite
+def _graded_carriers(draw):
+    """A valid grading as (carrier, group, assignment, ring grading or None):
+    zmod graded trivially, a group ring graded naturally (as a ring or on
+    itself), a direct sum over a trivially graded zmod, or a product ring."""
+    kind = draw(st.sampled_from(["zmod", "groupring", "directsum", "product"]))
+    if kind == "zmod":
+        group = make_group(("cyclic", draw(st.integers(2, 3))))
+        ring = make_ring(("zmod", draw(st.integers(2, 24))))
+        return ring, group, trivial_assignment(ring, group), None
+    if kind == "groupring":
+        p, k = draw(st.sampled_from(_GROUPRINGS))
+        group = make_group(("cyclic", k))
+        gr = groupring_natural(make_ring(("groupring", p, group)), group)
+        assignment = dict(enumerate(gr.grading.components))
+        if draw(st.booleans()):
+            return gr.ring, group, assignment, None
+        return make_module(("self",), gr.ring), group, assignment, gr.grading
+    if kind == "directsum":
+        group = make_group(("cyclic", draw(st.integers(2, 3))))
+        n = draw(st.integers(2, 36))
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        sizes = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+        while math.prod(sizes) > 64:
+            sizes.pop()
+        gr = ring_trivial(make_ring(("zmod", n)), group)
+        module = make_module(("directsum", *sizes), gr.ring)
+        return module, group, trivial_assignment(module, group), gr.grading
+    group = make_group(("cyclic", 2))
+    gr1 = groupring_natural(make_ring(("groupring", draw(st.sampled_from([2, 3])), group)), group)
+    gr2 = (groupring_natural(make_ring(("groupring", 2, group)), group) if draw(st.booleans())
+           else ring_trivial(make_ring(("zmod", draw(st.integers(2, 6)))), group))
+    ring = make_ring(("product", gr1.ring, gr2.ring))
+    return ring, group, product_assignment(gr1.grading, gr2.grading, gr2.ring.size), None
+
+
+def _outcome(attach, *args):
+    try:
+        return "valid", attach(*args)
+    except GradingInvalid as exc:
+        return exc.axiom, exc.witness
+
+
+@given(_graded_carriers(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_attach_grading_matches_the_nested_loop_oracle_on_corrupted_assignments(graded, data):
+    carrier, group, assignment, ring_grading = graded
+    assignment = {g: set(comp) for g, comp in assignment.items()}
+    n = carrier.size
+    # drop an element, add one out of range or move one to another component;
+    # or add a whole component to another (which keeps both subgroups and may
+    # break the direct sum) or swap two (which keeps the direct sum and may
+    # break R_g M_h in M_gh)
+    g, h = data.draw(st.lists(st.integers(0, group.size - 1), min_size=2, max_size=2, unique=group.size > 1))
+    change = data.draw(st.sampled_from(["drop", "out-of-range", "move", "add-component", "swap"]))
+    if change == "out-of-range":
+        assignment[g].add(data.draw(st.sampled_from([-1, n, n + 1])))
+    elif change == "add-component":
+        assignment[h] |= assignment[g]
+    elif change == "swap":
+        assignment[g], assignment[h] = assignment[h], assignment[g]
+    else:
+        # zero is dropped or moved only from a component {0}
+        x = data.draw(st.sampled_from(sorted(assignment[g] - {carrier.zero}) or [carrier.zero]))
+        assignment[g].discard(x)
+        if change == "move":
+            assignment[h].add(x)
+    got = _outcome(lambda *a: attach_grading(*a).components, carrier, group, assignment, ring_grading)
+    want = _outcome(_oracle_attach_grading, carrier, group, assignment, ring_grading)
+    assert got == want
+
+
+def test_the_oracle_agrees_on_one_case_of_every_grading_axiom():
+    c2 = make_group(("cyclic", 2))
+    z4 = make_ring(("zmod", 4))
+    z2z2 = make_ring(("product", ("zmod", 2), ("zmod", 2)))
+    f2c2 = make_ring(("groupring", 2, c2))
+    gr = groupring_natural(f2c2, c2)
+    cases = [
+        ((z4, c2, {0: {0, 1, 2, 3}, 1: {0, 4}}), "component-element-out-of-range"),
+        ((z4, c2, {0: {0, 1, 2, 3}, 1: set()}), "component-missing-zero"),
+        ((z4, c2, {0: {0, 1}, 1: {0}}), "component-not-closed-under-add"),
+        ((z4, c2, {0: {0, 2}, 1: {0, 2}}), "direct-sum-collision"),
+        ((z4, c2, {0: {0, 2}, 1: {0}}), "direct-sum-cardinality"),
+        ((z4, c2, {0: {0}, 1: {0, 1, 2, 3}}), "one-not-in-identity-component"),
+        ((z2z2, c2, {0: {0, z2z2.index[(1, 1)]}, 1: {0, z2z2.index[(1, 0)]}}), "component-product-escapes"),
+        ((make_module(("self",), f2c2), c2, {0: {0, 1, 2, 3}, 1: {0}}, gr.grading), "action-escapes-component"),
+    ]
+    for args, axiom in cases:
+        got = _outcome(lambda *a: attach_grading(*a).components, *args)
+        assert got == _outcome(_oracle_attach_grading, *args)
+        assert got[0] == axiom
