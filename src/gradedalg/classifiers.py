@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from .core import DEFAULT_MAX_ELEMENTS
 from .errors import PreconditionViolation
@@ -43,11 +43,14 @@ from .subobjects import (
     _capped_carrier,
     annihilator,
     colon,
+    colon_by_element,
     enumerate_graded_subobjects,
     graded_radical,
     rn_masks,
     span,
     subobject,
+    whole_subobject,
+    zero_subobject,
 )
 
 IDEAL_PREDICATES = ("prime", "primary", "2-absorbing", "2-absorbing-primary")
@@ -273,13 +276,14 @@ def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMEN
 
 
 def _comultiplication_verdict(gm, max_elements: int) -> PredicateVerdict:
-    act = gm.module.action
-    zero = gm.module.zero
+    """(0 :_M Ann(N)) is the meet of the (0 :_M a) over the homogeneous a in
+    Ann(N): Ann(N) is graded, so each of its elements is a sum of those a."""
+    zero, whole = zero_subobject(gm), whole_subobject(gm).mask
     for nh in enumerate_graded_subobjects(gm, max_elements):
-        ann = annihilator(nh).sorted_members
-        back = {m for m in range(gm.module.size) if all(act[a][m] == zero for a in ann)}
-        if back != nh.members:
-            return PredicateVerdict(False, {"N": nh, "zero_colon": subobject(gm, back)})
+        ann = [a for a in annihilator(nh).sorted_members if a in gm.gring.hom_set]
+        back = reduce(and_, (colon_by_element(zero, a).mask for a in ann), whole)
+        if back != nh.mask:
+            return PredicateVerdict(False, {"N": nh, "zero_colon": SubobjectHandle(gm, back)})
     return PredicateVerdict(True)
 
 
@@ -292,12 +296,22 @@ def recheck_coprimary_violation(n: SubobjectHandle, x: int, y: int, k: Subobject
     the classifier loops and of the rN masks they read: Ann(N) and (K :_R N)
     come from the action and the member sets.  With no K given, uses K = xyN
     (the characterization witness route).  Returns True iff the implication
-    is genuinely violated."""
+    is genuinely violated: x and y both miss Grad((K :_R N))."""
+    return _recheck_violation(n, x, y, k, lambda kn: graded_radical(kn).members)
+
+
+def recheck_strong_violation(n: SubobjectHandle, x: int, y: int, k: SubobjectHandle) -> bool:
+    """The strong form's re-check: x and y both miss (K :_R N)."""
+    return _recheck_violation(n, x, y, k, lambda kn: kn.members)
+
+
+def _recheck_violation(n: SubobjectHandle, x: int, y: int, k, escape) -> bool:
+    """Whether xyN lies in K (K = xyN when None), xy does not annihilate N,
+    and neither x nor y is in ``escape((K :_R N))``."""
     gm = n.ctx
     ring = gm.gring.ring
     act = gm.module.action
-    xy = ring.mul[x][y]
-    xy_n = frozenset(act[xy][m] for m in n.members)
+    xy_n = frozenset(act[ring.mul[x][y]][m] for m in n.members)
     if k is None:
         k = span(xy_n, gm)
     if not xy_n <= k.members:
@@ -305,20 +319,5 @@ def recheck_coprimary_violation(n: SubobjectHandle, x: int, y: int, k: Subobject
     if xy_n == {gm.module.zero}:
         return False  # xy in Ann(N)
     kn = {r for r in range(ring.size) if all(act[r][m] in k.members for m in n.members)}
-    grad = graded_radical(subobject(gm.gring, kn)).members
-    return x not in grad and y not in grad
-
-
-def recheck_strong_violation(n: SubobjectHandle, x: int, y: int, k: SubobjectHandle) -> bool:
-    gm = n.ctx
-    ring = gm.gring.ring
-    act = gm.module.action
-    xy = ring.mul[x][y]
-    xy_n = frozenset(act[xy][m] for m in n.members)
-    if not xy_n <= k.members:
-        return False
-    if xy_n == {gm.module.zero}:
-        return False  # xy in Ann(N)
-    xn = frozenset(act[x][m] for m in n.members)
-    yn = frozenset(act[y][m] for m in n.members)
-    return not (xn <= k.members) and not (yn <= k.members)
+    esc = escape(subobject(gm.gring, kn))
+    return x not in esc and y not in esc

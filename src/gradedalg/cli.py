@@ -5,8 +5,9 @@ verdict printed, 1 = violation / unexpected counterexample, 2 = usage or parse
 error.  Machine reports are byte-stable across runs.  ``--threads N`` is
 accepted and ignored: propositions always run serially.  ``classify`` and
 ``search`` name predicates in one vocabulary, resolved by
-``propositions.classify_named``; ``--max-elements`` is the size cap of every
-structure and lattice a run builds.
+``propositions.classify_named``; ``--max-elements`` caps the elements of
+every structure a run builds and of every carrier whose lattice it walks, not
+the number of subobjects in that lattice.
 """
 from __future__ import annotations
 
@@ -40,20 +41,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a structure description file")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("file")
 
     p = sub.add_parser("classify", help="classify a named subobject from a file")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--file", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--predicate", required=True)
 
     p = sub.add_parser("verify", help="verify propositions over a corpus")
+    p.set_defaults(run=_cmd_verify)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--suite", choices=("all",))
     g.add_argument("--prop")
     p.add_argument("--corpus", help="directory of structure files instead of the standard corpus")
 
     p = sub.add_parser("search", help="search the corpus for a counterexample")
+    p.set_defaults(run=_cmd_search)
     p.add_argument("--expr", required=True)
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--corpus")
@@ -144,18 +149,10 @@ def run_cli(argv, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "validate":
-            return _cmd_validate(args, out)
-        if args.command == "classify":
-            return _cmd_classify(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "search":
-            return _cmd_search(args, out)
+        return args.run(args, out)
     except GradedAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

@@ -33,18 +33,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _Carrier:
+    """What every table structure shares: its elements are the indices of its
+    ``labels``."""
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+
 @dataclass(frozen=True, eq=False)
-class GradingGroup:
+class GradingGroup(_Carrier):
     """A finite group given by a full Cayley table."""
 
     labels: tuple
     op: tuple  # op[i][j] -> index of labels[i] * labels[j]
     identity: int
     inverse: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 def _store(structure, *fields) -> None:
@@ -60,7 +69,7 @@ def _store(structure, *fields) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteRing:
+class FiniteRing(_Carrier):
     """A finite commutative ring with unity, as addition/multiplication tables.
 
     The arrays are the stored tables; ``add`` and ``mul`` are their tuple rows,
@@ -74,14 +83,6 @@ class FiniteRing:
 
     def __post_init__(self):
         _store(self, "add_array", "mul_array")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
     def add(self) -> tuple:
@@ -120,7 +121,7 @@ class FiniteRing:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteModule:
+class FiniteModule(_Carrier):
     """A finite unital module over a :class:`FiniteRing`, as explicit tables
     stored as a ring's are.  The ring acting on itself shares the ring's
     arrays, and so its tuple rows."""
@@ -133,14 +134,6 @@ class FiniteModule:
 
     def __post_init__(self):
         _store(self, "add_array", "action_array")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
     def add(self) -> tuple:

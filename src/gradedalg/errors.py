@@ -9,16 +9,20 @@ class InvalidDescriptor(GradedAlgError):
     """A group/ring/module descriptor is malformed (bad modulus, non-prime p, ...)."""
 
 
-class GradingInvalid(GradedAlgError):
-    """A proposed grading violates one of its axioms.
-
-    Carries the failed axiom name and a witnessing tuple.
-    """
+class _AxiomFailure(GradedAlgError):
+    """A proposed object violates one of its axioms; carries the failed axiom
+    name and a witnessing tuple.  Each subclass names its object as ``what``."""
 
     def __init__(self, axiom, witness=None):
         self.axiom = axiom
         self.witness = witness
-        super().__init__(f"grading invalid: {axiom} (witness: {witness!r})")
+        super().__init__(f"{self.what} invalid: {axiom} (witness: {witness!r})")
+
+
+class GradingInvalid(_AxiomFailure):
+    """A proposed grading violates one of its axioms."""
+
+    what = "grading"
 
 
 class PreconditionViolation(GradedAlgError):
@@ -29,13 +33,10 @@ class TooLarge(GradedAlgError):
     """A carrier exceeds the configured size cap for exhaustive work."""
 
 
-class HomInvalid(GradedAlgError):
+class HomInvalid(_AxiomFailure):
     """A proposed module map is not an additive, linear, degree-preserving hom."""
 
-    def __init__(self, axiom, witness=None):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(f"hom invalid: {axiom} (witness: {witness!r})")
+    what = "hom"
 
 
 class InvalidDenominators(GradedAlgError):

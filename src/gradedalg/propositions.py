@@ -489,10 +489,16 @@ def classify_named(entry: CorpusEntry, target: SubobjectHandle, name: str) -> Pr
 # counterexample search
 # ---------------------------------------------------------------------------
 
+# parser and evaluator recurse once per parenthesis level: stay well inside the recursion limit
+_MAX_NESTING = 100
+
+
 def _parse_expr(text: str):
+    """The expression as a tree of ("or" | "and", [two or more operands]),
+    ("not", operand) and ("pred", name); a run of ``not`` folds to its parity."""
     # a degree label may be a tuple: g-2a-coprimary:(0,1) is one token
     tokens = re.findall(r"g-2a-coprimary:\([^\s()]*\)|\(|\)|[^\s()]+", text)
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -503,30 +509,37 @@ def _parse_expr(text: str):
         pos += 1
         return tok
 
-    def parse_binary(op, operand):
-        node = operand()
+    def parse_nary(op, operand):
+        operands = [operand()]
         while peek() == op:
             take()
-            node = (op, node, operand())
-        return node
+            operands.append(operand())
+        return operands[0] if len(operands) == 1 else (op, operands)
 
     def parse_or():
-        return parse_binary("or", lambda: parse_binary("and", parse_not))
+        return parse_nary("or", lambda: parse_nary("and", parse_not))
 
     def parse_not():
-        if peek() == "not":
+        negated = False
+        while peek() == "not":
             take()
-            return ("not", parse_not())
-        return parse_atom()
+            negated = not negated
+        node = parse_atom()
+        return ("not", node) if negated else node
 
     def parse_atom():
+        nonlocal depth
         tok = take()
         if tok is None:
             raise StructureParseError("unexpected end of expression")
         if tok == "(":
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise StructureParseError(f"parentheses nested deeper than {_MAX_NESTING}")
             node = parse_or()
             if take() != ")":
                 raise StructureParseError("missing closing parenthesis")
+            depth -= 1
             return node
         if tok in (")", "and", "or", "not"):
             raise StructureParseError(f"unexpected token {tok!r}")
@@ -564,9 +577,9 @@ def search_counterexample(expr: str, corpus, budget: int = 10**6):
         if op == "not":
             return not holds(node[1], n, entry)
         if op == "and":
-            return holds(node[1], n, entry) and holds(node[2], n, entry)
+            return all(holds(operand, n, entry) for operand in node[1])
         if op == "or":
-            return holds(node[1], n, entry) or holds(node[2], n, entry)
+            return any(holds(operand, n, entry) for operand in node[1])
         calls += 1
         if calls > budget:
             raise _BudgetExhausted

@@ -21,7 +21,7 @@ member, and the lattice walk joins the spans of orbit-minimal generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -37,7 +37,6 @@ class SubobjectHandle:
 
     ctx: object  # GradedRing or GradedModule
     mask: int  # bit i set iff element i is a member
-    graded: bool = field(compare=False)
 
     def __repr__(self):
         labels = [self.carrier.labels[i] for i in self.sorted_members[:8]]
@@ -67,6 +66,13 @@ class SubobjectHandle:
     def members(self) -> frozenset:
         return frozenset(self.sorted_members)
 
+    @cached_property
+    def graded(self) -> bool:
+        """Whether the subgroup S is graded: the S ∩ M_g sum directly inside
+        S, so S is their sum iff |S| = Π_g |S ∩ M_g|."""
+        mask = self.mask
+        return mask.bit_count() == prod((mask & c).bit_count() for c in self.ctx.component_masks)
+
     @property
     def is_zero(self) -> bool:
         return self.mask == 1 << self.carrier.zero
@@ -88,27 +94,17 @@ def _mask(members) -> int:
     return m
 
 
-def _graded(ctx, mask: int) -> bool:
-    """True iff the additive subgroup S with bitmask ``mask`` is graded: the
-    S ∩ M_g sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|."""
-    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)
-
-
-def _handle(ctx, mask: int) -> SubobjectHandle:
-    return SubobjectHandle(ctx, mask, _graded(ctx, mask))
-
-
 def subobject(ctx, members) -> SubobjectHandle:
-    """Wrap an already-closed member set in a handle (gradedness computed),
-    which keeps the set as its derived ``members``."""
+    """Wrap an already-closed member set in a handle, which keeps the set as
+    its derived ``members``."""
     members = frozenset(members)
-    handle = _handle(ctx, _mask(members))
+    handle = SubobjectHandle(ctx, _mask(members))
     handle.__dict__["members"] = members  # what the cached property would derive
     return handle
 
 
 def is_graded(handle: SubobjectHandle) -> bool:
-    return _graded(handle.ctx, handle.mask)
+    return handle.graded
 
 
 def span(generators, ctx) -> SubobjectHandle:
@@ -127,11 +123,11 @@ def span(generators, ctx) -> SubobjectHandle:
 
 
 def zero_subobject(ctx) -> SubobjectHandle:
-    return SubobjectHandle(ctx, 1 << ctx.grading.carrier.zero, True)
+    return SubobjectHandle(ctx, 1 << ctx.grading.carrier.zero)
 
 
 def whole_subobject(ctx) -> SubobjectHandle:
-    return _handle(ctx, (1 << ctx.grading.carrier.size) - 1)
+    return SubobjectHandle(ctx, (1 << ctx.grading.carrier.size) - 1)
 
 
 def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
@@ -141,7 +137,7 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
         if a.ctx is not b.ctx:
             raise PreconditionViolation(f"{op} requires handles over the same carrier")
         if op == "intersect":
-            return _handle(a.ctx, a.mask & b.mask)
+            return SubobjectHandle(a.ctx, a.mask & b.mask)
         return subobject(a.ctx, _sum(a.members, b.members, a.carrier.add))
     if op == "ideal_product":
         # a: ideal over the scalar ring of b's module
@@ -158,7 +154,7 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
         # a: homogeneous ring element (index), b: handle
         if a not in b.ctx.gring.hom_set:
             raise PreconditionViolation("scalar_product requires a homogeneous scalar")
-        return _handle(b.ctx, rn_masks(b)[a])
+        return SubobjectHandle(b.ctx, rn_masks(b)[a])
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
 
@@ -180,7 +176,7 @@ def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
     for r, w in enumerate(rn_masks(n)):
         if w & km == w:
             rk |= 1 << r
-    return _handle(n.ctx.gring, rk)
+    return SubobjectHandle(n.ctx.gring, rk)
 
 
 def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:
@@ -198,7 +194,7 @@ def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:
         for m, xm in enumerate(gm.module.action[x]):
             if xm in km:
                 mask |= 1 << m
-        return _handle(gm, mask)
+        return SubobjectHandle(gm, mask)
     return gm.memo(("colon_by_element", k.mask, x), build)
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,8 +10,10 @@ from gradedalg import (
     TooLarge,
     build_standard_corpus,
     classify_ideal,
+    annihilator,
     classify_submodule,
     colon,
+    colon_by_element,
     coprimary_via_characterization,
     enumerate_graded_subobjects,
     graded_radical,
@@ -27,6 +30,7 @@ from gradedalg import (
 )
 from gradedalg.classifiers import _good_bits
 from gradedalg.grading import groupring_natural, module_same_as_ring, ring_trivial
+from gradedalg.structfile import parse_structure_dir
 from gradedalg.subobjects import rn_masks
 
 
@@ -241,6 +245,40 @@ def test_comultiplication_modules():
     v = is_graded_comultiplication_module(plane)
     assert not v.value
     assert v.witness is not None
+
+
+def oracle_zero_colon(n):
+    """(0 :_M Ann(N)) per element: the m that every a in Ann(N) kills."""
+    gm = n.ctx
+    act, zero = gm.module.action, gm.module.zero
+    ann = annihilator(n).sorted_members
+    return frozenset(m for m in range(gm.module.size) if all(act[a][m] == zero for a in ann))
+
+
+_COMULTIPLICATION_ENTRIES = build_standard_corpus() + parse_structure_dir(
+    Path(__file__).resolve().parents[1] / "structures"
+)
+
+
+@pytest.mark.parametrize("entry", _COMULTIPLICATION_ENTRIES, ids=lambda e: Path(e.name).stem)
+def test_comultiplication_matches_the_per_element_zero_colon(entry):
+    # the kernel meets the (0 :_M a) over the homogeneous a in Ann(N) only;
+    # Ann(N) is graded, so that is the zero colon of all of Ann(N)
+    gm = entry.gmodule
+    zero, hom_set = zero_subobject(gm), gm.gring.hom_set
+    first_bad = None
+    for n in enumerate_graded_subobjects(gm):
+        back = oracle_zero_colon(n)
+        meet = frozenset(range(gm.module.size))
+        for a in annihilator(n).members & hom_set:
+            meet &= colon_by_element(zero, a).members
+        assert meet == back, n
+        if first_bad is None and back != n.members:
+            first_bad = {"N": n, "zero_colon": back}
+    v = is_graded_comultiplication_module(gm)
+    witness = v.witness and {"N": v.witness["N"], "zero_colon": v.witness["zero_colon"].members}
+    assert (v.value, witness) == (first_bad is None, first_bad)
+    assert v.value == (entry.name != "z2-plane")
 
 
 # ---------------------------------------------------------------------------

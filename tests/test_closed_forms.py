@@ -21,7 +21,9 @@ These verdicts share neither the package's canonical order nor its subobject
 calculus: d and e are read off member sets and the action table, and factored
 by trial division here.
 """
+import itertools
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,21 +42,23 @@ from gradedalg.grading import module_trivial, ring_trivial
 from gradedalg.structfile import parse_structure_dir
 
 
-def _exponents(d):
-    """The prime exponents of d, by trial division."""
-    out = []
+def _factor(d):
+    """{p: a} over the prime powers p^a exactly dividing d, by trial division."""
+    out = {}
     p = 2
     while p * p <= d:
-        a = 0
         while d % p == 0:
             d //= p
-            a += 1
-        if a:
-            out.append(a)
+            out[p] = out.get(p, 0) + 1
         p += 1
     if d > 1:
-        out.append(1)
+        out[d] = 1
     return out
+
+
+def _exponents(d):
+    """The prime exponents of d, smallest prime first."""
+    return list(_factor(d).values())
 
 
 def closed_form(d, predicate):
@@ -213,3 +217,99 @@ def test_the_local_ring_law(entry):
     assert [n for n in submodules if not classify_submodule(n, "2a-coprimary-def").value] == []
     assert [n for n in submodules if not coprimary_via_characterization(n).value] == []
     assert [p for p in ideals if not classify_ideal(p, "primary").value] == []
+
+
+# Subgroup counts.  Over Z/n with the trivial grading the graded lattice of
+# ``directsum m_1 ... m_k`` is the subgroup lattice of Z/m_1 + ... + Z/m_k.  By
+# the Chinese remainder theorem it is the product of the lattices of its
+# p-parts, and a p-group of type lambda has
+#   prod_{i>=1} p^{mu'_{i+1} (lambda'_i - mu'_i)} [lambda'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p
+# subgroups of type mu, each of order p^|mu|, where ' is the conjugate
+# partition and [n, k]_p the Gaussian binomial (Birkhoff 1935; Butler,
+# Subgroup lattices and symmetric functions, Mem. AMS 539, 1994).
+
+def _gaussian(n, k, p):
+    """The Gaussian binomial [n, k]_p, for 0 <= k <= n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _conjugate(partition, length):
+    """The first ``length`` parts of the conjugate partition, zeros included."""
+    return [sum(1 for part in partition if part >= i) for i in range(1, length + 1)]
+
+
+def _p_group_counts(p, lam):
+    """{order: number of subgroups} of the abelian p-group of type ``lam``
+    (non-increasing exponents)."""
+    counts = Counter()
+    lc = _conjugate(lam, lam[0] + 1)
+    for mu in itertools.product(*(range(part + 1) for part in lam)):
+        if any(a < b for a, b in zip(mu, mu[1:])):
+            continue  # not a partition
+        mc = _conjugate(mu, lam[0] + 1)
+        counts[p ** sum(mu)] += math.prod(
+            p ** (mc[i + 1] * (lc[i] - mc[i])) * _gaussian(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
+            for i in range(lam[0])
+        )
+    return counts
+
+
+def subgroup_counts(ms):
+    """{order: number of subgroups of that order} of Z/m_1 + ... + Z/m_k."""
+    parts = {}
+    for m in ms:
+        for p, a in _factor(m).items():
+            parts.setdefault(p, []).append(a)
+    counts = {1: 1}
+    for p, lam in parts.items():  # orders of distinct p-parts multiply to distinct orders
+        p_counts = _p_group_counts(p, sorted(lam, reverse=True))
+        counts = {a * b: x * y for a, x in counts.items() for b, y in p_counts.items()}
+    return counts
+
+
+def test_subgroup_counts_match_known_lattices():
+    # Z/n has one subgroup per divisor; (2^k) has the sum of the Gaussian
+    # binomials [k, j]_2 subgroups
+    assert subgroup_counts((12,)) == {d: 1 for d in (1, 2, 3, 4, 6, 12)}
+    assert subgroup_counts((2, 2)) == {1: 1, 2: 3, 4: 1}
+    assert [sum(subgroup_counts((2,) * k).values()) for k in range(1, 8)] == [2, 5, 16, 67, 374, 2825, 29212]
+    assert sum(subgroup_counts((36, 6)).values()) == 80
+    assert sum(subgroup_counts((9, 3, 3)).values()) == 50
+
+
+def _directsum_types(limit):
+    """Every abelian group of order at most ``limit`` but 1, once, as its
+    invariant factors m_1, m_2, ... with each m_{i+1} dividing m_i."""
+    def extend(prefix, order):
+        yield prefix
+        for m in range(2, prefix[-1] + 1):
+            if prefix[-1] % m == 0 and order * m <= limit:
+                yield from extend(prefix + (m,), order * m)
+    for m in range(2, limit + 1):
+        yield from extend((m,), m)
+
+
+def _walk_mismatches(limit):
+    """The types of ``_directsum_types(limit)`` whose lattice walk's size
+    histogram differs from ``subgroup_counts``, and the number of types."""
+    bad, types = [], list(_directsum_types(limit))
+    for ms in types:
+        gring = ring_trivial(make_ring(("zmod", ms[0])))
+        gm = module_trivial(make_module(("directsum",) + ms, gring.ring), gring)
+        if Counter(len(h.members) for h in enumerate_graded_subobjects(gm)) != subgroup_counts(ms):
+            bad.append(ms)
+    return bad, len(types)
+
+
+def test_the_lattice_walk_finds_every_subgroup_up_to_64_elements():
+    # (2^5) has 374 subgroups and (2^6) 2825, the largest lattice here
+    assert _walk_mismatches(64) == ([], 116)
+
+
+@pytest.mark.slow
+def test_the_lattice_walk_finds_every_subgroup_up_to_128_elements():
+    assert _walk_mismatches(128) == ([], 246)

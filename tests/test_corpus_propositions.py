@@ -139,7 +139,11 @@ def _forced_closure_details(patch, entry, names=("combine", "colon", "span")):
     propositions-module operators ``names`` patched to return non-graded
     handles, so that every instance they give is a violation."""
     def ungraded(op):
-        return lambda *args: dataclasses.replace(op(*args), graded=False)
+        def forced(*args):
+            handle = dataclasses.replace(op(*args))  # a copy, with nothing cached yet
+            handle.__dict__["graded"] = False  # stored where the cached property keeps its value
+            return handle
+        return forced
 
     for name in names:
         patch.setattr(gradedalg.propositions, name, ungraded(getattr(gradedalg.propositions, name)))

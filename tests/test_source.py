@@ -143,6 +143,43 @@ def test_the_check_sees_a_dead_member():
     assert _dead_members(tree, [tree, bench]) == [(9, "Ring.neg")]
 
 
+def _body_without_docstring(node: ast.FunctionDef) -> str:
+    body = node.body
+    if ast.get_docstring(node, clean=False) is not None:
+        body = body[1:]
+    return ast.dump(ast.Module(body=body, type_ignores=[]))
+
+
+def _duplicate_bodies(trees: dict) -> list:
+    """Groups of the functions and methods, nested ones included, of the
+    trees in ``trees`` (name -> tree) that share one body, ignoring
+    docstrings; each as a list of "name:line function"."""
+    groups = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                groups.setdefault(_body_without_docstring(node), []).append(f"{name}:{node.lineno} {node.name}")
+    return [sorted(group) for group in groups.values() if len(group) > 1]
+
+
+def test_no_two_functions_share_a_body():
+    # a job done in two places belongs in one shared function or base class
+    assert _duplicate_bodies({p.name: _parse(p) for p in MODULES}) == []
+
+
+def test_the_check_sees_a_duplicate_body():
+    one = ast.parse(
+        'class Ring:\n    def size(self):\n        """The order."""\n        return len(self.labels)\n\n\n'
+        "def count(self):\n    return len(self.labels)\n"
+    )
+    other = ast.parse(
+        "class Group:\n    def size(self):\n        return len(self.labels)\n\n"
+        "    def order(self):\n        return len(self.elements)\n"
+    )
+    assert _duplicate_bodies({"one": one, "other": other}) == [["one:2 size", "one:7 count", "other:2 size"]]
+    assert _duplicate_bodies({"other": other}) == []
+
+
 NOT_GRADING = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "grading.py"]
 
 

@@ -368,6 +368,40 @@ def test_cli_search_writes_members_as_element_tokens():
     assert fields[1] == "members=(0,0),(0,1),(1,0),(1,1)"
 
 
+def _search_in_child(expr):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "gradedalg", "--report", "machine", "search", "--expr", expr],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_search_reads_long_chains_and_folds_negations():
+    # a chain is one n-ary node and a run of ``not`` a loop, so neither
+    # length recurses; each form gives the answer of its single atom
+    single, negated = _search_in_child("second"), _search_in_child("not second")
+    assert single.returncode == negated.returncode == 1
+    for expr, same in (
+        (" or ".join(["second"] * 3000), single),
+        (" and ".join(["second"] * 3000), single),
+        ("not " * 3000 + "second", single),
+        ("not " * 3001 + "second", negated),
+        ("(" * 100 + "second" + ")" * 100, single),
+    ):
+        found = _search_in_child(expr)
+        assert "Traceback" not in found.stderr, found.stderr
+        assert (found.returncode, found.stdout) == (same.returncode, same.stdout), expr[:40]
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 101 + "second" + ")" * 101,
+    "(" * 3000 + "second" + ")" * 3000,
+    "not (" * 3000 + "second" + ")" * 3000,
+], ids=["101-parentheses", "3000-parentheses", "3000-negated-parentheses"])
+def test_cli_search_rejects_deep_nesting_as_a_parse_error(expr):
+    found = _search_in_child(expr)
+    assert (found.returncode, found.stdout) == (2, "")
+    assert found.stderr == "error: parentheses nested deeper than 100\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_cli_search_rejects_a_budget_below_one(budget, capsys):
     # a budget that allows no evaluation used to print "none", the answer for

@@ -470,7 +470,7 @@ def test_a_handle_is_its_mask_and_is_graded_counts_its_members(entry):
         # the graded lattice and every cyclic span, graded or not
         handles = list(enumerate_graded_subobjects(ctx)) + [span({x}, ctx) for x in range(ctx.grading.carrier.size)]
         for h in handles:
-            derived = SubobjectHandle(ctx, h.mask, h.graded)  # members read off the mask
+            derived = SubobjectHandle(ctx, h.mask)  # members and gradedness read off the mask
             assert derived.members == h.members and derived == h
             assert sum(1 << m for m in h.members) == h.mask
             assert derived.sorted_members == h.sorted_members == tuple(sorted(h.members))
