@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidDescriptor
 
 DEFAULT_MAX_ELEMENTS = 512
+_ROWS = 64  # tables are read this many rows at a time where whole-table temporaries would be n^2
 
 
 def _is_prime(n: int) -> bool:
@@ -189,7 +190,7 @@ def _table(a: np.ndarray) -> tuple:
     no per-cell int objects (a whole-array ``tolist()`` would make about n^2
     of them)."""
     ints = np.array(range(a.shape[1]), dtype=object)
-    return tuple(tuple(row) for lo in range(0, len(a), 64) for row in ints[a[lo:lo + 64]].tolist())
+    return tuple(tuple(row) for lo in range(0, len(a), _ROWS) for row in ints[a[lo:lo + _ROWS]].tolist())
 
 
 def make_group(spec) -> GradingGroup:
@@ -335,6 +336,23 @@ def image(table: np.ndarray, rows, cols, inside=None) -> tuple:
     return frozenset(np.flatnonzero(reached).tolist()), outside
 
 
+def first_escape(table: np.ndarray, row_sets, col_sets, op):
+    """The first (g, h, r, c) in that order, r in ``row_sets[g]`` and c in ``col_sets[h]``
+    (sized iterables, read in their iteration order), with ``table[r, c]`` not in
+    ``col_sets[op[g][h]]``, or None: one gather per g over the columns of every h."""
+    cols = np.fromiter(itertools.chain.from_iterable(col_sets), np.intp)
+    degree = np.repeat(np.arange(len(col_sets)), [len(s) for s in col_sets])
+    member = np.zeros((len(col_sets), table.shape[1]), dtype=bool)
+    member[degree, cols] = True
+    for g, rows in enumerate(row_sets):
+        rows = np.fromiter(rows, np.intp, len(rows))
+        i, j = np.nonzero(~member[np.take(op[g], degree), table[rows[:, None], cols]])
+        if len(j):
+            k = np.lexsort((j, i, degree[j]))[0]  # the first in (h, r, c) order
+            return g, int(degree[j[k]]), int(rows[i[k]]), int(cols[j[k]])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -352,10 +370,12 @@ class ValidationReport:
 
 
 def _first_mismatch(lhs: np.ndarray, rhs):
-    bad = lhs != rhs
-    if not bad.any():
-        return None
-    return tuple(int(v) for v in np.argwhere(bad)[0])
+    """The first index in C order where ``lhs != rhs``, 64 first-axis rows at a time."""
+    for lo in range(0, len(lhs), _ROWS):
+        bad = np.argwhere(lhs[lo:lo + _ROWS] != rhs[lo:lo + _ROWS])
+        if len(bad):
+            return (lo + int(bad[0, 0]), *map(int, bad[0, 1:]))
+    return None
 
 
 def _law_mismatch(rows):
@@ -395,10 +415,12 @@ def _generators(t: np.ndarray):
     return picks
 
 
-def _law(rows, at, gens):
-    """First mismatch of a law: ``rows`` as for :func:`_law_mismatch`; unless
-    ``gens`` is None, the (lhs, rhs) slices ``at(c)``, c in ``gens``, decide it holds."""
-    if gens is not None and all(np.array_equal(*at(c)) for c in gens):
+def _law(rows, at, gens, n: int):
+    """First mismatch of a law over n first arguments: ``rows`` as for
+    :func:`_law_mismatch`; unless ``gens`` is None, the (lhs, rhs) slices decide
+    it holds, ``at(c, b)`` the block b of 64 first-axis rows of the slice at c."""
+    blocks = [slice(lo, lo + _ROWS) for lo in range(0, n, _ROWS)]
+    if gens is not None and all(np.array_equal(*at(c, b)) for c in gens for b in blocks):
         return None
     return _law_mismatch(rows)
 
@@ -406,13 +428,13 @@ def _law(rows, at, gens):
 def _assoc(act, mul, gens):
     # (rr')m == r(r'm); with act = mul = T it is the associativity of T
     rows = ((act[mul[r]], act[r].take(act)) for r in range(len(mul)))
-    return _law(rows, lambda m: (act[:, m][mul], act[:, act[:, m]]), gens)
+    return _law(rows, lambda m, b: (act[:, m][mul[b]], act[b][:, act[:, m]]), gens, len(mul))
 
 
 def _distrib(act, add, gens):
     # r(m+m') == rm + rm'; with act = mul it is ring distributivity
     rows = ((act[r].take(add), add[act[r]][:, act[r]]) for r in range(len(act)))
-    return _law(rows, lambda m: (act[:, add[:, m]], add[act, act[:, m, None]]), gens)
+    return _law(rows, lambda m, b: (act[b][:, add[:, m]], add[act[b], act[b, m, None]]), gens, len(act))
 
 
 def _record(failures, axiom: str, mismatch) -> None:
@@ -429,7 +451,8 @@ def _check_abelian_group(failures, add: np.ndarray, zero: int, tag: str):
     _record(failures, f"{tag}-add-associativity", associativity)
     _record(failures, f"{tag}-add-commutativity", commutativity)
     _record(failures, f"{tag}-zero-identity", _first_mismatch(add[:, zero], np.arange(n)))
-    _record(failures, f"{tag}-add-inverse", _first_mismatch((add == zero).any(axis=1), True))
+    inverse = [(add[lo:lo + _ROWS] == zero).any(axis=1) for lo in range(0, n, _ROWS)]
+    _record(failures, f"{tag}-add-inverse", _first_mismatch(np.concatenate(inverse), np.ones(n, dtype=bool)))
     return (gens if associativity is None else None), commutativity is None
 
 
@@ -444,11 +467,12 @@ def validate_axioms(structure) -> ValidationReport:
     add-associativity; mul-associativity needs distributivity; action
     associativity needs action-distributes-over-module-add, and distributivity
     over ring add needs that and module add-associativity and -commutativity.
-    Otherwise (a prerequisite failed or the search for S gave up), or when a
-    slice fails, the law is scanned row by row over its first argument in
-    O(n^2) memory.  Only that scan gives a witness, the law's first mismatch in
-    C order, e.g. ``(a, b, c)``: a failing slice at c need not contain it.  A
-    ring or module is checked on its stored read-only arrays, each in the
+    A slice is compared 64 first-axis rows at a time, in O(64 n) memory, not
+    O(n^2).  Otherwise (a prerequisite failed or the search for S gave up), or
+    when a slice fails, the law is scanned row by row over its first argument
+    in O(n^2) memory.  Only that scan gives a witness, the law's first mismatch
+    in C order, e.g. ``(a, b, c)``: a failing slice at c need not contain it.
+    A ring or module is checked on its stored read-only arrays, each in the
     narrowest unsigned dtype that holds its carrier's indices, and builds no
     tuple rows; a group's op is copied into one such array.  The checks only
     gather and compare, so verdicts and witnesses do not depend on the dtype.
@@ -491,8 +515,8 @@ def validate_axioms(structure) -> ValidationReport:
         # (r+r')m == rm + r'm
         ring_add_rows = ((act[radd[r]], add[act[r], act]) for r in range(ring.size))
         _record(failures, "action-distributes-over-ring-add",
-                _law(ring_add_rows, lambda m: (act[:, m][radd], add[act[:, m]][:, act[:, m]]),
-                     gens if commutative else None))
+                _law(ring_add_rows, lambda m, b: (act[:, m][radd[b]], add[act[b, m]][:, act[:, m]]),
+                     gens if commutative else None, ring.size))
         _record(failures, "action-associativity", _assoc(act, rmul, gens))
         _record(failures, "unital-action",
                 _first_mismatch(act[ring.one], np.arange(structure.size)))

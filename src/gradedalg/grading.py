@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteModule, FiniteRing, GradingGroup, image, make_group
+from .core import FiniteModule, FiniteRing, GradingGroup, first_escape, image, make_group
 from .errors import GradingInvalid
 
 
@@ -41,9 +41,9 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     element indices.  For a module grading, ``ring_grading`` must be the
     already-validated grading of the scalar ring over the same group.
 
-    Component closure, the direct-sum count and R_g M_h ⊆ M_gh are
-    whole-array gathers on the carrier's stored arrays (:func:`image`), so
-    grading builds no tuple rows.  Each witness is the first failing cell
+    Component closure, the direct-sum count and R_g M_h ⊆ M_gh (one gather
+    per g) are gathers on the stored arrays (:func:`image`, :func:`first_escape`),
+    so grading builds no tuple rows.  Each witness is the first failing cell
     with the components read in their frozenset iteration order.
 
     Raises :class:`GradingInvalid` naming the violated axiom and a witness.
@@ -90,13 +90,9 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
         raise GradingInvalid("one-not-in-identity-component", (carrier.one,))
     # R_g acting on M_h lands in M_gh, where a ring is M = R acting on itself
     rcomps = components if is_ring else ring_grading.components
-    axiom = "component-product-escapes" if is_ring else "action-escapes-component"
-    action = carrier.action_array
-    for g in range(group.size):
-        for h in range(group.size):
-            outside = image(action, rcomps[g], components[h], components[group.op[g][h]])[1]
-            if outside is not None:
-                raise GradingInvalid(axiom, (g, h, *outside))
+    escape = first_escape(carrier.action_array, rcomps, components, group.op)
+    if escape is not None:
+        raise GradingInvalid("component-product-escapes" if is_ring else "action-escapes-component", escape)
 
     return Grading(group, carrier, tuple(components))
 

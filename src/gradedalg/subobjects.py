@@ -7,11 +7,11 @@ A handle's ``kind`` is read from its carrier: ``"ideal"`` over a
 is its int mask (bit i for element i): an intersection is ``a & b``, and the
 member set is derived on demand, or kept from the set a sum built.
 
-Member sets are additive subgroups, each built by the one coset sum
-``grading._sum``: span(G) = Σ_{g∈G} R·g, IN = Σ_{i∈I} iN, and A + B, the
-lattice walk and Grad(P) (one degree at a time, from the rooted parts of each
-R_g) are sums too.  Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|,
-one popcount per component mask).
+Member sets are additive subgroups.  span(G) = Σ_{g∈G} R·g adds each R·g,
+column g of the action array, by one ``core.image`` gather of the add array;
+IN = Σ_{i∈I} iN, A + B, the lattice walk and Grad(P) (one degree at a time,
+from the rooted parts of each R_g) are coset sums ``grading._sum`` on tuple
+rows.  Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount).
 
 A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
 every per-scalar value is computed once per unit orbit (the carrier's
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .core import DEFAULT_MAX_ELEMENTS
+from .core import DEFAULT_MAX_ELEMENTS, image
 from .errors import PreconditionViolation, TooLarge
 from .grading import IDEAL, SUBMODULE, _sum
 
@@ -109,8 +109,8 @@ def is_graded(handle: SubobjectHandle) -> bool:
 
 def span(generators, ctx) -> SubobjectHandle:
     """Smallest subobject of the carrier containing the generators: the sum
-    of the cyclic submodules R·g, column g of the carrier's action table.  An
-    ideal is a submodule of the ring acting on itself."""
+    of the cyclic submodules R·g, column g of the carrier's action array, each
+    added by one gather.  An ideal is a submodule of the ring acting on itself."""
     carrier = ctx.grading.carrier
     for g in generators:
         if not (0 <= g < carrier.size):
@@ -118,7 +118,7 @@ def span(generators, ctx) -> SubobjectHandle:
     members = frozenset({carrier.zero})
     for g in generators:
         if g not in members:
-            members = _sum(members, {row[g] for row in carrier.action}, carrier.add)
+            members = image(carrier.add_array, members, carrier.action_array[:, g].tolist())[0]
     return subobject(ctx, members)
 
 

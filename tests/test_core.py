@@ -351,6 +351,42 @@ def test_validate_axioms_matches_oracle_on_every_cell_of_a_small_ring():
     assert seen_invalid > 300
 
 
+# carriers of more than one 64-row block, the last one partial in zmod 97 and 150
+_MULTI_BLOCK = {
+    "cyclic-100": functools.cache(lambda: make_group(("cyclic", 100))),
+    "zmod-97": functools.cache(lambda: make_ring(("zmod", 97))),
+    "zmod-150": functools.cache(lambda: make_ring(("zmod", 150))),
+    "directsum-2-64": functools.cache(lambda: make_module(("directsum", 2, 64), make_ring(("zmod", 128)))),
+}
+
+
+@st.composite
+def _multi_block_cells(draw):
+    """A carrier of 65-150 elements, one of its tables and a cell in row 64
+    or later, with the value to write there."""
+    name = draw(st.sampled_from(sorted(_MULTI_BLOCK)))
+    structure = _MULTI_BLOCK[name]()
+    field = draw(st.sampled_from(("op",) if name == "cyclic-100" else _array_fields(structure)))
+    rows, cols = np.shape(getattr(structure, field))
+    return name, field, draw(st.integers(64, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+
+
+@given(_multi_block_cells())
+@settings(max_examples=30, deadline=None)
+@example(("zmod-150", "add_array", 100, 50, 1))  # row 100 loses its inverse
+@example(("zmod-150", "mul_array", 1, 149, 0))  # one-identity fails in the last block
+@example(("zmod-97", "add_array", 96, 0, 0))  # zero-identity fails in the last block
+@example(("directsum-2-64", "action_array", 127, 127, 0))
+def test_validate_axioms_matches_oracle_on_tables_of_several_row_blocks(cell):
+    # the slices and the two-element laws are compared 64 first-axis rows at
+    # a time; a corrupted cell past the first block must give the oracle's
+    # failures and witnesses
+    name, field, i, j, v = cell
+    broken = _corrupt(_MULTI_BLOCK[name](), field, i, j, v)
+    got, want = validate_axioms(broken), _oracle_validate_axioms(broken)
+    assert (got.structure, got.failures) == (want.structure, want.failures)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -606,11 +642,23 @@ def test_groupring_construction_holds_each_table_once_in_a_narrow_dtype():
     assert peak < 2_000_000, f"make_ring peaked at {peak} bytes"
 
 
-def test_parsing_the_bare_cap_structure_builds_no_tuple_rows():
-    # building, grading and validating F2[C9] on itself reads only the stored
-    # arrays and peaks near 2.5 MB traced; the two tables' tuple rows alone
-    # would take 4.2 MB, and with them and int64 copies it peaked near 8.8 MB
-    text = "group cyclic 9\nring groupring 2\ngrading natural\nmodule self\n"
+_CAP_TEXT = "group cyclic 9\nring groupring 2\ngrading natural\nmodule self\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _CAP_TEXT,
+        # the benchmark's validate-cap file at seed 1
+        _CAP_TEXT + "submodule N gens (0,1,0,1,1,1,1,0,0)\nideal I gens (1,0,1,1,0,1,1,0,0)\n",
+    ],
+    ids=["bare", "named-submodule-and-ideal"],
+)
+def test_parsing_the_cap_structure_builds_no_tuple_rows(text):
+    # building, grading, validating F2[C9] on itself and spanning named
+    # subobjects reads only the stored arrays and peaks near 1.5 MB traced, set
+    # by building the tables; the two tables' tuple rows alone would take
+    # 4.2 MB, and with them the named file peaked near 5.7 MB
     tracemalloc.start()
     try:
         entry = parse_structure_text(text)
@@ -618,9 +666,23 @@ def test_parsing_the_bare_cap_structure_builds_no_tuple_rows():
     finally:
         tracemalloc.stop()
     ring, module = entry.gring.ring, entry.gmodule.module
-    assert ring.size == 512 and module.add_array is ring.add_array
+    assert ring.size == 512 and module.add_array is ring.add_array and len(entry.named) == text.count(" gens ")
     assert not {"add", "mul"} & ring.__dict__.keys() and not {"add", "action"} & module.__dict__.keys()
-    assert peak < 3_000_000, f"parsing the cap structure peaked at {peak} bytes"
+    assert peak < 2_500_000, f"parsing the cap structure peaked at {peak} bytes"
+
+
+def test_validate_axioms_of_f2_c9_compares_its_slices_in_row_blocks():
+    # 64-row blocks of the 512 x 512 slices peak near 0.28 MB traced; whole
+    # slices and their n x n temporaries peaked near 1.33 MB
+    ring = make_ring(_F2C9)
+    tracemalloc.start()
+    try:
+        report = validate_axioms(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 600_000, f"validate_axioms peaked at {peak} bytes"
 
 
 @pytest.mark.parametrize(

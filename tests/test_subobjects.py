@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,13 +31,22 @@ from gradedalg import (
     make_group,
     make_module,
     make_ring,
+    parse_structure_file,
     parse_structure_text,
     span,
     subobject,
     whole_subobject,
     zero_subobject,
 )
-from gradedalg.grading import attach_grading, groupring_natural, module_same_as_ring, module_trivial, ring_trivial
+import gradedalg.structfile as structfile
+from gradedalg.grading import (
+    _sum,
+    attach_grading,
+    groupring_natural,
+    module_same_as_ring,
+    module_trivial,
+    ring_trivial,
+)
 from gradedalg.propositions import _hom_family
 from gradedalg.subobjects import _enumerate_by_generators
 
@@ -476,3 +486,51 @@ def test_a_handle_is_its_mask_and_is_graded_counts_its_members(entry):
             assert derived.sorted_members == h.sorted_members == tuple(sorted(h.members))
             assert is_graded(h) == h.graded == (len(h.members) == math.prod(len(h.members & c) for c in comps))
         assert any(not h.graded for h in handles) == (entry.name in ("groupring2-c2", "groupring3-c2"))
+
+
+# ---------------------------------------------------------------------------
+# span, a gather of the stored arrays, against the coset sum over tuple rows
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+_STRUCTURE_FILES = sorted((ROOT / "structures").glob("*.gstruct"))
+
+
+def _oracle_span(generators, ctx):
+    """span as it was before it read the stored arrays: R·g read off the
+    action rows, each added by the coset sum over the add rows."""
+    carrier = ctx.grading.carrier
+    members = frozenset({carrier.zero})
+    for g in generators:
+        if g not in members:
+            members = _sum(members, {row[g] for row in carrier.action}, carrier.add)
+    return subobject(ctx, members)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*_STANDARD, *map(parse_structure_file, _STRUCTURE_FILES)],
+    ids=[e.name for e in _STANDARD] + [p.name for p in _STRUCTURE_FILES],
+)
+def test_span_of_every_generator_and_pair_matches_the_coset_sum_oracle(entry):
+    for ctx in (entry.gring, entry.gmodule):
+        n = ctx.grading.carrier.size
+        for gens in itertools.chain(itertools.combinations(range(n), 1), itertools.combinations(range(n), 2)):
+            assert span(gens, ctx) == _oracle_span(gens, ctx), gens
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *(path.read_text() for path in sorted((ROOT / "src" / "gradedalg" / "standard").glob("*.gstruct"))),
+        *(path.read_text() for path in _STRUCTURE_FILES),
+        # the benchmark's validate-cap file at seed 1: 512 elements
+        "group cyclic 9\nring groupring 2\ngrading natural\nmodule self\n"
+        "submodule N gens (0,1,0,1,1,1,1,0,0)\nideal I gens (1,0,1,1,0,1,1,0,0)\n",
+    ],
+)
+def test_the_named_subobjects_of_each_file_match_the_coset_sum_oracle(text, monkeypatch):
+    named = parse_structure_text(text).named
+    monkeypatch.setattr(structfile, "span", _oracle_span)
+    oracle = parse_structure_text(text).named
+    assert {k: (h.kind, h.mask) for k, h in named.items()} == {k: (h.kind, h.mask) for k, h in oracle.items()}
