@@ -64,7 +64,7 @@ def _store(structure, *fields) -> None:
     array already in that form is kept as it is, so structures can share it."""
     for name in fields:
         table = np.asarray(getattr(structure, name))
-        table = table.astype(np.min_scalar_type(table.shape[1] - 1), copy=False)
+        table = table.astype(np.min_scalar_type(table.shape[1] - 1), order="C", copy=False)
         table.flags.writeable = False
         object.__setattr__(structure, name, table)
 
@@ -73,8 +73,8 @@ def _store(structure, *fields) -> None:
 class FiniteRing(_Carrier):
     """A finite commutative ring with unity, as addition/multiplication tables.
 
-    The arrays are the stored tables; ``add`` and ``mul`` are their tuple rows,
-    built the first time a kernel reads them."""
+    The arrays are the stored tables; ``add`` and ``mul`` are their rows as
+    read-only views, built the first time a kernel reads them."""
 
     labels: tuple
     add_array: np.ndarray
@@ -87,11 +87,11 @@ class FiniteRing(_Carrier):
 
     @cached_property
     def add(self) -> tuple:
-        return _table(self.add_array)
+        return _rows(self.add_array)
 
     @cached_property
     def mul(self) -> tuple:
-        return _table(self.mul_array)
+        return _rows(self.mul_array)
 
     @property
     def action(self) -> tuple:
@@ -125,7 +125,7 @@ class FiniteRing(_Carrier):
 class FiniteModule(_Carrier):
     """A finite unital module over a :class:`FiniteRing`, as explicit tables
     stored as a ring's are.  The ring acting on itself shares the ring's
-    arrays, and so its tuple rows."""
+    arrays, and so their row views."""
 
     ring: FiniteRing
     labels: tuple
@@ -139,12 +139,12 @@ class FiniteModule(_Carrier):
     @cached_property
     def add(self) -> tuple:
         ring = self.ring
-        return ring.add if self.add_array is ring.add_array else _table(self.add_array)
+        return ring.add if self.add_array is ring.add_array else _rows(self.add_array)
 
     @cached_property
     def action(self) -> tuple:
         ring = self.ring
-        return ring.mul if self.action_array is ring.mul_array else _table(self.action_array)
+        return ring.mul if self.action_array is ring.mul_array else _rows(self.action_array)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +182,13 @@ def _digit_add(radices) -> np.ndarray:
     return out
 
 
-def _table(a: np.ndarray) -> tuple:
-    """A table as a tuple of tuples of ints: a group's op, and the tuple rows
-    of a ring or module array, built the first time a kernel reads them.  Its
-    values are elements of the carrier its columns index; each block of 64
-    rows is gathered from one object array of those ints, so the table holds
-    no per-cell int objects (a whole-array ``tolist()`` would make about n^2
-    of them)."""
-    ints = np.array(range(a.shape[1]), dtype=object)
-    return tuple(tuple(row) for lo in range(0, len(a), _ROWS) for row in ints[a[lo:lo + _ROWS]].tolist())
+def _rows(a: np.ndarray) -> tuple:
+    """The rows of a C-ordered table as read-only memoryviews of it: a group's
+    op, and the rows of a ring or module array that the kernels index, built
+    the first time one reads them.  Each row's ``obj`` is ``a``, so no cell is
+    copied; indexing a row gives the int, as a tuple's would."""
+    flat, n = memoryview(a).toreadonly().cast("B").cast(a.dtype.char), a.shape[1]
+    return tuple(flat[lo:lo + n] for lo in range(0, a.size, n))
 
 
 def make_group(spec) -> GradingGroup:
@@ -200,7 +198,7 @@ def make_group(spec) -> GradingGroup:
     ``("product", d1, d2)`` where d1/d2 are descriptors or built groups.
     """
     if spec == "trivial":
-        return GradingGroup(("e",), ((0,),), 0, (0,))
+        return GradingGroup(("e",), _rows(np.zeros((1, 1), np.uint8)), 0, (0,))
     if isinstance(spec, GradingGroup):
         return spec
     if not isinstance(spec, tuple) or not spec:
@@ -210,16 +208,16 @@ def make_group(spec) -> GradingGroup:
         n = spec[1]
         if not isinstance(n, int) or n <= 0:
             raise InvalidDescriptor(f"cyclic order must be a positive integer, got {n!r}")
-        return GradingGroup(tuple(range(n)), _table(_digit_add((n,))), 0,
+        return GradingGroup(tuple(range(n)), _rows(_digit_add((n,))), 0,
                             tuple((-i) % n for i in range(n)))
     if kind == "product":
         g1 = make_group(spec[1])
         g2 = make_group(spec[2])
         n2 = g2.size
         # the inverse is the product of the one-row tables of the inverses
-        inverse = _table(_product_table([g1.inverse], [g2.inverse], n2))[0]
+        inverse = tuple(_product_table([g1.inverse], [g2.inverse], n2)[0].tolist())
         return GradingGroup(tuple(itertools.product(g1.labels, g2.labels)),
-                            _table(_product_table(g1.op, g2.op, n2)),
+                            _rows(_product_table(g1.op, g2.op, n2)),
                             g1.identity * n2 + g2.identity, inverse)
     raise InvalidDescriptor(f"unknown group descriptor kind: {kind!r}")
 
@@ -296,10 +294,11 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
                     f"action-ill-defined: summand order {m} does not divide ring modulus {n}"
                 )
         d, places = _digits(ms)
-        r = np.arange(n)[:, None]
-        action = np.zeros((n, len(d)), np.int64)
+        dtype = np.min_scalar_type(max((n - 1) * (max(ms) - 1), n - 1, len(d) - 1))  # holds r*d and M's indices
+        d, r = d.astype(dtype), np.arange(n, dtype=dtype)[:, None]
+        action = np.zeros((n, len(d)), dtype)
         for t, (m, w) in enumerate(zip(ms, places)):
-            action += r * d[None, :, t] % m * w
+            action += r * d[:, t] % m * w
         return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))), _digit_add(ms), 0, action)
     if kind == "product":
         m1, m2 = spec[1], spec[2]
@@ -474,7 +473,7 @@ def validate_axioms(structure) -> ValidationReport:
     in C order, e.g. ``(a, b, c)``: a failing slice at c need not contain it.
     A ring or module is checked on its stored read-only arrays, each in the
     narrowest unsigned dtype that holds its carrier's indices, and builds no
-    tuple rows; a group's op is copied into one such array.  The checks only
+    row views; a group's op is copied into one such array.  The checks only
     gather and compare, so verdicts and witnesses do not depend on the dtype.
     """
     failures = []

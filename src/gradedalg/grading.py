@@ -43,7 +43,7 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
 
     Component closure, the direct-sum count and R_g M_h ⊆ M_gh (one gather
     per g) are gathers on the stored arrays (:func:`image`, :func:`first_escape`),
-    so grading builds no tuple rows.  Each witness is the first failing cell
+    so grading builds no row views.  Each witness is the first failing cell
     with the components read in their frozenset iteration order.
 
     Raises :class:`GradingInvalid` naming the violated axiom and a witness.

@@ -37,7 +37,7 @@ from .constructions import (
     multiplication_hom,
     product_submodule,
 )
-from .errors import PreconditionViolation, StructureParseError, UnknownProposition
+from .errors import PreconditionViolation, StructureParseError, TooLarge, UnknownProposition
 from .structfile import CorpusEntry, element_token
 from .subobjects import (
     IDEAL,
@@ -432,7 +432,10 @@ def verify_proposition(prop_id: str, corpus) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport(prop_id)
     for entry in corpus:
-        inst, bad, skip = _CHECKERS[prop_id](entry)
+        try:
+            inst, bad, skip = _CHECKERS[prop_id](entry)
+        except TooLarge as exc:
+            raise TooLarge(f"{entry.name}: {exc}") from exc
         report.instances += inst
         for record in bad:  # checkers record handles; only violations are labelled
             report.violations.append({"entry": entry.name, **_named(record, entry)})

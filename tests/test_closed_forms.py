@@ -242,39 +242,88 @@ def _conjugate(partition, length):
     return [sum(1 for part in partition if part >= i) for i in range(1, length + 1)]
 
 
-def _p_group_counts(p, lam):
-    """{order: number of subgroups} of the abelian p-group of type ``lam``
-    (non-increasing exponents)."""
-    counts = Counter()
+def _p_group_types(p, lam):
+    """{mu': number of subgroups of type mu} of the abelian p-group of type
+    ``lam`` (non-increasing exponents), each mu keyed by its first lam[0]
+    conjugate parts."""
+    counts = {}
     lc = _conjugate(lam, lam[0] + 1)
     for mu in itertools.product(*(range(part + 1) for part in lam)):
         if any(a < b for a, b in zip(mu, mu[1:])):
             continue  # not a partition
         mc = _conjugate(mu, lam[0] + 1)
-        counts[p ** sum(mu)] += math.prod(
+        counts[tuple(mc[:-1])] = math.prod(
             p ** (mc[i + 1] * (lc[i] - mc[i])) * _gaussian(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
             for i in range(lam[0])
         )
     return counts
 
 
-def subgroup_counts(ms):
-    """{order: number of subgroups of that order} of Z/m_1 + ... + Z/m_k."""
+def _p_parts(ms):
+    """{p: the exponents of p in m_1, ..., m_k, largest first} over the primes
+    p dividing some m_i, smallest p first."""
     parts = {}
     for m in ms:
         for p, a in _factor(m).items():
             parts.setdefault(p, []).append(a)
-    counts = {1: 1}
-    for p, lam in parts.items():  # orders of distinct p-parts multiply to distinct orders
-        p_counts = _p_group_counts(p, sorted(lam, reverse=True))
-        counts = {a * b: x * y for a, x in counts.items() for b, y in p_counts.items()}
+    return {p: sorted(parts[p], reverse=True) for p in sorted(parts)}
+
+
+def subgroup_types(ms):
+    """{type: number of subgroups of that type} of Z/m_1 + ... + Z/m_k, where
+    a type holds (p, mu') for each p of ``_p_parts(ms)``, mu the type of the
+    subgroup's p-part."""
+    counts = {(): 1}
+    for p, lam in _p_parts(ms).items():  # the p-parts of a subgroup are chosen independently
+        p_counts = _p_group_types(p, lam)
+        counts = {t + ((p, mc),): x * y for t, x in counts.items() for mc, y in p_counts.items()}
     return counts
+
+
+def subgroup_counts(ms):
+    """{order: number of subgroups of that order} of Z/m_1 + ... + Z/m_k."""
+    counts = Counter()
+    for t, x in subgroup_types(ms).items():
+        counts[math.prod(p ** sum(mc) for p, mc in t)] += x
+    return dict(counts)
+
+
+def _log(p, size):
+    e = 0
+    while size % p == 0:
+        size, e = size // p, e + 1
+    assert size == 1
+    return e
+
+
+def _walk_types(gm, ms):
+    """The type of each subgroup H the lattice walk finds, read from the
+    counts |H[p^j]| of its members whose order, counted in the add table,
+    divides p^j: their base-p logarithms are the partial sums of mu'."""
+    add, zero = gm.module.add, gm.module.zero
+    order = []
+    for x in range(gm.module.size):
+        k, cur = 1, x
+        while cur != zero:
+            k, cur = k + 1, add[cur][x]
+        order.append(k)
+    types = Counter()
+    for h in enumerate_graded_subobjects(gm):
+        t = []
+        for p, lam in _p_parts(ms).items():
+            logs = [_log(p, sum(1 for x in h.members if p ** j % order[x] == 0)) for j in range(lam[0] + 1)]
+            t.append((p, tuple(b - a for a, b in zip(logs, logs[1:]))))
+        types[tuple(t)] += 1
+    return types
 
 
 def test_subgroup_counts_match_known_lattices():
     # Z/n has one subgroup per divisor; (2^k) has the sum of the Gaussian
     # binomials [k, j]_2 subgroups
     assert subgroup_counts((12,)) == {d: 1 for d in (1, 2, 3, 4, 6, 12)}
+    # Z/4 + Z/2: 1, Z/2 three times, Z/4 twice, Z/2 + Z/2, and itself
+    assert subgroup_types((4, 2)) == {
+        ((2, (0, 0)),): 1, ((2, (1, 0)),): 3, ((2, (1, 1)),): 2, ((2, (2, 0)),): 1, ((2, (2, 1)),): 1}
     assert subgroup_counts((2, 2)) == {1: 1, 2: 3, 4: 1}
     assert [sum(subgroup_counts((2,) * k).values()) for k in range(1, 8)] == [2, 5, 16, 67, 374, 2825, 29212]
     assert sum(subgroup_counts((36, 6)).values()) == 80
@@ -295,18 +344,21 @@ def _directsum_types(limit):
 
 def _walk_mismatches(limit):
     """The types of ``_directsum_types(limit)`` whose lattice walk's size
-    histogram differs from ``subgroup_counts``, and the number of types."""
+    histogram differs from ``subgroup_counts``, or whose histogram of subgroup
+    types differs from ``subgroup_types``; and the number of types."""
     bad, types = [], list(_directsum_types(limit))
     for ms in types:
         gring = ring_trivial(make_ring(("zmod", ms[0])))
         gm = module_trivial(make_module(("directsum",) + ms, gring.ring), gring)
-        if Counter(len(h.members) for h in enumerate_graded_subobjects(gm)) != subgroup_counts(ms):
+        sizes = Counter(len(h.members) for h in enumerate_graded_subobjects(gm))
+        if sizes != subgroup_counts(ms) or _walk_types(gm, ms) != subgroup_types(ms):
             bad.append(ms)
     return bad, len(types)
 
 
 def test_the_lattice_walk_finds_every_subgroup_up_to_64_elements():
-    # (2^5) has 374 subgroups and (2^6) 2825, the largest lattice here
+    # (2^5) has 374 subgroups and (2^6) 2825, the largest lattice here; each
+    # type is counted, so a walk that found Z/4 in place of Z/2 + Z/2 fails
     assert _walk_mismatches(64) == ([], 116)
 
 

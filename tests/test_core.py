@@ -22,6 +22,7 @@ from gradedalg import (
 from gradedalg.constructions import localize_module
 from gradedalg.core import FiniteModule, FiniteRing, GradingGroup, ValidationReport, first_invalid
 from gradedalg.grading import module_trivial, ring_trivial
+from gradedalg.structfile import parse_structure_dir
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -551,18 +552,26 @@ def _directsum_specs(draw, max_ring=64, max_elements=64):
 
 
 def _assert_same_tables(got, want):
-    """Equal labels, indices and tables, each table as tuple rows of ints (a
-    group's op, a ring or module's rows built from its array)."""
-    names = [f.name.removesuffix("_array") for f in dataclasses.fields(want) if f.name != "ring"]
-    assert {name: getattr(got, name) for name in names} == {name: getattr(want, name) for name in names}
-    for name in names:
-        value = getattr(got, name)
-        if name == "labels" or not isinstance(value, tuple):
-            assert type(value) is int or name == "labels"
+    """Equal labels and indices, and equal tables compared cell by cell as
+    ints.  Each row of a group's op, a ring's add and mul and a module's add
+    and action is a read-only view of one C-ordered array: the stored array
+    of a ring or module table, the op's own array for a group."""
+    for field in dataclasses.fields(want):
+        name = field.name.removesuffix("_array")
+        if name == "ring":
             continue
-        rows = value if isinstance(value[0], tuple) else (value,)
-        assert all(type(row) is tuple for row in rows)
-        assert all(type(v) is int for row in rows for v in row), name
+        value, expected = getattr(got, name), getattr(want, name)
+        if name in ("labels", "inverse") or type(expected) is int:
+            assert value == expected, name
+            ints = () if name == "labels" else value if name == "inverse" else (value,)
+            assert all(type(v) is int for v in ints), name
+            continue
+        assert [[int(v) for v in row] for row in value] == [[int(v) for v in row] for row in expected], name
+        assert all(type(v) is int for row in value for v in row), name
+        stored = getattr(got, field.name) if field.name.endswith("_array") else value[0].obj
+        assert isinstance(stored, np.ndarray) and stored.flags.c_contiguous, name
+        assert stored.shape == (len(value), len(value[0])), name
+        assert all(type(row) is memoryview and row.readonly and row.obj is stored for row in value), name
 
 
 @given(_GROUP_SPECS)
@@ -611,18 +620,29 @@ def test_make_ring_matches_per_element_oracle_beyond_the_cap(spec):
 
 
 @pytest.mark.parametrize(
-    "table",
+    "build, field",
     [
-        lambda: make_ring(_F2C9).add,
-        lambda: make_ring(_F2C9).mul,
-        lambda: make_ring(("zmod", 512)).add,
-        lambda: make_module(("directsum",) + (2,) * 9, make_ring(("zmod", 2))).add,
+        (lambda: make_ring(_F2C9), "add"),
+        (lambda: make_ring(_F2C9), "mul"),
+        (lambda: make_ring(("zmod", 512)), "add"),
+        (lambda: make_module(("directsum",) + (2,) * 9, make_ring(("zmod", 2))), "add"),
     ],
     ids=["f2-c9-add", "f2-c9-mul", "zmod-512-add", "directsum-2x9-add"],
 )
-def test_a_table_holds_at_most_n_int_objects(table):
-    t = table()
-    assert len({id(v) for row in t for v in row}) <= len(t[0]) == 512
+def test_a_tables_rows_are_views_that_copy_no_cell(build, field):
+    # 512 row views of the stored array take about 0.1 MB traced; tuple rows
+    # of shared ints took 2.1 MB
+    structure = build()
+    stored = getattr(structure, f"{field}_array")
+    tracemalloc.start()
+    try:
+        rows = getattr(structure, field)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(rows[0]) == 512
+    assert all(type(row) is memoryview and row.readonly and row.obj is stored for row in rows)
+    assert size < 200_000, f"the rows of a 512 x 512 table take {size} bytes"
 
 
 def test_groupring_construction_holds_each_table_once_in_a_narrow_dtype():
@@ -669,6 +689,43 @@ def test_parsing_the_cap_structure_builds_no_tuple_rows(text):
     assert ring.size == 512 and module.add_array is ring.add_array and len(entry.named) == text.count(" gens ")
     assert not {"add", "mul"} & ring.__dict__.keys() and not {"add", "action"} & module.__dict__.keys()
     assert peak < 2_500_000, f"parsing the cap structure peaked at {peak} bytes"
+
+
+def test_parsing_torsion180_builds_its_directsum_action_in_a_narrow_dtype():
+    # r * d, reduced and placed, in uint16 peaks near 0.39 MB traced; the
+    # same steps in int64 peaked near 0.85 MB
+    path = ROOT / "src" / "gradedalg" / "standard" / "09-torsion180.gstruct"
+    tracemalloc.start()
+    try:
+        entry = parse_structure_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entry.gmodule.module.size == 180
+    assert peak < 500_000, f"parsing torsion180 peaked at {peak} bytes"
+
+
+def test_the_row_views_of_every_corpus_table_take_under_0_4_mb():
+    # fresh copies of every ring and module of the standard corpus and
+    # structures/, sharing the stored arrays: their row views take about
+    # 0.34 MB traced (0.2 MB of memoryviews per 1000 rows, and torsion180 has
+    # 720 rows in each directory), where tuple rows of shared ints took 2.2 MB
+    entries = [*parse_structure_dir(ROOT / "src" / "gradedalg" / "standard"), *parse_structure_dir(ROOT / "structures")]
+    copies = []
+    for entry in entries:
+        r, m = entry.gring.ring, entry.gmodule.module
+        ring = FiniteRing(r.labels, r.add_array, r.mul_array, r.zero, r.one)
+        copies.append((ring, FiniteModule(ring, m.labels, m.add_array, m.zero, m.action_array)))
+    tables = [(s, name) for ring, module in copies for s, name in
+              ((ring, "add"), (ring, "mul"), (module, "add"), (module, "action"))]
+    tracemalloc.start()
+    try:
+        rows = [getattr(s, name) for s, name in tables]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row.obj is getattr(s, f"{name}_array") for (s, name), t in zip(tables, rows) for row in t)
+    assert size < 400_000, f"the corpus's row views take {size} bytes"
 
 
 def test_validate_axioms_of_f2_c9_compares_its_slices_in_row_blocks():

@@ -458,6 +458,35 @@ def test_the_standard_corpus_names_the_file_over_the_cap(capsys):
         f"error: {path}: line 1: ring would have 36 elements, above the size cap 20\n")
 
 
+# Runs argv in a child and prints its exit code, wall time and ru_maxrss (KB)
+# from os.wait4.  A child's ru_maxrss starts at the RSS of the process that
+# forked it, so a small interpreter forks it rather than the test process.
+_WAIT4 = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+err = child.stderr.read()
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+sys.stderr.buffer.write(err)
+"""
+
+
+def test_a_lattice_past_the_cap_exits_2_naming_its_file(tmp_path):
+    # the graded lattice of F_2^9 over Z/2 has 8283458 elements; the walk
+    # stops inside its second level, at MAX_LATTICE + 1 sets found
+    path = _write(tmp_path, "ring zmod 2\nmodule directsum 2 2 2 2 2 2 2 2 2\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "gradedalg", "verify", "--suite", "all", "--corpus", str(tmp_path)]
+    run = subprocess.run([sys.executable, "-c", _WAIT4, *argv], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=120)
+    code, elapsed, maxrss_kb = run.stdout.split()
+    assert int(code) == 2
+    assert run.stderr == f"error: {path}: graded lattice reached 32769 elements, cap is 32768\n"
+    assert float(elapsed) < 5, f"the capped walk took {elapsed} s"
+    assert int(maxrss_kb) < 150 * 1024, f"the capped walk peaked at {maxrss_kb} KB"
+
+
 def test_cli_custom_corpus_dir(tmp_path):
     _write(tmp_path, "ring zmod 4\nmodule self\n", "a.gstruct")
     _write(tmp_path, "ring zmod 9\nmodule self\n", "b.gstruct")

@@ -39,6 +39,7 @@ from gradedalg import (
     zero_subobject,
 )
 import gradedalg.structfile as structfile
+import gradedalg.subobjects as subobjects
 from gradedalg.grading import (
     _sum,
     attach_grading,
@@ -339,6 +340,17 @@ def test_enumeration_is_built_once_per_carrier_and_capped_on_every_call():
     assert enumerate_graded_subobjects(gr) is ideals
     with pytest.raises(TooLarge, match="cap is 11"):
         enumerate_graded_subobjects(gr, 11)
+
+
+def test_the_lattice_walk_stops_as_it_passes_its_cap(monkeypatch):
+    # (2^3) has 16 subgroups: 1 + 7 + 7 + 1 by dimension
+    gr = ring_trivial(make_ring(("zmod", 2)))
+    monkeypatch.setattr(subobjects, "MAX_LATTICE", 16)
+    assert len(enumerate_graded_subobjects(module_trivial(make_module(("directsum", 2, 2, 2), gr.ring), gr))) == 16
+    monkeypatch.setattr(subobjects, "MAX_LATTICE", 10)
+    gm = module_trivial(make_module(("directsum", 2, 2, 2), gr.ring), gr)
+    with pytest.raises(TooLarge, match="^graded lattice reached 11 elements, cap is 10$"):
+        enumerate_graded_subobjects(gm)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
