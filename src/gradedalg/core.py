@@ -183,10 +183,8 @@ def _digit_add(radices) -> np.ndarray:
 
 
 def _rows(a: np.ndarray) -> tuple:
-    """The rows of a C-ordered table as read-only memoryviews of it: a group's
-    op, and the rows of a ring or module array that the kernels index, built
-    the first time one reads them.  Each row's ``obj`` is ``a``, so no cell is
-    copied; indexing a row gives the int, as a tuple's would."""
+    """A group's op, or the rows the kernels index of a ring or module table: read-only
+    memoryviews of the C-ordered ``a``, each with ``obj`` ``a``, so no cell is copied."""
     flat, n = memoryview(a).toreadonly().cast("B").cast(a.dtype.char), a.shape[1]
     return tuple(flat[lo:lo + n] for lo in range(0, a.size, n))
 
@@ -294,11 +292,10 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
                     f"action-ill-defined: summand order {m} does not divide ring modulus {n}"
                 )
         d, places = _digits(ms)
-        dtype = np.min_scalar_type(max((n - 1) * (max(ms) - 1), n - 1, len(d) - 1))  # holds r*d and M's indices
-        d, r = d.astype(dtype), np.arange(n, dtype=dtype)[:, None]
-        action = np.zeros((n, len(d)), dtype)
+        r = np.arange(n)[:, None]
+        action = np.zeros((n, len(d)), np.int64)
         for t, (m, w) in enumerate(zip(ms, places)):
-            action += r * d[:, t] % m * w
+            action += r * d[None, :, t] % m * w
         return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))), _digit_add(ms), 0, action)
     if kind == "product":
         m1, m2 = spec[1], spec[2]

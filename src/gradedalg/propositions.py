@@ -424,6 +424,16 @@ _CHECKERS = {
 PROPOSITION_IDS = tuple(_CHECKERS)
 
 
+def _per_entry(corpus, work):
+    """``(entry, work(entry))`` for each entry in turn; a ``TooLarge`` names the entry."""
+    for entry in corpus:
+        try:
+            result = work(entry)
+        except TooLarge as exc:
+            raise TooLarge(f"{entry.name}: {exc}") from exc
+        yield entry, result
+
+
 def verify_proposition(prop_id: str, corpus) -> VerificationReport:
     """Check one proposition on every hypothesis instance over the corpus, an
     iterable of entries."""
@@ -431,11 +441,7 @@ def verify_proposition(prop_id: str, corpus) -> VerificationReport:
         raise UnknownProposition(f"unknown proposition {prop_id!r}")
     t0 = time.perf_counter()
     report = VerificationReport(prop_id)
-    for entry in corpus:
-        try:
-            inst, bad, skip = _CHECKERS[prop_id](entry)
-        except TooLarge as exc:
-            raise TooLarge(f"{entry.name}: {exc}") from exc
+    for entry, (inst, bad, skip) in _per_entry(corpus, _CHECKERS[prop_id]):
         report.instances += inst
         for record in bad:  # checkers record handles; only violations are labelled
             report.violations.append({"entry": entry.name, **_named(record, entry)})
@@ -591,12 +597,14 @@ def search_counterexample(expr: str, corpus, budget: int = 10**6):
         except _NoSuchDegree:  # an entry whose grading group has no such element satisfies nothing
             return False
 
+    def first(entry):  # the entry's first nonzero submodule that satisfies the expression
+        return next((n for n in _nonzero_subs(entry) if holds(node, n, entry)), None)
+
     try:
-        for entry in corpus:
-            for n in _nonzero_subs(entry):
-                if holds(node, n, entry):
-                    members = [element_token(n.carrier.labels[i]) for i in n.sorted_members]
-                    return {"entry": entry.name, "members": members, "handle": n}
+        for entry, n in _per_entry(corpus, first):
+            if n is not None:
+                members = [element_token(n.carrier.labels[i]) for i in n.sorted_members]
+                return {"entry": entry.name, "members": members, "handle": n}
     except _BudgetExhausted:
         pass
     return None

@@ -10,9 +10,8 @@ member set is derived on demand, or kept from the set a sum built.
 Member sets are additive subgroups.  span(G) = Σ_{g∈G} R·g adds each R·g,
 column g of the action array, by one ``core.image`` gather of the add array;
 IN = Σ_{i∈I} iN, A + B, the lattice walk and Grad(P) (one degree at a time,
-from the rooted parts of each R_g) are coset sums ``grading._sum`` on the
-add table's row views.  Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|,
-one popcount).
+from the rooted parts of each R_g) are coset sums ``grading._sum`` on the add
+table's rows.  Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount).
 
 A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
 every per-scalar value is computed once per unit orbit (the carrier's
@@ -262,11 +261,10 @@ def _enumerate_by_generators(ctx, generators, max_elements: int):
     while frontier:
         level = set()
         for t in (_sum(s, d, add) for s in frontier for d in singles if not d <= s):
-            if t not in found and t not in level:
+            if t not in found:
                 level.add(t)
                 if len(found) + len(level) > MAX_LATTICE:  # checked as each set is found
-                    raise TooLarge(f"graded lattice reached {len(found) + len(level)} elements, "
-                                   f"cap is {MAX_LATTICE}")
+                    raise TooLarge(f"graded lattice reached {MAX_LATTICE + 1} elements, cap is {MAX_LATTICE}")
         found |= level
         frontier = level
     return sorted((subobject(ctx, s) for s in found), key=lambda h: (len(h.members), h.sorted_members))
@@ -279,8 +277,7 @@ def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):
     the lattice is walked by repeatedly joining homogeneous cyclic spans, one
     per unit orbit (R·ux = R·x).  Results are memoized on the carrier; the cap
     is checked on every call and only decides whether the lattice may be
-    returned.  The walk itself stops with ``TooLarge`` past ``MAX_LATTICE``
-    subobjects.
+    returned.  The walk stops with ``TooLarge`` past ``MAX_LATTICE`` sets.
     """
     _capped_carrier(ctx, max_elements)
 

@@ -472,12 +472,14 @@ sys.stderr.buffer.write(err)
 """
 
 
-def test_a_lattice_past_the_cap_exits_2_naming_its_file(tmp_path):
+@pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["search", "--expr", "second and not second"]],
+                         ids=["verify", "search"])
+def test_a_lattice_past_the_cap_exits_2_naming_its_file(tmp_path, command):
     # the graded lattice of F_2^9 over Z/2 has 8283458 elements; the walk
     # stops inside its second level, at MAX_LATTICE + 1 sets found
     path = _write(tmp_path, "ring zmod 2\nmodule directsum 2 2 2 2 2 2 2 2 2\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-m", "gradedalg", "verify", "--suite", "all", "--corpus", str(tmp_path)]
+    argv = [sys.executable, "-m", "gradedalg", *command, "--corpus", str(tmp_path)]
     run = subprocess.run([sys.executable, "-c", _WAIT4, *argv], cwd=ROOT, env=env, capture_output=True,
                          text=True, timeout=120)
     code, elapsed, maxrss_kb = run.stdout.split()
