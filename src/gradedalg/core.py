@@ -3,7 +3,8 @@
 Every structure is an immutable table object: elements are canonical labels,
 all operations are total lookup tables over element *indices*, and everything
 downstream treats elements as opaque indices.  Structures are validated
-exhaustively by :func:`validate_axioms`.
+exhaustively by :func:`validate_axioms`.  :func:`coset_sum`, every subgroup
+sum A + B, and :func:`first_escape` gather on the stored arrays.
 """
 from __future__ import annotations
 
@@ -309,27 +310,18 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
     raise InvalidDescriptor(f"unknown module descriptor kind: {kind!r}")
 
 
-def image(table: np.ndarray, rows, cols, inside=None) -> tuple:
-    """``table[r, c]`` over r in ``rows`` and c in ``cols`` (sized iterables of
-    indices, read in their iteration order) as one whole-array gather.
-
-    Returns the frozenset of the values reached and, unless ``inside`` is
-    None, the first (r, c) in that row-major order whose value is not in
-    ``inside``, or None when every value is.
-    """
-    rows, cols = np.fromiter(rows, np.intp, len(rows)), np.fromiter(cols, np.intp, len(cols))
-    cells = table[rows[:, None], cols]
-    reached = np.zeros(table.shape[1], dtype=bool)
-    reached[cells] = True
-    outside = None
-    if inside is not None:
-        allowed = np.zeros(table.shape[1], dtype=bool)
-        allowed[np.fromiter(inside, np.intp, len(inside))] = True
-        bad = np.flatnonzero(~allowed[cells])
-        if len(bad):
-            i, j = divmod(int(bad[0]), len(cols))
-            outside = (int(rows[i]), int(cols[j]))
-    return frozenset(np.flatnonzero(reached).tolist()), outside
+def coset_sum(a, b, add: np.ndarray) -> frozenset:
+    """A + B for additive subgroups (sized iterables of indices) of the carrier
+    whose stored add array is ``add``: the union of the cosets y + A over y in
+    B, A the larger, each one gather of row y, skipping each y already in the
+    union (its coset is there)."""
+    if len(a) < len(b):
+        a, b = b, a
+    cols, out = np.fromiter(a, np.intp, len(a)), set()
+    for y in b:
+        if y not in out:
+            out.update(add[y].take(cols).tolist())
+    return frozenset(out)
 
 
 def first_escape(table: np.ndarray, row_sets, col_sets, op):

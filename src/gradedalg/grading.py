@@ -1,14 +1,14 @@
 """Gradings on rings and modules: validated component sets (a grading stores
-nothing else), the coset sum ``_sum`` that builds every subobject's member
-set, and the graded-carrier wrapper objects used by the rest of the package,
-which also hold the component masks and the unit-orbit map ``orbit_min``.
+nothing else, and is checked by gathers on the stored arrays), and the
+graded-carrier wrapper objects used by the rest of the package, which also
+hold the component masks and the unit-orbit map ``orbit_min``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteModule, FiniteRing, GradingGroup, first_escape, image, make_group
+from .core import FiniteModule, FiniteRing, GradingGroup, coset_sum, first_escape, make_group
 from .errors import GradingInvalid
 
 
@@ -22,18 +22,6 @@ class Grading:
     components: tuple  # tuple[frozenset[int], ...], indexed by group element
 
 
-def _sum(a, b, add) -> frozenset:
-    """A + B for additive subgroups: the union of the cosets of the larger over
-    the smaller, skipping each y already in the union (its coset is there)."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = set()
-    for y in b:
-        if y not in out:
-            out.update(map(add[y].__getitem__, a))
-    return frozenset(out)
-
-
 def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Grading | None = None) -> Grading:
     """Validate a component assignment and return a :class:`Grading`.
 
@@ -41,10 +29,10 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     element indices.  For a module grading, ``ring_grading`` must be the
     already-validated grading of the scalar ring over the same group.
 
-    Component closure, the direct-sum count and R_g M_h ⊆ M_gh (one gather
-    per g) are gathers on the stored arrays (:func:`image`, :func:`first_escape`),
-    so grading builds no row views.  Each witness is the first failing cell
-    with the components read in their frozenset iteration order.
+    Closure and R_g M_h ⊆ M_gh (one gather per g) are :func:`first_escape`
+    calls and the direct sum is counted by :func:`coset_sum`, on the stored
+    arrays, so grading builds no row views.  Each witness is the first failing
+    cell with the components read in their frozenset iteration order.
 
     Raises :class:`GradingInvalid` naming the violated axiom and a witness.
     """
@@ -72,15 +60,15 @@ def attach_grading(carrier, group: GradingGroup, assignment, ring_grading: Gradi
     for g, comp in enumerate(components):
         if zero not in comp:
             raise GradingInvalid("component-missing-zero", (g,))
-        outside = image(add, comp, comp, comp)[1]
+        outside = first_escape(add, [comp], [comp], ((0,),))
         if outside is not None:
-            raise GradingInvalid("component-not-closed-under-add", (g, *outside))
+            raise GradingInvalid("component-not-closed-under-add", (g, *outside[2:]))
 
     # direct sum: each M_g meets the sum of those before it in 0, and all give M
     total = frozenset({zero})
     for g, comp in enumerate(components):
         before = len(total)
-        total = image(add, total, comp)[0]
+        total = coset_sum(total, comp, add)
         if len(total) < before * len(comp):
             raise GradingInvalid("direct-sum-collision", (g,))
     if len(total) != n:

@@ -7,11 +7,11 @@ A handle's ``kind`` is read from its carrier: ``"ideal"`` over a
 is its int mask (bit i for element i): an intersection is ``a & b``, and the
 member set is derived on demand, or kept from the set a sum built.
 
-Member sets are additive subgroups.  span(G) = Σ_{g∈G} R·g adds each R·g,
-column g of the action array, by one ``core.image`` gather of the add array;
-IN = Σ_{i∈I} iN, A + B, the lattice walk and Grad(P) (one degree at a time,
-from the rooted parts of each R_g) are coset sums ``grading._sum`` on the add
-table's rows.  Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount).
+Member sets are additive subgroups, and every sum of two is one kernel,
+``core.coset_sum`` on the carrier's stored add array: span(G) = Σ_{g∈G} R·g
+(R·g is column g of the action array), IN = Σ_{i∈I} iN, A + B, the lattice
+walk and Grad(P) (one degree at a time, from the rooted parts of each R_g).
+Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount).
 
 A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
 every per-scalar value is computed once per unit orbit (the carrier's
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from .core import DEFAULT_MAX_ELEMENTS, image
+from .core import DEFAULT_MAX_ELEMENTS, coset_sum
 from .errors import PreconditionViolation, TooLarge
-from .grading import IDEAL, SUBMODULE, _sum
+from .grading import IDEAL, SUBMODULE
 
 MAX_LATTICE = 2 ** 15  # graded subobjects a walk may find; the (2^7) lattice has 29212
 
@@ -111,8 +111,8 @@ def is_graded(handle: SubobjectHandle) -> bool:
 
 def span(generators, ctx) -> SubobjectHandle:
     """Smallest subobject of the carrier containing the generators: the sum
-    of the cyclic submodules R·g, column g of the carrier's action array, each
-    added by one gather.  An ideal is a submodule of the ring acting on itself."""
+    of the cyclic submodules R·g, column g of the carrier's action array.  An
+    ideal is a submodule of the ring acting on itself."""
     carrier = ctx.grading.carrier
     for g in generators:
         if not (0 <= g < carrier.size):
@@ -120,7 +120,7 @@ def span(generators, ctx) -> SubobjectHandle:
     members = frozenset({carrier.zero})
     for g in generators:
         if g not in members:
-            members = image(carrier.add_array, members, carrier.action_array[:, g].tolist())[0]
+            members = coset_sum(members, set(carrier.action_array[:, g].tolist()), carrier.add_array)
     return subobject(ctx, members)
 
 
@@ -140,7 +140,7 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
             raise PreconditionViolation(f"{op} requires handles over the same carrier")
         if op == "intersect":
             return SubobjectHandle(a.ctx, a.mask & b.mask)
-        return subobject(a.ctx, _sum(a.members, b.members, a.carrier.add))
+        return subobject(a.ctx, coset_sum(a.members, b.members, a.carrier.add_array))
     if op == "ideal_product":
         # a: ideal over the scalar ring of b's module
         if b.kind != SUBMODULE or b.ctx.gring is not a.ctx:
@@ -149,7 +149,7 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
         members, mask = frozenset({b.carrier.zero}), 1 << b.carrier.zero
         for i in a.sorted_members:
             if orbit_min[i] == i and rn[i] & ~mask:  # iN is not in the sum yet
-                members = _sum(members, _bits(rn[i]), b.carrier.add)
+                members = coset_sum(members, _bits(rn[i]), b.carrier.add_array)
                 mask = _mask(members)
         return subobject(b.ctx, members)
     if op == "scalar_product":
@@ -228,7 +228,7 @@ def graded_radical(p: SubobjectHandle) -> SubobjectHandle:
     pm = p.members
     members = frozenset({ring.zero})
     for comp in gring.grading.components:
-        members = _sum(members, [h for h in comp if not powers[h].isdisjoint(pm)], ring.add)
+        members = coset_sum(members, [h for h in comp if not powers[h].isdisjoint(pm)], ring.add_array)
     return subobject(gring, members)
 
 
@@ -252,7 +252,7 @@ def _capped_carrier(ctx, max_elements: int):
 
 def _enumerate_by_generators(ctx, generators, max_elements: int):
     carrier = _capped_carrier(ctx, max_elements)
-    add = carrier.add
+    add = carrier.add_array
 
     # distinct cyclic spans of single generators
     singles = {span({x}, ctx).members for x in sorted(generators)}
@@ -260,7 +260,7 @@ def _enumerate_by_generators(ctx, generators, max_elements: int):
     frontier = set(found)
     while frontier:
         level = set()
-        for t in (_sum(s, d, add) for s in frontier for d in singles if not d <= s):
+        for t in (coset_sum(s, d, add) for s in frontier for d in singles if not d <= s):
             if t not in found:
                 level.add(t)
                 if len(found) + len(level) > MAX_LATTICE:  # checked as each set is found

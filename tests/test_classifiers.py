@@ -130,6 +130,24 @@ def test_recheck_does_not_read_the_memoized_rn_masks(n, predicate, recheck):
         assert recheck(whole, w["x"], w["y"])
 
 
+@pytest.mark.parametrize("n, x, y, k_gens, coprimary, strong", [
+    (6, 2, 3, (0,), False, False),  # xy = 0 annihilates N
+    (6, 2, 3, None, False, None),  # the same, with K = xyN
+    (6, 1, 1, (0,), False, False),  # xyN = N is not in K = 0
+    (12, 2, 2, (4,), False, True),  # 2 is in Grad((K :_R N)) = (2), not in (K :_R N) = (4)
+    (12, 2, 3, (2,), False, False),  # 2 is in (K :_R N) = (2)
+])
+def test_recheck_rejects_a_near_miss(n, x, y, k_gens, coprimary, strong):
+    # N = Z/n itself: each case fails one condition of a violation, so the
+    # re-check must say False where the kernels would not have reported one
+    gr, gm = _self_module(n)
+    whole = whole_subobject(gm)
+    k = None if k_gens is None else span(set(k_gens), gm)
+    assert recheck_coprimary_violation(whole, x, y, k) is coprimary
+    if k is not None:
+        assert recheck_strong_violation(whole, x, y, k) is strong
+
+
 def test_characterization_agrees_on_z36():
     gr, gm = _self_module(36)
     from gradedalg import enumerate_graded_subobjects

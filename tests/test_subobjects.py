@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,8 @@ from gradedalg import (
 )
 import gradedalg.structfile as structfile
 import gradedalg.subobjects as subobjects
+from gradedalg.core import coset_sum
 from gradedalg.grading import (
-    _sum,
     attach_grading,
     groupring_natural,
     module_same_as_ring,
@@ -501,11 +502,54 @@ def test_a_handle_is_its_mask_and_is_graded_counts_its_members(entry):
 
 
 # ---------------------------------------------------------------------------
-# span, a gather of the stored arrays, against the coset sum over tuple rows
+# coset_sum and span, on the stored arrays, against the coset sum over row views
 # ---------------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
 _STRUCTURE_FILES = sorted((ROOT / "structures").glob("*.gstruct"))
+
+
+def _oracle_sum(a, b, add) -> frozenset:
+    """A + B for additive subgroups: the union of the cosets of the larger over
+    the smaller, skipping each y already in the union (its coset is there)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = set()
+    for y in b:
+        if y not in out:
+            out.update(map(add[y].__getitem__, a))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)
+def test_coset_sum_of_every_pair_of_graded_subobjects_matches_the_oracle(entry):
+    for ctx in (entry.gring, entry.gmodule):
+        carrier = ctx.grading.carrier
+        lattice = [h.members for h in enumerate_graded_subobjects(ctx)]
+        for a, b in itertools.product(lattice, repeat=2):
+            assert coset_sum(a, b, carrier.add_array) == _oracle_sum(a, b, carrier.add), (a, b)
+
+
+def test_coset_sum_matches_the_oracle_on_subgroups_of_the_cap_ring():
+    # F2[C9] has 512 elements, so its tables are uint16; each x has order 2,
+    # so the subgroup a few x generate is their iterated sums with {0, x}
+    ring = make_ring(("groupring", 2, make_group(("cyclic", 9))))
+    assert ring.add_array.dtype.itemsize == 2
+    rng = random.Random(31)
+
+    def subgroup():
+        members = {ring.zero}
+        for x in rng.sample(range(ring.size), rng.randint(1, 4)):
+            members |= {ring.add[m][x] for m in members}
+        return frozenset(members)
+
+    for _ in range(200):
+        a, b = subgroup(), subgroup()
+        expected = _oracle_sum(a, b, ring.add)
+        assert coset_sum(a, b, ring.add_array) == expected, (a, b)
+        # sized iterables with repeats, in any order, give the same sum
+        assert coset_sum([*a, *sorted(a)], [*b, *b], ring.add_array) == expected, (a, b)
+        assert coset_sum(sorted(b) * 3, list(a), ring.add_array) == expected, (a, b)
 
 
 def _oracle_span(generators, ctx):
@@ -515,7 +559,7 @@ def _oracle_span(generators, ctx):
     members = frozenset({carrier.zero})
     for g in generators:
         if g not in members:
-            members = _sum(members, {row[g] for row in carrier.action}, carrier.add)
+            members = _oracle_sum(members, {row[g] for row in carrier.action}, carrier.add)
     return subobject(ctx, members)
 
 
