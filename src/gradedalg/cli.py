@@ -15,10 +15,10 @@ import argparse
 import sys
 
 from .core import DEFAULT_MAX_ELEMENTS
-from .corpus import build_standard_corpus
+from .corpus import build_standard_corpus, iter_standard_corpus
 from .errors import GradedAlgError
-from .propositions import PROPOSITION_IDS, _named, classify_named, search_counterexample, verify_proposition
-from .structfile import parse_structure_dir, parse_structure_file
+from .propositions import PROPOSITION_IDS, _named, classify_named, search_counterexample, verify_suite
+from .structfile import iter_structure_dir, parse_structure_dir, parse_structure_file
 from .subobjects import whole_subobject
 
 
@@ -117,10 +117,22 @@ def _cmd_classify(args, out) -> int:
     return 0
 
 
+def _released(entries):
+    """Yield each entry of ``entries``, and release it when the next is asked
+    for, so that it is freed before the next file is parsed."""
+    for entry in entries:
+        yield entry
+        entry.release()
+
+
 def _cmd_verify(args, out) -> int:
-    corpus = _load_corpus(args)
+    # the run parses its own entries, so no one else holds them
+    if args.corpus:
+        entries = iter_structure_dir(args.corpus, args.max_elements)
+    else:
+        entries = iter_standard_corpus(args.max_elements)
     prop_ids = PROPOSITION_IDS if args.suite == "all" else (args.prop,)
-    reports = [verify_proposition(pid, corpus) for pid in prop_ids]
+    reports = verify_suite(prop_ids, _released(entries))
     failed = False
     for r in reports:
         print(r.to_machine() if args.report == "machine" else r.to_plain(), file=out)

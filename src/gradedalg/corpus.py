@@ -12,9 +12,16 @@ from functools import lru_cache
 from pathlib import Path
 
 from .core import DEFAULT_MAX_ELEMENTS
-from .structfile import parse_structure_dir
+from .structfile import iter_structure_dir
 
 _STANDARD = Path(__file__).with_name("standard")
+
+
+def iter_standard_corpus(max_elements: int = DEFAULT_MAX_ELEMENTS):
+    """The standard entries in order, each parsed only when it is reached."""
+    for entry in iter_structure_dir(_STANDARD, max_elements):
+        entry.name = Path(entry.name).stem.split("-", 1)[1]
+        yield entry
 
 
 def build_standard_corpus(max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple:
@@ -25,7 +32,4 @@ def build_standard_corpus(max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple:
 
 @lru_cache(maxsize=4)
 def _standard_corpus(max_elements: int) -> tuple:
-    corpus = parse_structure_dir(_STANDARD, max_elements)
-    for entry in corpus:
-        entry.name = Path(entry.name).stem.split("-", 1)[1]
-    return corpus
+    return tuple(iter_standard_corpus(max_elements))

@@ -144,6 +144,12 @@ class _GradedCarrier:
             cache[key] = build()
         return cache[key]
 
+    def clear_memo(self) -> None:
+        """Drop every memoized value.  The memo holds handles that hold the
+        carrier, so without this a carrier that is no longer used is freed
+        only when the cyclic garbage collector runs."""
+        self.__dict__.pop("_caches", None)
+
 
 @dataclass(frozen=True, eq=False)
 class GradedRing(_GradedCarrier):

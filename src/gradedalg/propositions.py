@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
@@ -424,30 +425,40 @@ _CHECKERS = {
 PROPOSITION_IDS = tuple(_CHECKERS)
 
 
-def _per_entry(corpus, work):
-    """``(entry, work(entry))`` for each entry in turn; a ``TooLarge`` names the entry."""
+@contextmanager
+def _in_entry(entry: CorpusEntry):
+    """A ``TooLarge`` raised inside the block names the entry."""
+    try:
+        yield
+    except TooLarge as exc:
+        raise TooLarge(f"{entry.name}: {exc}") from exc
+
+
+def verify_suite(prop_ids, corpus) -> list:
+    """One report per id of ``prop_ids``, over the corpus, an iterable of
+    entries: each entry is checked for every id before the next is taken, so
+    a corpus read one entry at a time needs one entry in memory."""
+    for pid in prop_ids:
+        if pid not in _CHECKERS:
+            raise UnknownProposition(f"unknown proposition {pid!r}")
+    reports = [VerificationReport(pid) for pid in prop_ids]
     for entry in corpus:
-        try:
-            result = work(entry)
-        except TooLarge as exc:
-            raise TooLarge(f"{entry.name}: {exc}") from exc
-        yield entry, result
+        for report in reports:
+            t0 = time.perf_counter()
+            with _in_entry(entry):
+                inst, bad, skip = _CHECKERS[report.prop_id](entry)
+            report.instances += inst
+            for record in bad:  # checkers record handles; only violations are labelled
+                report.violations.append({"entry": entry.name, **_named(record, entry)})
+            report.skipped.update(skip)
+            report.wall_time += time.perf_counter() - t0
+    return reports
 
 
 def verify_proposition(prop_id: str, corpus) -> VerificationReport:
     """Check one proposition on every hypothesis instance over the corpus, an
     iterable of entries."""
-    if prop_id not in _CHECKERS:
-        raise UnknownProposition(f"unknown proposition {prop_id!r}")
-    t0 = time.perf_counter()
-    report = VerificationReport(prop_id)
-    for entry, (inst, bad, skip) in _per_entry(corpus, _CHECKERS[prop_id]):
-        report.instances += inst
-        for record in bad:  # checkers record handles; only violations are labelled
-            report.violations.append({"entry": entry.name, **_named(record, entry)})
-        report.skipped.update(skip)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    return verify_suite((prop_id,), corpus)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +612,9 @@ def search_counterexample(expr: str, corpus, budget: int = 10**6):
         return next((n for n in _nonzero_subs(entry) if holds(node, n, entry)), None)
 
     try:
-        for entry, n in _per_entry(corpus, first):
+        for entry in corpus:
+            with _in_entry(entry):
+                n = first(entry)
             if n is not None:
                 members = [element_token(n.carrier.labels[i]) for i in n.sorted_members]
                 return {"entry": entry.name, "members": members, "handle": n}

@@ -24,7 +24,8 @@ self`` is graded like its ring, a direct sum trivially.  Every group, ring
 and module size is checked against ``max_elements`` before its tables are
 built; ``product N1 N2`` counts as max(N1, 1)·max(N2, 1), which bounds each
 factor too.  The result is a fully validated corpus entry; its note is the
-file's leading comment.  A directory of files is a tuple of entries.
+file's leading comment.  A directory of files is read one entry at a time,
+or all at once as a tuple of entries.
 """
 from __future__ import annotations
 
@@ -64,6 +65,14 @@ class CorpusEntry:
 
     def graded_ideals(self):
         return enumerate_graded_subobjects(self.gring, self.max_elements)
+
+    def release(self) -> None:
+        """Drop the memo of every carrier of the entry: the module, its ring
+        and each factor with its ring.  Call it only on an entry no one else
+        holds; the entry stays usable and recomputes what it needs."""
+        for gm in (self.gmodule, *(self.factors or ())):
+            gm.clear_memo()
+            gm.gring.clear_memo()
 
 
 _TUPLE_RE = re.compile(r"^\((-?\d+(,-?\d+)*)\)$")
@@ -255,19 +264,26 @@ def parse_structure_file(path, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Corp
     return parse_structure_text(_read(path), name=str(path), max_elements=max_elements)
 
 
-def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple:
+def iter_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """The entries of the ``*.gstruct`` files of ``directory`` in name order,
-    each named by its path; an error names the file it is in."""
+    each named by its path and parsed only when it is reached; an error names
+    the file it is in.  A directory with no such file is an error at once."""
     paths = sorted(Path(directory).glob("*.gstruct"))
     if not paths:
         raise GradedAlgError(f"no .gstruct files in {directory}")
-    entries = []
-    for path in paths:
-        text = _read(path)  # a read error names the file already
-        try:
-            entries.append(parse_structure_text(text, name=str(path), max_elements=max_elements))
-        except StructureParseError as exc:
-            err = StructureParseError(f"{path}: {exc}")
-            err.line = exc.line
-            raise err from None
-    return tuple(entries)
+    return (_parse_dir_file(path, max_elements) for path in paths)
+
+
+def _parse_dir_file(path: Path, max_elements: int) -> CorpusEntry:
+    text = _read(path)  # a read error names the file already
+    try:
+        return parse_structure_text(text, name=str(path), max_elements=max_elements)
+    except StructureParseError as exc:
+        err = StructureParseError(f"{path}: {exc}")
+        err.line = exc.line
+        raise err from None
+
+
+def parse_structure_dir(directory, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple:
+    """The entries of :func:`iter_structure_dir`, all parsed, as a tuple."""
+    return tuple(iter_structure_dir(directory, max_elements))

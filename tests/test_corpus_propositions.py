@@ -1,4 +1,5 @@
 import dataclasses
+import io
 from collections import Counter
 
 import pytest
@@ -32,6 +33,7 @@ from gradedalg import (
     verify_proposition,
     whole_subobject,
 )
+from gradedalg.cli import run_cli
 from gradedalg.core import DEFAULT_MAX_ELEMENTS
 from gradedalg.corpus import _standard_corpus
 from gradedalg.grading import module_same_as_ring, ring_trivial
@@ -70,6 +72,16 @@ def test_one_standard_corpus_per_cap():
     assert build_standard_corpus() is CORPUS
     assert build_standard_corpus(DEFAULT_MAX_ELEMENTS) is CORPUS
     assert build_standard_corpus(max_elements=DEFAULT_MAX_ELEMENTS) is CORPUS
+
+
+def test_verify_keeps_the_memo_of_a_callers_corpus():
+    # only the CLI releases entries, and only those it parsed itself: every
+    # run on the shared corpus reuses the lattices of the runs before it
+    verify_proposition("ann-2AP", CORPUS)
+    lattices = [e.graded_submodules() for e in CORPUS]
+    verify_proposition("ann-2AP", CORPUS)
+    assert run_cli(["verify", "--prop", "ann-2AP"], out=io.StringIO()) == 0
+    assert all(e.graded_submodules() is lattice for e, lattice in zip(CORPUS, lattices))
 
 
 def test_example_entry_provenance_and_named():

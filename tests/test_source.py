@@ -207,7 +207,7 @@ def test_the_check_sees_a_decomposition_read():
 
 
 def test_propositions_label_handles_in_one_place():
-    # checkers record handles; verify_proposition labels a violation's handles
+    # checkers record handles; verify_suite labels a violation's handles
     # through _named, so no checker builds a label it may not use
     assert _calls_outside(_parse(PACKAGE / "propositions.py"), "_members_label", "_named") == []
 

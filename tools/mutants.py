@@ -122,6 +122,12 @@ MUTANTS = (
            "    cols, out = np.fromiter(set(a), np.intp, len(a)), set()",
            KILL, "coset_sum reads A through a set, so a sized iterable with repeats is shorter than its count; "
            "no caller passes repeats, so only the coset_sum oracle sees it"),
+    Mutant("entry-never-released", "cli.py",
+           "        entry.release()",
+           "        entry.release",
+           KILL, "verify never releases the entries it streams, so each memo lives until the cyclic collector "
+           "runs; the verdicts are the same, so only the memory-scaling test sees it.  The method is still "
+           "named, so the dead-member check does not see it either"),
 )
 
 
