@@ -7,6 +7,12 @@ candidates are tallied under ``skipped`` with a reason, never as passes.
 ``classify_named`` maps a predicate name to its classifier call, for both
 ``classify`` and ``search``, under the entry's size cap.  The proposition ids
 are the keys of the checker table, and ``_named`` labels every record.
+
+No checker builds an object per instance.  ``closure-lemma`` counts each sum
+against a ``containment_index`` of the lattice, built for the call and never
+memoized (L² bits); ``colon-2AP`` reads every (K :_R N) of one N off
+``_contains_bits``, which keeps its scan of the lattice per distinct rN, so a
+single ``classify`` never pays for the O(L²) index.
 """
 from __future__ import annotations
 
@@ -45,14 +51,18 @@ from .subobjects import (
     SUBMODULE,
     SubobjectHandle,
     _bits,
+    _mask,
     annihilator,
     colon,
-    colon_by_element,
     combine,
+    containment_index,
     enumerate_graded_subobjects,
+    graded_mask,
     graded_radical,
     ideal_component,
+    rn_masks,
     span,
+    sum_is_graded,
     whole_subobject,
 )
 
@@ -148,18 +158,21 @@ def _g_coprimary(entry: CorpusEntry, skip: Counter):
 def _hom_family(entry: CorpusEntry):
     """Canonical finite hom family as (r, f) pairs: the identity
     (multiplication by one) plus every multiplication by a degree-e
-    homogeneous scalar r, one per mapping table, from the first r that gives
+    homogeneous scalar r, one per action row, from the first r that gives
     it.  f is the first hom of r's unit orbit: ×ur is ×r followed by the
-    automorphism ×u, so f(N), ker f and f⁻¹(K) are those of ×r."""
+    automorphism ×u, so f(N), ker f and f⁻¹(K) are those of ×r; no other hom
+    is built."""
     gm = entry.gmodule
-    orbit_min, one = gm.gring.orbit_min, gm.gring.ring.one
+    orbit_min, one, rows = gm.gring.orbit_min, gm.gring.ring.one, gm.module.action_array
     fams = [(one, identity_hom(gm))]
-    seen, first = {fams[0][1].mapping}, {orbit_min[one]: fams[0][1]}
+    seen, first = {rows[one].tobytes()}, {orbit_min[one]: fams[0][1]}
     for r in sorted(gm.gring.grading.components[gm.group.identity]):
-        h = multiplication_hom(gm, r)
-        if h.mapping not in seen:
-            seen.add(h.mapping)
-            fams.append((r, first.setdefault(orbit_min[r], h)))
+        row = rows[r].tobytes()
+        if row not in seen:
+            seen.add(row)
+            if orbit_min[r] not in first:
+                first[orbit_min[r]] = multiplication_hom(gm, r)
+            fams.append((r, first[orbit_min[r]]))
     return fams
 
 
@@ -193,50 +206,71 @@ def _counted(check):
 
 
 def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
+    """Sums are counted against the lattice (``sum_is_graded``): that relies on
+    the lattice holding every graded subobject, which the closed-form walk
+    tests pin.  Intersections are decided by the popcount product, and rN and
+    (N :_M x) once per unit orbit of the scalar and N, read back per scalar."""
     ideals = entry.graded_ideals()
     subs = entry.graded_submodules()
     gm = entry.gmodule
     gring = gm.gring
-    module_labels, ring_labels = gm.module.labels, gring.ring.labels
+    module_labels, ring_labels, orbit_min = gm.module.labels, gring.ring.labels, gring.orbit_min
 
-    def graded(handle, what, detail):
-        return None if handle.graded else {"op": what, "detail": detail}
+    def graded(ok, what, detail):
+        return None if ok else {"op": what, "detail": detail}
 
     for objs, kind in ((ideals, "ideal"), (subs, "submodule")):
-        add, meet = kind + "-sum", kind + "-intersect"
-        for a in objs:
-            for b in objs:
-                yield graded(combine(a, b, "sum"), add, (a, b))
-                yield graded(combine(a, b, "intersect"), meet, (a, b))
+        add, meet, up = kind + "-sum", kind + "-intersect", containment_index(objs)
+        for i, a in enumerate(objs):
+            for j, b in enumerate(objs):
+                yield graded(sum_is_graded(objs, up, i, j), add, (a, b))
+                yield graded(graded_mask(a.ctx, a.mask & b.mask), meet, (a, b))
     spans = {}  # R·ux = R·x: one span per module orbit, kept for this call only
     for x in gm.hom:
         m = gm.orbit_min[x]
         if m not in spans:
             spans[m] = span({m}, gm)
-        yield graded(spans[m], "cyclic-span", module_labels[x])
+        yield graded(spans[m].graded, "cyclic-span", module_labels[x])
+
+    def per_scalar(mask_of):  # (r, verdict) per homogeneous r and N, one verdict per orbit
+        verdicts = {z: [graded_mask(gm, mask_of(z, n)) for n in subs] for z in {orbit_min[r] for r in gring.hom}}
+        return ((r, ok) for r in gring.hom for ok in verdicts[orbit_min[r]])
+
     for i in ideals:
         for n in subs:
-            yield graded(combine(i, n, "ideal_product"), "ideal-product", (i, n))
-    for r in gring.hom:
-        for n in subs:
-            yield graded(combine(r, n, "scalar_product"), "scalar-multiple", ring_labels[r])
+            yield graded(combine(i, n, "ideal_product").graded, "ideal-product", (i, n))
+    for r, ok in per_scalar(lambda z, n: rn_masks(n)[z]):
+        yield graded(ok, "scalar-multiple", ring_labels[r])
     whole = whole_subobject(gm)
     for n in subs:
-        yield graded(colon(n, whole), "colon-into-module", n)
-        yield graded(annihilator(n), "annihilator", n)
-    for x in gring.hom:
-        for n in subs:
-            yield graded(colon_by_element(n, x), "colon-by-element", ring_labels[x])
+        yield graded(colon(n, whole).graded, "colon-into-module", n)
+        yield graded(annihilator(n).graded, "annihilator", n)
+    act = gm.module.action
+    for x, ok in per_scalar(lambda z, n: _mask(m for m, zm in enumerate(act[z]) if n.mask >> zm & 1)):
+        yield graded(ok, "colon-by-element", ring_labels[x])
 
 
 def _check_colon_2ap(entry: CorpusEntry, skip: Counter):
+    """(K :_R N) for every K at once, off the rows of ``_contains_bits``: bit K of
+    contains[r] says r is in it, and rows are equal along unit orbits.  One
+    verdict per distinct colon; the colon is R exactly when N lies in K."""
     subs = entry.graded_submodules()
+    gring = entry.gmodule.gring
+    orbits = {}
+    for r, z in enumerate(gring.orbit_min):
+        orbits[z] = orbits.get(z, 0) | 1 << r
     for n in _coprimary(_nonzero_subs(entry), skip, weight=len(subs)):
-        for k in subs:
+        contains, colons, verdicts = _contains_bits(n, subs), [0] * len(subs), {}
+        for z, members in orbits.items():
+            for k in _bits(contains[z]):
+                colons[k] |= members
+        for k, rk in zip(subs, colons):
             if n <= k:
                 skip["N-contained-in-K"] += 1
                 continue
-            v = classify_ideal(colon(k, n), "2-absorbing-primary")  # proper: 1*N = N is not inside K
+            if rk not in verdicts:  # proper: 1*N = N is not inside K
+                verdicts[rk] = classify_ideal(SubobjectHandle(gring, rk), "2-absorbing-primary")
+            v = verdicts[rk]
             yield None if v.value else {"N": n, "K": k, "witness": v.witness}
 
 
@@ -250,14 +284,20 @@ def _ann_checker(ideal_of, predicate: str):
 
 
 def _check_scalar_multiple(entry: CorpusEntry, skip: Counter):
+    """One verdict per unit orbit and N: aN is the orbit's row of ``rn_masks``,
+    and Ann(N) is a union of orbits."""
+    gm = entry.gmodule
+    zero, orbit_min = 1 << gm.module.zero, gm.gring.orbit_min
     for n in _coprimary(_nonzero_subs(entry), skip):
-        ann = annihilator(n).members
-        for a in entry.gmodule.gring.hom:
-            if a in ann:
+        rn, verdicts = rn_masks(n), {}
+        for a in gm.gring.hom:
+            z = orbit_min[a]
+            if rn[z] == zero:
                 skip["scalar-annihilates-N"] += 1
                 continue
-            v = coprimary_via_characterization(combine(a, n, "scalar_product"))
-            yield None if v.value else {"N": n, "a": a}
+            if z not in verdicts:
+                verdicts[z] = coprimary_via_characterization(SubobjectHandle(gm, rn[z])).value
+            yield None if verdicts[z] else {"N": n, "a": a}
 
 
 def _check_hom_image(entry: CorpusEntry, skip: Counter):

@@ -11,7 +11,9 @@ Member sets are additive subgroups, and every sum of two is one kernel,
 ``core.coset_sum`` on the carrier's stored add array: span(G) = Σ_{g∈G} R·g
 (R·g is column g of the action array), IN = Σ_{i∈I} iN, A + B, the lattice
 walk and Grad(P) (one degree at a time, from the rooted parts of each R_g).
-Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount).
+Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount), and
+``sum_is_graded`` decides A + B of two lattice elements without building it,
+from the lattice's ``containment_index``.
 
 A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
 every per-scalar value is computed once per unit orbit (the carrier's
@@ -107,6 +109,12 @@ def subobject(ctx, members) -> SubobjectHandle:
 
 def is_graded(handle: SubobjectHandle) -> bool:
     return handle.graded
+
+
+def graded_mask(ctx, mask: int) -> bool:
+    """``SubobjectHandle(ctx, mask).graded`` without the handle, for a subgroup
+    decided once and then dropped."""
+    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)
 
 
 def span(generators, ctx) -> SubobjectHandle:
@@ -268,6 +276,25 @@ def _enumerate_by_generators(ctx, generators, max_elements: int):
         found |= level
         frontier = level
     return sorted((subobject(ctx, s) for s in found), key=lambda h: (len(h.members), h.sorted_members))
+
+
+def containment_index(lattice) -> list:
+    """``up[i]``: bit j set iff ``lattice[i]`` lies inside ``lattice[j]``, for a
+    lattice in canonical order, so the lowest set bit of ``up[a] & up[b]`` is
+    the least element holding both.  It takes L² bits: built per caller and
+    never memoized."""
+    masks = [h.mask for h in lattice]
+    return [sum(1 << j for j, k in enumerate(masks[i:], i) if m & k == m) for i, m in enumerate(masks)]
+
+
+def sum_is_graded(lattice, up, a: int, b: int) -> bool:
+    """Whether ``lattice[a] + lattice[b]`` is graded, by counting.  The least
+    element J of the lattice holding both contains the sum, and |A + B| =
+    |A|·|B| / |A ∩ B|.  The lattice holds every graded subobject, so J is the
+    sum exactly when the sum is graded."""
+    joins = up[a] & up[b]
+    ma, mb, mj = lattice[a].mask, lattice[b].mask, lattice[(joins & -joins).bit_length() - 1].mask
+    return mj.bit_count() * (ma & mb).bit_count() == ma.bit_count() * mb.bit_count()
 
 
 def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):

@@ -17,6 +17,7 @@ from gradedalg import (
     build_standard_corpus,
     classify_submodule,
     colon,
+    colon_by_element,
     combine,
     coprimary_via_characterization,
     graded_radical,
@@ -146,13 +147,23 @@ def test_checkers_record_handles_and_verify_labels_them():
     ]
 
 
-def _forced_closure_details(patch, entry, names=("combine", "colon", "span")):
+# closure-lemma's decision points in the propositions module: the two
+# verdicts that decide sums (by counting) and intersections and the scalar
+# families (by popcount), and the operators whose handles decide the rest
+_FORCED = ("sum_is_graded", "graded_mask", "combine", "colon", "span")
+
+
+def _forced_closure_details(patch, entry, names=_FORCED):
     """closure-lemma's violation details on ``entry``, by op, with the
-    propositions-module operators ``names`` patched to return non-graded
-    handles, so that every instance they give is a violation."""
+    propositions-module decision points ``names`` patched so that every
+    instance they decide is a violation: a verdict becomes False, an
+    operator returns a non-graded copy of its handle."""
     def ungraded(op):
         def forced(*args):
-            handle = dataclasses.replace(op(*args))  # a copy, with nothing cached yet
+            result = op(*args)
+            if isinstance(result, bool):
+                return False
+            handle = dataclasses.replace(result)  # a copy, with nothing cached yet
             handle.__dict__["graded"] = False  # stored where the cached property keeps its value
             return handle
         return forced
@@ -183,13 +194,14 @@ def _zmod4_forced_details():
         "ideal-product": pairs(ideals, subs),
         "scalar-multiple": [r for r in gm.gring.hom for _ in subs],
         "colon-into-module": [_members_label(n) for n in subs],
+        "colon-by-element": [x for x in gm.gring.hom for _ in subs],
     }
 
 
 def test_closure_lemma_violations_keep_their_labelled_shapes(monkeypatch):
-    # with combine, colon and span forced to return non-graded handles, every
-    # instance they give is a violation, reported with labels: a pair of
-    # labels, one label or a scalar, as each record had before
+    # with every decision point forced, every instance it decides is a
+    # violation, reported with labels: a pair of labels, one label or a
+    # scalar, as each record had before
     entry, expected = _zmod4_forced_details()
     assert _forced_closure_details(monkeypatch, entry) == expected
 
@@ -200,12 +212,32 @@ def test_closure_lemma_violations_name_elements_by_label(monkeypatch):
     entry = next(e for e in CORPUS if e.name == "product-z4xz9")
     subs, gm = entry.graded_submodules(), entry.gmodule
     ring_labels, module_labels = gm.gring.ring.labels, gm.module.labels
-    details = _forced_closure_details(monkeypatch, entry, ("combine", "colon", "span", "colon_by_element"))
+    details = _forced_closure_details(monkeypatch, entry)
     assert details["cyclic-span"] == [module_labels[x] for x in gm.hom]
     assert details["scalar-multiple"] == [ring_labels[r] for r in gm.gring.hom for _ in subs]
     assert details["colon-by-element"] == [ring_labels[x] for x in gm.gring.hom for _ in subs]
     for op in ("cyclic-span", "scalar-multiple", "colon-by-element"):
         assert all(isinstance(d, tuple) and len(d) == 2 for d in details[op]), op
+
+
+def test_closure_lemma_reads_each_scalar_family_at_its_own_orbit(monkeypatch):
+    # the scalar families take one verdict per unit orbit and N; with gradedness
+    # forced to "odd size", the verdicts differ between orbits, and each
+    # scalar's details must be those of its own rN and (N :_M x)
+    entry = next(e for e in CORPUS if e.name == "product-z4xz9")
+    subs, gm = entry.graded_submodules(), entry.gmodule
+    hom, labels = gm.gring.hom, gm.gring.ring.labels
+    def odd(mask):
+        return mask.bit_count() % 2 == 1
+
+    monkeypatch.setattr(gradedalg.propositions, "graded_mask", lambda ctx, mask: odd(mask))
+    details = {}
+    for v in verify_proposition("closure-lemma", [entry]).violations:
+        details.setdefault(v["op"], []).append(v["detail"])
+    scaled = [labels[r] for r in hom for n in subs if not odd(combine(r, n, "scalar_product").mask)]
+    colons = [labels[x] for x in hom for n in subs if not odd(colon_by_element(n, x).mask)]
+    assert 0 < len(scaled) < len(hom) * len(subs) and 0 < len(colons) < len(hom) * len(subs)
+    assert (details["scalar-multiple"], details["colon-by-element"]) == (scaled, colons)
 
 
 def test_closure_lemma_keeps_no_shared_memo_between_checker_and_operators(monkeypatch):

@@ -148,7 +148,8 @@ def test_subgroup_arithmetic_matches_the_oracles_on_every_ideal(name):
     ideals = enumerate_all_subobjects(gr)
     for a in ideals:
         assert sumset(a.members, a.members, add) == a.members, a
-        assert is_graded(a) == a.graded == graded_by_walk(a.members, gr.grading), a
+        graded = graded_by_walk(a.members, gr.grading)
+        assert is_graded(a) == a.graded == subobjects.graded_mask(gr, a.mask) == graded, a
         for b in ideals:
             assert combine(a, b, "sum").members == sumset(a.members, b.members, add), (a, b)
 

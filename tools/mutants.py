@@ -103,6 +103,32 @@ MUTANTS = (
            "    and neither x nor y is in ``escape((K :_R N))``.\"\"\"",
            "    and neither x nor y is in ``escape((K :_R N))``.\"\"\"; return True",
            KILL, "_recheck_violation returns True at once"),
+    Mutant("sum-join-by-union", "subobjects.py",
+           "    joins = up[a] & up[b]",
+           "    joins = up[a] | up[b]",
+           KILL, "sum_is_graded counts against the least element holding A or B, not A and B"),
+    Mutant("graded-mask-ge", "subobjects.py",
+           "    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)",
+           "    return mask.bit_count() >= prod((mask & c).bit_count() for c in ctx.component_masks)",
+           KILL, "graded_mask calls every subgroup graded; closure-lemma asks it only of subgroups that are "
+           "graded, so only the subgroup test over every ideal sees it"),
+    Mutant("colon-transpose-assigns", "propositions.py",
+           "                colons[k] |= members",
+           "                colons[k] = members",
+           KILL, "colon-2AP keeps only the last unit orbit whose row has bit K, not their union"),
+    Mutant("closure-scalar-family-at-zero-orbit", "propositions.py",
+           "        return ((r, ok) for r in gring.hom for ok in verdicts[orbit_min[r]])",
+           "        return ((r, ok) for r in gring.hom for ok in verdicts[orbit_min[0]])",
+           KILL, "closure-lemma reads every scalar's family at the orbit of 0; every verdict of the corpus is "
+           "True, so only the test that forces odd-sized subgroups non-graded sees it"),
+    Mutant("scalar-multiple-module-orbits", "propositions.py",
+           "    zero, orbit_min = 1 << gm.module.zero, gm.gring.orbit_min",
+           "    zero, orbit_min = 1 << gm.module.zero, gm.orbit_min",
+           KILL, "scalar-multiple reads each scalar at an orbit of the module's orbit map, not the ring's"),
+    Mutant("hom-family-own-hom", "propositions.py",
+           "            fams.append((r, first[orbit_min[r]]))",
+           "            fams.append((r, multiplication_hom(gm, r)))",
+           KILL, "_hom_family pairs each r with its own ×r, not its orbit's first hom; the verdicts are the same"),
     Mutant("g-coprimary-at-e", "propositions.py",
            '            if not classify_submodule(n, "g-2a-coprimary", g=g, max_elements=entry.max_elements).value:',
            '            if not classify_submodule(n, "g-2a-coprimary", g=entry.gmodule.group.identity,'
