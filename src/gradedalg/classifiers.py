@@ -23,7 +23,7 @@ A unit u of R_e maps each R_g onto itself, (ux)N = xN, and ux lies in an
 ideal exactly when x does, so every table above is equal along the orbit {ux}.
 The kernel scans only orbit-minimal x and y (the ring's ``orbit_min``, which
 the operators of ``subobjects`` and the proposition checkers read too), and
-``_product_bits``, ``_power_or`` and ``rn_masks`` build one row per orbit.
+``_product_bits``, ``_power_or`` and ``rn_masks`` share ``per_orbit``.
 The witness is unchanged: the least member of x's orbit violates with the same
 bits as x and comes no later, so the first violating pair is orbit-minimal in
 both.  Verdicts are memoized under the handle's mask.
@@ -46,6 +46,7 @@ from .subobjects import (
     colon_by_element,
     enumerate_graded_subobjects,
     graded_radical,
+    per_orbit,
     rn_masks,
     span,
     subobject,
@@ -94,9 +95,8 @@ def _reps(gring, g=None) -> list:
 def _product_bits(gring, members) -> tuple:
     """For every ring element z, the bitset of the positions j with
     z * hom[j] in ``members``; one row per unit orbit, shared by its members."""
-    mul, orbit_min = gring.ring.mul, gring.orbit_min
-    row = {z: sum(1 << j for j, c in enumerate(gring.hom) if mul[z][c] in members) for z in set(orbit_min)}
-    return tuple(map(row.__getitem__, orbit_min))
+    mul = gring.ring.mul
+    return per_orbit(gring, lambda z: sum(1 << j for j, c in enumerate(gring.hom) if mul[z][c] in members))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +152,7 @@ def _containing(ws, ks) -> tuple:
 def _power_or(gring, bits) -> tuple:
     """For every ring element r, the OR of ``bits[p]`` over the powers p of r,
     one per unit orbit: ``bits`` is equal along orbits, and (ur)^k = u^k r^k."""
-    orbit_min = gring.orbit_min
-    ors = {z: reduce(or_, map(bits.__getitem__, gring.ring.power_sets[z])) for z in set(orbit_min)}
-    return tuple(map(ors.__getitem__, orbit_min))
+    return per_orbit(gring, lambda z: reduce(or_, map(bits.__getitem__, gring.ring.power_sets[z])))
 
 
 def _hypothesis(n: SubobjectHandle, contains) -> tuple:

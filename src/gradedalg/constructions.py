@@ -12,7 +12,7 @@ from functools import reduce
 from .core import FiniteModule, FiniteRing, make_module, make_ring
 from .errors import HomInvalid, InvalidDenominators, PreconditionViolation
 from .grading import GradedModule, GradedRing, attach_grading, product_assignment
-from .subobjects import SUBMODULE, SubobjectHandle, subobject, zero_subobject
+from .subobjects import SUBMODULE, SubobjectHandle, preimage_mask, subobject, zero_subobject
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,7 @@ def hom_preimage(f: GradedHom, k: SubobjectHandle) -> SubobjectHandle:
     """f^{-1}(K) as a graded submodule of the source."""
     if k.ctx is not f.target:
         raise PreconditionViolation("hom_preimage takes a submodule of the target")
-    km = k.members
-    return subobject(f.source, {m for m in range(f.source.grading.carrier.size) if f.mapping[m] in km})
+    return SubobjectHandle(f.source, preimage_mask(f.mapping, k.mask))
 
 
 def hom_kernel(f: GradedHom) -> SubobjectHandle:

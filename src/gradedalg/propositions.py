@@ -51,7 +51,6 @@ from .subobjects import (
     SUBMODULE,
     SubobjectHandle,
     _bits,
-    _mask,
     annihilator,
     colon,
     combine,
@@ -60,6 +59,7 @@ from .subobjects import (
     graded_mask,
     graded_radical,
     ideal_component,
+    preimage_mask,
     rn_masks,
     span,
     sum_is_graded,
@@ -191,17 +191,23 @@ def _factor_pairs(entry: CorpusEntry, skip: Counter):
 
 # ---------------------------------------------------------------------------
 # proposition checkers: a generator (entry, skip) yields, per hypothesis
-# instance, None or its violation record and tallies every other candidate in
-# skip; _counted counts it.  The two ideal-pair checkers count in bulk.
+# instance, None or its violation record, or one int, the size of a block of
+# instances that hold; it tallies every other candidate in skip.
 # ---------------------------------------------------------------------------
 
 def _counted(check):
     """The checker ``entry -> (instances, violations, skipped)`` of the
-    generator ``check``."""
+    generator ``check``, which keeps the violation records only."""
     def counted(entry: CorpusEntry):
-        skip = Counter()
-        records = list(check(entry, skip))
-        return len(records), [r for r in records if r is not None], skip
+        skip, instances, bad = Counter(), 0, []
+        for record in check(entry, skip):
+            if record is None:
+                instances += 1
+            elif isinstance(record, int):
+                instances += record
+            else:
+                bad.append(record)
+        return instances + len(bad), bad, skip
     return counted
 
 
@@ -246,7 +252,7 @@ def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
         yield graded(colon(n, whole).graded, "colon-into-module", n)
         yield graded(annihilator(n).graded, "annihilator", n)
     act = gm.module.action
-    for x, ok in per_scalar(lambda z, n: _mask(m for m, zm in enumerate(act[z]) if n.mask >> zm & 1)):
+    for x, ok in per_scalar(lambda z, n: preimage_mask(act[z], n.mask)):
         yield graded(ok, "colon-by-element", ring_labels[x])
 
 
@@ -356,15 +362,15 @@ def _ideal_pair_checker(key: str, reason: str, second):
     lies in Grad(K :_R N), or I_g J_g annihilates N", I over the graded
     ideals.  ``second(gm, g, good, rows)`` lists the J as rows (J, members,
     J_g, the K whose radical holds J_g), given ``rows`` of the graded ideals;
-    a violation record names J under ``key``.  Sets keep one element per
-    unit orbit: (uy)IN = yIN, good is orbit-constant, Ann(N) an ideal."""
-    def check(entry: CorpusEntry):
-        inst, skip, bad = 0, Counter(), []
+    a violation record names J under ``key``, and the instances that hold
+    are one count, yielded last.  Sets keep one element per unit orbit:
+    (uy)IN = yIN, good is orbit-constant, Ann(N) an ideal."""
+    def check(entry: CorpusEntry, skip: Counter):
         gm = entry.gmodule
         subs = entry.graded_submodules()
         full = (1 << len(subs)) - 1
         mul, orbit_min = gm.gring.ring.mul, gm.gring.orbit_min
-        ideals, comps, misses = entry.graded_ideals(), {}, 0
+        ideals, comps, misses, held = entry.graded_ideals(), {}, 0, 0
         for g, n, good, ann in _g_coprimary(entry, skip):
             if g not in comps:
                 comps[g] = [(i, {orbit_min[x] for x in i.members}, {orbit_min[x] for x in ideal_component(i, g)})
@@ -378,15 +384,15 @@ def _ideal_pair_checker(key: str, reason: str, second):
                     hyp = full  # becomes the K containing IJN
                     for y in jm:
                         hyp &= ixn[y]
-                    found = hyp.bit_count()
-                    inst += found
-                    misses += len(subs) - found
+                    misses += len(subs) - hyp.bit_count()
                     bits = hyp & ~(ig_good | jg_good)
                     if bits and not all(mul[a][b] in ann for a in ig for b in jg):
-                        bad.extend({"g": g, "N": n, "I": i, key: j, "K": subs[k]} for k in _bits(bits))
+                        yield from ({"g": g, "N": n, "I": i, key: j, "K": subs[k]} for k in _bits(bits))
+                        hyp &= ~bits  # each violation counts with its record
+                    held += hyp.bit_count()
+        yield held
         if misses:  # a reason counted 0 times would still be printed
             skip[reason] += misses
-        return inst, bad, skip
     return check
 
 
@@ -454,8 +460,9 @@ _CHECKERS = {
     "hom-preimage": _counted(_check_hom_preimage),
     "characterization-equiv": _counted(_check_characterization_equiv),
     "localization": _counted(_check_localization),
-    "ideal-lemma": _ideal_pair_checker("x", "hypothesis-IxN-not-in-K", _degree_singletons),
-    "two-ideal-theorem": _ideal_pair_checker("J", "hypothesis-IJN-not-in-K", lambda gm, g, good, rows: rows),
+    "ideal-lemma": _counted(_ideal_pair_checker("x", "hypothesis-IxN-not-in-K", _degree_singletons)),
+    "two-ideal-theorem": _counted(
+        _ideal_pair_checker("J", "hypothesis-IJN-not-in-K", lambda gm, g, good, rows: rows)),
     "comultiplication": _counted(_check_comultiplication),
     "product-part-1": _counted(_check_product_part1),
     "product-part-2": _counted(_check_product_part2),

@@ -11,15 +11,15 @@ Member sets are additive subgroups, and every sum of two is one kernel,
 ``core.coset_sum`` on the carrier's stored add array: span(G) = Σ_{g∈G} R·g
 (R·g is column g of the action array), IN = Σ_{i∈I} iN, A + B, the lattice
 walk and Grad(P) (one degree at a time, from the rooted parts of each R_g).
-Gradedness is decided by counting (|S| = Π_g |S ∩ M_g|, one popcount), and
-``sum_is_graded`` decides A + B of two lattice elements without building it,
-from the lattice's ``containment_index``.
+Gradedness is decided by counting (``graded_mask``: |S| = Π_g |S ∩ M_g|),
+(K :_M x) and f⁻¹(K) are one ``preimage_mask``, and ``sum_is_graded`` decides
+A + B of two lattice elements without building it, from ``containment_index``.
 
 A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
 every per-scalar value is computed once per unit orbit (the carrier's
-``orbit_min``): ``rn_masks`` builds one row per orbit, IN sums iN over the
-orbit-minimal i, ``colon_by_element`` is memoized at the orbit's least
-member, and the lattice walk joins the spans of orbit-minimal generators.
+``orbit_min``): ``per_orbit`` builds the rows of ``rn_masks``, IN sums iN
+over the orbit-minimal i, ``colon_by_element`` is memoized at the orbit's
+least member, and the lattice walk joins the spans of orbit-minimal generators.
 """
 from __future__ import annotations
 
@@ -72,10 +72,8 @@ class SubobjectHandle:
 
     @cached_property
     def graded(self) -> bool:
-        """Whether the subgroup S is graded: the S ∩ M_g sum directly inside
-        S, so S is their sum iff |S| = Π_g |S ∩ M_g|."""
-        mask = self.mask
-        return mask.bit_count() == prod((mask & c).bit_count() for c in self.ctx.component_masks)
+        """Whether the subgroup is graded, by ``graded_mask``."""
+        return graded_mask(self.ctx, self.mask)
 
     @property
     def is_zero(self) -> bool:
@@ -112,8 +110,8 @@ def is_graded(handle: SubobjectHandle) -> bool:
 
 
 def graded_mask(ctx, mask: int) -> bool:
-    """``SubobjectHandle(ctx, mask).graded`` without the handle, for a subgroup
-    decided once and then dropped."""
+    """Whether the subgroup S = ``mask`` of the carrier is graded: the S ∩ M_g
+    sum directly inside S, so S is their sum iff |S| = Π_g |S ∩ M_g|."""
     return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)
 
 
@@ -168,14 +166,23 @@ def combine(a: SubobjectHandle, b, op: str) -> SubobjectHandle:
     raise PreconditionViolation(f"unknown combine op {op!r}")
 
 
+def per_orbit(gring, value) -> tuple:
+    """``value(z)`` for every ring element z, computed once per unit orbit and shared along it."""
+    row = {z: value(z) for z in set(gring.orbit_min)}
+    return tuple(map(row.__getitem__, gring.orbit_min))
+
+
+def preimage_mask(row, mask: int) -> int:
+    """The mask of the i with ``row[i]`` in ``mask``: (K :_M x) of x's action row, f⁻¹(K) of f's mapping."""
+    return _mask(i for i, v in enumerate(row) if mask >> v & 1)
+
+
 def rn_masks(n: SubobjectHandle) -> tuple:
     """``rn_masks(n)[r]``: the mask of rN, for every ring element r; one row
     per unit orbit, since (ur)N = rN."""
-    def build():
-        act, orbit_min = n.carrier.action, n.ctx.gring.orbit_min
-        row = {z: _mask(map(act[z].__getitem__, n.sorted_members)) for z in set(orbit_min)}
-        return tuple(map(row.__getitem__, orbit_min))
-    return n.ctx.memo(("zmask", n.mask), build)
+    act = n.carrier.action
+    return n.ctx.memo(("zmask", n.mask),
+                      lambda: per_orbit(n.ctx.gring, lambda z: _mask(map(act[z].__getitem__, n.sorted_members))))
 
 
 def colon(k: SubobjectHandle, n: SubobjectHandle) -> SubobjectHandle:
@@ -198,14 +205,8 @@ def colon_by_element(k: SubobjectHandle, x: int) -> SubobjectHandle:
     if x not in gm.gring.hom_set:
         raise PreconditionViolation("colon_by_element requires a homogeneous ring element")
     x = gm.gring.orbit_min[x]
-
-    def build():
-        km, mask = k.members, 0
-        for m, xm in enumerate(gm.module.action[x]):
-            if xm in km:
-                mask |= 1 << m
-        return SubobjectHandle(gm, mask)
-    return gm.memo(("colon_by_element", k.mask, x), build)
+    row = gm.module.action[x]
+    return gm.memo(("colon_by_element", k.mask, x), lambda: SubobjectHandle(gm, preimage_mask(row, k.mask)))
 
 
 def annihilator(n: SubobjectHandle) -> SubobjectHandle:

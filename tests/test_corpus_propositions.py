@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -303,6 +304,33 @@ def test_skips_are_reported_not_pass_counted():
     report = verify_proposition("localization", CORPUS)
     assert report.skipped["localizes-to-zero"] >= 1
     assert report.instances >= 1
+
+
+def test_counted_adds_up_blocks_and_keeps_only_the_violation_records():
+    # a million passing instances one by one and a million in blocks: the
+    # count must not keep a pointer per instance (8 MB for the first million)
+    records = [{"N": i} for i in range(3)]
+
+    def check(entry, skip):
+        skip["vacuous"] += 2
+        yield records[0]
+        for _ in range(10 ** 6):
+            yield None
+        yield records[1]
+        for _ in range(10 ** 3):
+            yield 10 ** 3
+        yield records[2]
+
+    tracemalloc.start()
+    try:
+        instances, bad, skip = gradedalg.propositions._counted(check)(None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert instances == 2 * 10 ** 6 + 3
+    assert bad == records and all(a is b for a, b in zip(bad, records))
+    assert skip == Counter(vacuous=2)
 
 
 def test_implication_chain_over_corpus():

@@ -591,3 +591,61 @@ def test_the_named_subobjects_of_each_file_match_the_coset_sum_oracle(text, monk
     monkeypatch.setattr(structfile, "span", _oracle_span)
     oracle = parse_structure_text(text).named
     assert {k: (h.kind, h.mask) for k, h in named.items()} == {k: (h.kind, h.mask) for k, h in oracle.items()}
+
+
+# ---------------------------------------------------------------------------
+# preimage_mask against the three loops it replaced, kept here verbatim
+# ---------------------------------------------------------------------------
+
+def _colon_by_element_loop(gm, k, x):
+    """colon_by_element's build, before preimage_mask."""
+    km, mask = k.members, 0
+    for m, xm in enumerate(gm.module.action[x]):
+        if xm in km:
+            mask |= 1 << m
+    return SubobjectHandle(gm, mask)
+
+
+def _closure_colon_loop(act, z, n):
+    """closure-lemma's (N :_M z) mask, before preimage_mask."""
+    return subobjects._mask(m for m, zm in enumerate(act[z]) if n.mask >> zm & 1)
+
+
+def _hom_preimage_loop(f, k):
+    """hom_preimage's member set, before preimage_mask."""
+    km = k.members
+    return subobject(f.source, {m for m in range(f.source.grading.carrier.size) if f.mapping[m] in km})
+
+
+_F2C9_TEXT = (
+    "group cyclic 9\nring groupring 2\ngrading natural\nmodule self\n"
+    "submodule N gens (0,1,0,1,1,1,1,0,0)\nideal I gens (1,0,1,1,0,1,1,0,0)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*_STANDARD, *map(parse_structure_file, _STRUCTURE_FILES), parse_structure_text(_F2C9_TEXT)],
+    ids=[e.name for e in _STANDARD] + [p.name for p in _STRUCTURE_FILES] + ["f2c9-512"],
+)
+def test_preimage_mask_matches_the_loops_it_replaced(entry):
+    gm = entry.gmodule
+    act = gm.module.action
+    # the graded lattice and up to 16 cyclic spans, which need not be graded
+    size = gm.module.size
+    ks = [*entry.graded_submodules(), *(span({m}, gm) for m in range(0, size, max(1, size // 16)))]
+    assert any(not k.graded for k in ks) == (entry.gring.group.size > 1)
+    for x in gm.gring.hom:
+        for k in ks:
+            mask = subobjects.preimage_mask(act[x], k.mask)
+            assert mask == _colon_by_element_loop(gm, k, x).mask == _closure_colon_loop(act, x, k), (x, k)
+            assert colon_by_element(k, x).mask == mask, (x, k)
+    for r, f in _hom_family(entry):
+        for k in ks:
+            mask = subobjects.preimage_mask(f.mapping, k.mask)
+            assert mask == _hom_preimage_loop(f, k).mask == hom_preimage(f, k).mask, (r, k)
+
+
+def test_the_preimage_oracles_run_on_uint16_rows():
+    entry = parse_structure_text(_F2C9_TEXT)
+    assert entry.gmodule.module.size == 512 and entry.gmodule.module.action_array.itemsize == 2

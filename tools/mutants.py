@@ -51,17 +51,13 @@ MUTANTS = (
            "            bits = hyp[row[y]] & keep & ~escy[y]",
            "            bits = hyp[row[y]] & keep & ~escx[y]",
            KILL, "_first_violation reads escx[y] for escy[y], so primary escapes through P, not Grad(P)"),
-    Mutant("graded-ge", "subobjects.py",
-           "        return mask.bit_count() == prod((mask & c).bit_count() for c in self.ctx.component_masks)",
-           "        return mask.bit_count() >= prod((mask & c).bit_count() for c in self.ctx.component_masks)",
-           KILL, "graded is always True: |S| >= prod_g |S & M_g| holds for every subgroup"),
     Mutant("hypothesis-keeps-annihilators", "classifiers.py",
            "    return tuple(0 if w == zero_mask else bits for w, bits in zip(rn_masks(n), contains))",
            "    return tuple(bits for w, bits in zip(rn_masks(n), contains))",
            KILL, "_hypothesis keeps the rows of the r that annihilate N"),
     Mutant("power-or-no-powers", "classifiers.py",
-           "    ors = {z: reduce(or_, map(bits.__getitem__, gring.ring.power_sets[z])) for z in set(orbit_min)}",
-           "    ors = {z: bits[z] for z in set(orbit_min)}",
+           "    return per_orbit(gring, lambda z: reduce(or_, map(bits.__getitem__, gring.ring.power_sets[z])))",
+           "    return per_orbit(gring, lambda z: bits[z])",
            KILL, "_power_or reads no powers, so the radical of a colon is the colon"),
     Mutant("colon-by-overlap", "subobjects.py",
            "        if w & km == w:",
@@ -110,8 +106,8 @@ MUTANTS = (
     Mutant("graded-mask-ge", "subobjects.py",
            "    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)",
            "    return mask.bit_count() >= prod((mask & c).bit_count() for c in ctx.component_masks)",
-           KILL, "graded_mask calls every subgroup graded; closure-lemma asks it only of subgroups that are "
-           "graded, so only the subgroup test over every ideal sees it"),
+           KILL, "graded_mask, and so every handle's graded, calls every subgroup graded: |S| >= prod_g |S & M_g| "
+           "holds for every subgroup"),
     Mutant("colon-transpose-assigns", "propositions.py",
            "                colons[k] |= members",
            "                colons[k] = members",
@@ -136,13 +132,27 @@ MUTANTS = (
            SURVIVOR, "_g_coprimary classifies every degree g at g = e; no corpus entry has a g-2a-coprimary "
            "verdict that differs between degrees until the graded corpus of ROADMAP.md lands"),
     Mutant("graded-le", "subobjects.py",
-           "        return mask.bit_count() == prod((mask & c).bit_count() for c in self.ctx.component_masks)",
-           "        return mask.bit_count() <= prod((mask & c).bit_count() for c in self.ctx.component_masks)",
+           "    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)",
+           "    return mask.bit_count() <= prod((mask & c).bit_count() for c in ctx.component_masks)",
            EQUIVALENT, "equivalent: the S & M_g sum directly inside S, so prod_g |S & M_g| <= |S| always holds"),
     Mutant("char-without-zero-k", "classifiers.py",
            "    contains = _containing(zmask, sorted(set(zmask)))",
            "    contains = _containing(zmask, sorted(set(zmask) - {1 << n.ctx.module.zero}))",
            EQUIVALENT, "equivalent: only the r that annihilate N carry N into K = 0, and _hypothesis zeroes their rows"),
+    Mutant("preimage-mask-by-position", "subobjects.py",
+           "    return _mask(i for i, v in enumerate(row) if mask >> v & 1)",
+           "    return _mask(i for i, v in enumerate(row) if mask >> i & 1)",
+           KILL, "preimage_mask tests the position i, not the value row[i], so (K :_M x) and f⁻¹(K) are K"),
+    Mutant("per-orbit-one-orbit", "subobjects.py",
+           "    return tuple(map(row.__getitem__, gring.orbit_min))",
+           "    return tuple(row[gring.orbit_min[0]] for _ in gring.orbit_min)",
+           KILL, "per_orbit gives every ring element the row of 0's orbit, for rN, the product bits and the "
+           "power ORs alike"),
+    Mutant("counted-block-as-one", "propositions.py",
+           "                instances += record",
+           "                instances += 1",
+           KILL, "_counted counts a block of instances that hold as one instance, so ideal-lemma and "
+           "two-ideal-theorem lose nearly all their instances"),
     Mutant("coset-sum-reads-a-set", "core.py",
            "    cols, out = np.fromiter(a, np.intp, len(a)), set()",
            "    cols, out = np.fromiter(set(a), np.intp, len(a)), set()",
