@@ -44,6 +44,7 @@ from .subobjects import (
     annihilator,
     colon,
     colon_by_element,
+    containing,
     enumerate_graded_subobjects,
     graded_radical,
     per_orbit,
@@ -142,13 +143,6 @@ def _ideal_verdict(p: SubobjectHandle, predicate: str) -> PredicateVerdict:
 # per-submodule tables
 # ---------------------------------------------------------------------------
 
-def _containing(ws, ks) -> tuple:
-    """For every mask w of ``ws``, the bitset of the positions i with w inside
-    the mask ``ks[i]``; computed once per distinct w, and shared."""
-    row = {w: sum(1 << i for i, k in enumerate(ks) if w & k == w) for w in set(ws)}
-    return tuple(map(row.__getitem__, ws))
-
-
 def _power_or(gring, bits) -> tuple:
     """For every ring element r, the OR of ``bits[p]`` over the powers p of r,
     one per unit orbit: ``bits`` is equal along orbits, and (ur)^k = u^k r^k."""
@@ -164,7 +158,7 @@ def _hypothesis(n: SubobjectHandle, contains) -> tuple:
 def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
     """``contains[r]``: bit i set iff rN is inside ``lattice[i]``.  The key
     leaves out ``lattice``: it is always the carrier's canonical lattice."""
-    return n.ctx.memo(("contains", n.mask), lambda: _containing(rn_masks(n), [k.mask for k in lattice]))
+    return n.ctx.memo(("contains", n.mask), lambda: containing(rn_masks(n), [k.mask for k in lattice]))
 
 
 def _good_bits(n: SubobjectHandle, lattice) -> tuple:
@@ -260,7 +254,7 @@ def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
     violating (x, y) is the definition's."""
     gring = n.ctx.gring
     zmask = rn_masks(n)
-    contains = _containing(zmask, sorted(set(zmask)))
+    contains = containing(zmask, sorted(set(zmask)))
     esc = _power_or(gring, contains)
     reps = _reps(gring)
     hit = _first_violation(reps, gring.ring.mul, _hypothesis(n, contains), esc, esc)

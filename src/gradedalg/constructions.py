@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import FiniteModule, FiniteRing, make_module, make_ring
+from .core import FiniteModule, FiniteRing, first_escape, first_hom_failure, make_module, make_ring
 from .errors import HomInvalid, InvalidDenominators, PreconditionViolation
 from .grading import GradedModule, GradedRing, attach_grading, product_assignment
 from .subobjects import SUBMODULE, SubobjectHandle, preimage_mask, subobject, zero_subobject
@@ -30,7 +30,7 @@ class GradedHom:
 
 
 def make_hom(source: GradedModule, target: GradedModule, mapping) -> GradedHom:
-    """Validate additivity, linearity, and degree preservation exhaustively."""
+    """Validate additivity, linearity (``core.first_hom_failure``) and degree preservation exhaustively."""
     if source.gring is not target.gring:
         raise PreconditionViolation("hom endpoints must share the same graded ring")
     sm, tm = source.grading.carrier, target.grading.carrier
@@ -40,14 +40,9 @@ def make_hom(source: GradedModule, target: GradedModule, mapping) -> GradedHom:
     for v in mapping:
         if not (0 <= v < tm.size):
             raise HomInvalid("map-out-of-range", (v,))
-    for a in range(sm.size):
-        for b in range(sm.size):
-            if mapping[sm.add[a][b]] != tm.add[mapping[a]][mapping[b]]:
-                raise HomInvalid("not-additive", (a, b))
-    for r in range(source.gring.ring.size):
-        for m in range(sm.size):
-            if mapping[sm.action[r][m]] != tm.action[r][mapping[m]]:
-                raise HomInvalid("not-linear", (r, m))
+    failure = first_hom_failure(sm, tm, mapping)
+    if failure is not None:
+        raise HomInvalid(*failure)
     tcomps = target.grading.components
     for g, comp in enumerate(source.grading.components):
         for m in comp:
@@ -98,12 +93,10 @@ def _check_denominators(gring: GradedRing, s) -> tuple:
     for x in s:
         if x not in gring.hom_set:
             raise InvalidDenominators(f"denominator {ring.labels[x]!r} is not homogeneous")
-    for a in s:
-        for b in s:
-            if ring.mul[a][b] not in s:
-                raise InvalidDenominators(
-                    f"not closed under multiplication: {ring.labels[a]!r} * {ring.labels[b]!r}"
-                )
+    escape = first_escape(ring.mul_array, [s], [s], ((0,),))
+    if escape is not None:
+        a, b = escape[2:]
+        raise InvalidDenominators(f"not closed under multiplication: {ring.labels[a]!r} * {ring.labels[b]!r}")
     return s
 
 

@@ -3,8 +3,8 @@
 Every structure is an immutable table object: elements are canonical labels,
 all operations are total lookup tables over element *indices*, and everything
 downstream treats elements as opaque indices.  Structures are validated
-exhaustively by :func:`validate_axioms`.  :func:`coset_sum`, every subgroup
-sum A + B, and :func:`first_escape` gather on the stored arrays.
+exhaustively by :func:`validate_axioms`.  Every subgroup sum (:func:`coset_sum`),
+:func:`first_escape` and :func:`first_hom_failure` gather on the stored arrays.
 """
 from __future__ import annotations
 
@@ -292,11 +292,11 @@ def make_module(spec, ring: FiniteRing) -> FiniteModule:
                 raise InvalidDescriptor(
                     f"action-ill-defined: summand order {m} does not divide ring modulus {n}"
                 )
-        d, places = _digits(ms)
-        r = np.arange(n)[:, None]
-        action = np.zeros((n, len(d)), np.int64)
-        for t, (m, w) in enumerate(zip(ms, places)):
-            action += r * d[None, :, t] % m * w
+        action = np.zeros((n, 1), np.min_scalar_type(math.prod(ms)))
+        for m in ms:  # like _digit_add, one summand at a time, from the tables r*j mod m
+            a = np.arange(m, dtype=np.min_scalar_type((m - 1) ** 2))  # wide enough for the products
+            times = (a[:, None] * a % m).astype(action.dtype)[np.arange(n) % m]
+            action = (action[:, :, None] * m + times[:, None, :]).reshape(n, -1)
         return FiniteModule(ring, tuple(itertools.product(*(range(m) for m in ms))), _digit_add(ms), 0, action)
     if kind == "product":
         m1, m2 = spec[1], spec[2]
@@ -364,6 +364,17 @@ def _first_mismatch(lhs: np.ndarray, rhs):
         if len(bad):
             return (lo + int(bad[0, 0]), *map(int, bad[0, 1:]))
     return None
+
+
+def first_hom_failure(source, target, mapping):
+    """``("not-additive", (a, b))``, else ``("not-linear", (r, m))``, at the first failing pair in
+    row-major order of ``mapping`` (in-range target indices), or None; gathered in the target's dtype."""
+    f = np.array(mapping, dtype=target.add_array.dtype)
+    additive = _first_mismatch(f[source.add_array], target.add_array[f[:, None], f])
+    if additive is not None:
+        return "not-additive", additive
+    linear = _first_mismatch(f[source.action_array], target.action_array[:, f])
+    return None if linear is None else ("not-linear", linear)
 
 
 def _law_mismatch(rows):

@@ -9,7 +9,7 @@ candidates are tallied under ``skipped`` with a reason, never as passes.
 are the keys of the checker table, and ``_named`` labels every record.
 
 No checker builds an object per instance.  ``closure-lemma`` counts each sum
-against a ``containment_index`` of the lattice, built for the call and never
+against the ``containing`` index of the lattice, built for the call and never
 memoized (L² bits); ``colon-2AP`` reads every (K :_R N) of one N off
 ``_contains_bits``, which keeps its scan of the lattice per distinct rN, so a
 single ``classify`` never pays for the O(L²) index.
@@ -54,7 +54,7 @@ from .subobjects import (
     annihilator,
     colon,
     combine,
-    containment_index,
+    containing,
     enumerate_graded_subobjects,
     graded_mask,
     graded_radical,
@@ -226,7 +226,8 @@ def _check_closure_lemma(entry: CorpusEntry, skip: Counter):
         return None if ok else {"op": what, "detail": detail}
 
     for objs, kind in ((ideals, "ideal"), (subs, "submodule")):
-        add, meet, up = kind + "-sum", kind + "-intersect", containment_index(objs)
+        masks = [h.mask for h in objs]
+        add, meet, up = kind + "-sum", kind + "-intersect", containing(masks, masks)
         for i, a in enumerate(objs):
             for j, b in enumerate(objs):
                 yield graded(sum_is_graded(objs, up, i, j), add, (a, b))

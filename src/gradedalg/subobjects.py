@@ -13,7 +13,7 @@ Member sets are additive subgroups, and every sum of two is one kernel,
 walk and Grad(P) (one degree at a time, from the rooted parts of each R_g).
 Gradedness is decided by counting (``graded_mask``: |S| = Π_g |S ∩ M_g|),
 (K :_M x) and f⁻¹(K) are one ``preimage_mask``, and ``sum_is_graded`` decides
-A + B of two lattice elements without building it, from ``containment_index``.
+A + B of two lattice elements without building it, from ``containing``.
 
 A unit u of R_e gives (ux)N = xN, (K :_M ux) = (K :_M x) and R·ux = R·x, so
 every per-scalar value is computed once per unit orbit (the carrier's
@@ -279,13 +279,13 @@ def _enumerate_by_generators(ctx, generators, max_elements: int):
     return sorted((subobject(ctx, s) for s in found), key=lambda h: (len(h.members), h.sorted_members))
 
 
-def containment_index(lattice) -> list:
-    """``up[i]``: bit j set iff ``lattice[i]`` lies inside ``lattice[j]``, for a
-    lattice in canonical order, so the lowest set bit of ``up[a] & up[b]`` is
-    the least element holding both.  It takes L² bits: built per caller and
-    never memoized."""
-    masks = [h.mask for h in lattice]
-    return [sum(1 << j for j, k in enumerate(masks[i:], i) if m & k == m) for i, m in enumerate(masks)]
+def containing(ws, ks) -> tuple:
+    """For every mask w of ``ws``, the bitset of the positions i with w inside
+    the mask ``ks[i]``, computed once per distinct w.  With a canonical lattice's
+    masks as both, the lowest set bit of ``up[a] & up[b]`` is the least element
+    holding both (L² bits: built per caller, never memoized)."""
+    row = {w: sum(1 << i for i, k in enumerate(ks) if w & k == w) for w in set(ws)}
+    return tuple(map(row.__getitem__, ws))
 
 
 def sum_is_graded(lattice, up, a: int, b: int) -> bool:

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from gradedalg import (
@@ -98,6 +101,170 @@ def test_homs_take_a_ring_as_a_module_over_itself():
     assert hom_preimage(f, six_r) == three_r
     assert hom_kernel(f) == six_r
     assert hom_kernel(f).kind == "ideal"
+
+
+# make_hom's checks as they were before additivity and linearity went through
+# core.first_hom_failure, kept verbatim as the oracle of its reasons and witnesses
+
+def _oracle_make_hom(source: GradedModule, target: GradedModule, mapping):
+    """Validate additivity, linearity, and degree preservation exhaustively."""
+    if source.gring is not target.gring:
+        raise PreconditionViolation("hom endpoints must share the same graded ring")
+    sm, tm = source.grading.carrier, target.grading.carrier
+    mapping = tuple(mapping)
+    if len(mapping) != sm.size:
+        raise HomInvalid("map-not-total", (len(mapping), sm.size))
+    for v in mapping:
+        if not (0 <= v < tm.size):
+            raise HomInvalid("map-out-of-range", (v,))
+    for a in range(sm.size):
+        for b in range(sm.size):
+            if mapping[sm.add[a][b]] != tm.add[mapping[a]][mapping[b]]:
+                raise HomInvalid("not-additive", (a, b))
+    for r in range(source.gring.ring.size):
+        for m in range(sm.size):
+            if mapping[sm.action[r][m]] != tm.action[r][mapping[m]]:
+                raise HomInvalid("not-linear", (r, m))
+    tcomps = target.grading.components
+    for g, comp in enumerate(source.grading.components):
+        for m in comp:
+            if mapping[m] not in tcomps[g]:
+                raise HomInvalid("not-degree-preserving", (g, m))
+    return mapping
+
+
+def _hom_outcome(check, source, target, mapping):
+    """("hom", mapping) for a valid map, else the reason and witness it is refused with."""
+    try:
+        return "hom", tuple(check(source, target, mapping))
+    except HomInvalid as exc:
+        return exc.axiom, exc.witness
+
+
+def _assert_hom_outcome(source, target, mapping, reasons):
+    """Assert that make_hom and the loops agree on ``mapping``, with a reason in ``reasons``."""
+    got = _hom_outcome(lambda *a: make_hom(*a).mapping, source, target, mapping)
+    assert got == _hom_outcome(_oracle_make_hom, source, target, mapping)
+    assert got[0] in reasons, got
+    assert all(type(x) is int for x in got[1]), got  # a witness of Python ints, as the loops gave
+    return got
+
+
+def _f2_c9(natural: bool):
+    group = make_group(("cyclic", 9))
+    ring = make_ring(("groupring", 2, group))
+    return groupring_natural(ring, group) if natural else ring_trivial(ring, group)
+
+
+def _relabel(gr, perm):
+    """The F2-linear map of F2[C9] that moves coefficient t to place perm[t]."""
+    ring = gr.ring
+    return [ring.index[tuple(lab[perm.index(t)] for t in range(len(lab)))] for lab in ring.labels]
+
+
+def test_make_hom_gives_the_loops_reason_and_witness_for_every_reason():
+    trivial, natural = _f2_c9(False), _f2_c9(True)
+    ring = trivial.ring
+    identity = list(range(ring.size))
+    assert _assert_hom_outcome(trivial, trivial, identity[:-1], ["map-not-total"])[1] == (511, 512)
+    assert _assert_hom_outcome(trivial, trivial, identity[:7] + [512] + identity[8:], ["map-out-of-range"])[1] == (512,)
+    assert _assert_hom_outcome(trivial, trivial, [-1] + identity[1:], ["map-out-of-range"])[1] == (-1,)
+    corrupted = identity[:5] + [7] + identity[6:]
+    assert _assert_hom_outcome(trivial, trivial, corrupted, ["not-additive"])[1] == (1, 4)
+    # swapping the coefficients of 1 and g is F2-linear but does not commute with g
+    _assert_hom_outcome(trivial, trivial, _relabel(trivial, [1, 0, *range(2, 9)]), ["not-linear"])
+    # ×g commutes with every scalar, but carries R_0 into R_1 under the natural grading
+    times_g = list(ring.mul[ring.index[(0, 1, *[0] * 7)]])
+    assert _assert_hom_outcome(natural, natural, times_g, ["not-degree-preserving"])[1][0] == 0
+    _assert_hom_outcome(trivial, trivial, times_g, ["hom"])
+
+
+def test_make_hom_matches_the_loops_on_valid_corrupted_and_random_maps_at_512_elements():
+    rng = random.Random(36)
+    trivial = _f2_c9(False)
+    ring = trivial.ring
+    for r in (ring.one, ring.zero, *rng.sample(range(ring.size), 2)):
+        times_r = list(ring.mul[r])
+        _assert_hom_outcome(trivial, trivial, times_r, ["hom"])
+        for _ in range(3):  # one image changed: not additive at the first pair that reads it
+            bad = list(times_r)
+            i = rng.randrange(ring.size)
+            bad[i] = (bad[i] + rng.randrange(1, ring.size)) % ring.size
+            _assert_hom_outcome(trivial, trivial, bad, ["not-additive"])
+    # a coefficient permutation is additive, and linear only if it is a translation of C9
+    reasons = Counter(_assert_hom_outcome(trivial, trivial, _relabel(trivial, rng.sample(range(9), 9)),
+                                          ["not-linear", "hom"])[0] for _ in range(3))
+    assert reasons["not-linear"] >= 2
+    for _ in range(3):
+        _assert_hom_outcome(trivial, trivial, [rng.randrange(ring.size) for _ in range(ring.size)], ["not-additive"])
+
+
+def test_make_hom_matches_the_loops_between_carriers_of_different_dtypes():
+    # Z/256 (uint8 tables) into Z/2 + Z/256 (512 elements, uint16) and back
+    gr = ring_trivial(make_ring(("zmod", 256)))
+    small = module_trivial(make_module(("directsum", 256), gr.ring), gr)
+    big = module_trivial(make_module(("directsum", 2, 256), gr.ring), gr)
+    assert small.module.add_array.dtype.itemsize == 1 and big.module.add_array.dtype.itemsize == 2
+    into = [big.module.index[(0, m)] for m in range(256)]
+    _assert_hom_outcome(small, big, into, ["hom"])
+    _assert_hom_outcome(big, small, [small.module.index[(m,)] for _, m in big.module.labels], ["hom"])
+    _assert_hom_outcome(big, big, [big.module.index[(m % 2, m)] for _, m in big.module.labels], ["hom"])
+    assert _assert_hom_outcome(small, big, into[:3] + into[4:5] + into[4:], ["not-additive"])[1] == (1, 2)
+    torsion = next(e for e in build_standard_corpus() if e.name == "torsion180").gmodule
+    for r in (1, 2, 5, 36):
+        _assert_hom_outcome(torsion, torsion, list(torsion.module.action[r]), ["hom"])
+    _assert_hom_outcome(torsion, torsion, list(range(179)) + [0], ["not-additive"])
+
+
+# _check_denominators before its closure check went through core.first_escape, verbatim
+
+def _oracle_check_denominators(gring: GradedRing, s) -> tuple:
+    s = tuple(sorted(set(s)))
+    ring = gring.ring
+    if ring.one not in s:
+        raise InvalidDenominators("localization set must contain 1")
+    for x in s:
+        if x not in gring.hom_set:
+            raise InvalidDenominators(f"denominator {ring.labels[x]!r} is not homogeneous")
+    for a in s:
+        for b in s:
+            if ring.mul[a][b] not in s:
+                raise InvalidDenominators(
+                    f"not closed under multiplication: {ring.labels[a]!r} * {ring.labels[b]!r}"
+                )
+    return s
+
+
+def _denominators_outcome(check, gring, s):
+    try:
+        return "ok", check(gring, s)
+    except InvalidDenominators as exc:
+        return "error", str(exc)
+
+
+def test_check_denominators_names_the_loops_first_product_outside_the_set():
+    gr, _ = _z12_module()
+    outcomes = Counter()
+    for bits in range(1 << 12):  # every subset of Z/12
+        s = [x for x in range(12) if bits >> x & 1]
+        got = _denominators_outcome(_check_denominators, gr, s)
+        assert got == _denominators_outcome(_oracle_check_denominators, gr, s), s
+        outcomes[got[0] if got[0] == "ok" else got[1].split(":")[0]] += 1
+    assert outcomes["not closed under multiplication"] > 1000 and outcomes["ok"] > 10
+    assert _denominators_outcome(_check_denominators, gr, (1, 2, 4)) == (
+        "error", "not closed under multiplication: 2 * 4")
+    # Z/180, whose tables are uint8, and a graded ring with non-homogeneous elements
+    rng = random.Random(180)
+    torsion = next(e for e in build_standard_corpus() if e.name == "torsion180").gring
+    c2 = make_group(("cyclic", 2))
+    f3c2 = groupring_natural(make_ring(("groupring", 3, c2)), c2)
+    for gring in (torsion, f3c2):
+        for _ in range(300):
+            s = [gring.ring.one, *rng.sample(range(gring.ring.size), rng.randrange(1, 5))]
+            assert _denominators_outcome(_check_denominators, gring, s) == _denominators_outcome(
+                _oracle_check_denominators, gring, s), s
+    s5 = next(e for e in build_standard_corpus() if e.name == "torsion180").mulsets["S5"]
+    assert _denominators_outcome(_check_denominators, torsion, s5) == ("ok", s5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -598,6 +599,59 @@ def test_make_directsum_module_matches_per_element_oracle(specs):
     ring_spec, spec = specs
     ring = make_ring(ring_spec)
     _assert_same_tables(make_module(spec, ring), _oracle_make_module(spec, ring))
+
+
+def _int64_directsum_action(ms, n):
+    """The direct-sum action as it was built before it was built one summand at
+    a time in its stored dtype: accumulated in int64 over n x |M| temporaries."""
+    d, places = core._digits(ms)
+    r = np.arange(n)[:, None]
+    action = np.zeros((n, len(d)), np.int64)
+    for t, (m, w) in enumerate(zip(ms, places)):
+        action += r * d[None, :, t] % m * w
+    return action
+
+
+def _sorted_divisor_shapes(n, max_elements):
+    """Every non-decreasing tuple of divisors > 1 of n whose product is at most ``max_elements``."""
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+
+    def grow(shape, size):
+        if shape:
+            yield shape
+        for d in divisors:
+            if (not shape or d >= shape[-1]) and size * d <= max_elements:
+                yield from grow(shape + (d,), size * d)
+    return grow((), 1)
+
+
+def test_directsum_action_matches_the_int64_construction_on_every_small_shape():
+    shapes = 0
+    for n in range(2, 61):
+        ring = make_ring(("zmod", n))
+        # the sorted shapes, plus summands of order 1 and a summand order out of order
+        for ms in (*_sorted_divisor_shapes(n, 512), (1,), (1, n), (n, 1, *(d for d in (2,) if n % d == 0))):
+            action = make_module(("directsum", *ms), ring).action_array
+            assert action.dtype == np.min_scalar_type(math.prod(ms) - 1), ms
+            assert np.array_equal(action, _int64_directsum_action(ms, n)), (n, ms)
+            shapes += 1
+    assert shapes == 3458
+    for n, ms in ((256, (256,)), (512, (512,)), (256, (2, 128)), (128, (2, 64))):
+        action = make_module(("directsum", *ms), make_ring(("zmod", n))).action_array
+        assert action.dtype == np.min_scalar_type(math.prod(ms) - 1), ms
+        assert np.array_equal(action, _int64_directsum_action(ms, n)), ms
+
+
+def test_torsion180_directsum_action_is_built_without_wide_temporaries():
+    ring = make_ring(("zmod", 180))
+    tracemalloc.start()
+    try:
+        make_module(("directsum", 4, 9, 5), ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 build peaked at 786 kB here, the 180 x 180 int64 action alone being 259 kB
+    assert peak < 200_000, peak
 
 
 @given(_directsum_specs(12, 12), _directsum_specs(12, 12))

@@ -3,6 +3,7 @@ import io
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import gradedalg.core
@@ -32,13 +33,14 @@ from gradedalg import (
     multiplication_hom,
     recheck_coprimary_violation,
     search_counterexample,
+    validate_axioms,
     verify_proposition,
     whole_subobject,
 )
 from gradedalg.cli import run_cli
-from gradedalg.core import DEFAULT_MAX_ELEMENTS
+from gradedalg.core import DEFAULT_MAX_ELEMENTS, FiniteRing, make_group
 from gradedalg.corpus import _standard_corpus
-from gradedalg.grading import module_same_as_ring, ring_trivial
+from gradedalg.grading import GradedRing, attach_grading, module_same_as_ring, ring_trivial
 from gradedalg.propositions import _CHECKERS, _members_label
 
 CORPUS = build_standard_corpus()
@@ -331,6 +333,34 @@ def test_counted_adds_up_blocks_and_keeps_only_the_violation_records():
     assert instances == 2 * 10 ** 6 + 3
     assert bad == records and all(a is b for a, b in zip(bad, records))
     assert skip == Counter(vacuous=2)
+
+
+def _z12_dual_numbers_graded_by_c2() -> CorpusEntry:
+    """(Z/12)[x]/(x^2) graded by C2 with deg x = 1, as the ring acting on
+    itself: a + bx at index 12a + b, R_0 = {a} and R_1 = {bx}."""
+    a, b = np.divmod(np.arange(144), 12)
+    add = (a[:, None] + a) % 12 * 12 + (b[:, None] + b) % 12
+    mul = a[:, None] * a % 12 * 12 + (a[:, None] * b + b[:, None] * a) % 12
+    ring = FiniteRing(tuple(zip(a.tolist(), b.tolist())), add, mul, 0, 12)
+    assert validate_axioms(ring).ok
+    group = make_group(("cyclic", 2))
+    grading = attach_grading(ring, group, {0: {12 * i for i in range(12)}, 1: set(range(12))})
+    gring = GradedRing(ring, grading)
+    return CorpusEntry("z12[x]/(x2)@C2", gring, module_same_as_ring(make_module(("self",), ring), gring))
+
+
+def test_ideal_pair_checkers_skip_each_degree_by_its_own_g_coprimary_verdict():
+    # the first entry with a g-2a-coprimary verdict that depends on the degree
+    # g: 6 of its 17 non-zero graded N are not g-coprimary at g = 0 and are at
+    # g = 1, so a checker that classified every degree at g = e would skip 12
+    entry = _z12_dual_numbers_graded_by_c2()
+    nonzero = [n for n in entry.graded_submodules() if not n.is_zero]
+    assert len(nonzero) == 17
+    not_coprimary = [sum(not classify_submodule(n, "g-2a-coprimary", g=g).value for n in nonzero) for g in (0, 1)]
+    assert not_coprimary == [6, 0]
+    for pid, want in (("ideal-lemma", 99918), ("two-ideal-theorem", 147107)):
+        instances, bad, skip = _CHECKERS[pid](entry)
+        assert (instances, len(bad), skip["N-not-g-coprimary"]) == (want, 0, sum(not_coprimary)), pid
 
 
 def test_implication_chain_over_corpus():

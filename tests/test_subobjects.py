@@ -50,7 +50,7 @@ from gradedalg.grading import (
     ring_trivial,
 )
 from gradedalg.propositions import _hom_family
-from gradedalg.subobjects import _enumerate_by_generators
+from gradedalg.subobjects import _enumerate_by_generators, containing, rn_masks
 
 
 def enumerate_all_subobjects(ctx, max_elements=64):
@@ -478,6 +478,34 @@ def test_each_multiplication_hom_has_the_image_kernel_and_preimage_of_its_orbit_
         for n in entry.graded_submodules():
             assert hom_image(f, n).members == {times_r[m] for m in n.members}, (r, n)
             assert hom_preimage(f, n).members == {m for m in range(module.size) if times_r[m] in n.members}, (r, n)
+
+
+def _oracle_containment_index(lattice) -> list:
+    """closure-lemma's containment index before it was merged into
+    ``containing``, verbatim: it scans only the positions from i on."""
+    masks = [h.mask for h in lattice]
+    return [sum(1 << j for j, k in enumerate(masks[i:], i) if m & k == m) for i, m in enumerate(masks)]
+
+
+def _f2_to_the_5():
+    ring = make_ring(("zmod", 2))
+    return module_trivial(make_module(("directsum",) + (2,) * 5, ring), ring_trivial(ring))
+
+
+@pytest.mark.parametrize("ctx", [
+    *(ctx for e in _STANDARD for ctx in (e.gring, e.gmodule)), "F2^5",
+], ids=[*(f"{e.name}-{kind}" for e in _STANDARD for kind in ("ideals", "submodules")), "F2^5"])
+def test_containing_is_the_containment_index_and_the_rn_rows(ctx):
+    # F2^5 has 374 graded submodules
+    lattice = enumerate_graded_subobjects(_f2_to_the_5() if ctx == "F2^5" else ctx)
+    masks = [h.mask for h in lattice]
+    assert containing(masks, masks) == tuple(_oracle_containment_index(lattice))
+    if lattice[0].kind == SUBMODULE:
+        for n in lattice[:: max(1, len(lattice) // 20)]:
+            act = n.carrier.action
+            for r, row in enumerate(containing(rn_masks(n), masks)):
+                rn = {act[r][m] for m in n.members}
+                assert row == sum(1 << i for i, k in enumerate(lattice) if rn <= k.members), (n, r)
 
 
 @pytest.mark.parametrize("entry", _STANDARD, ids=lambda e: e.name)

@@ -129,15 +129,15 @@ MUTANTS = (
            '            if not classify_submodule(n, "g-2a-coprimary", g=g, max_elements=entry.max_elements).value:',
            '            if not classify_submodule(n, "g-2a-coprimary", g=entry.gmodule.group.identity,'
            " max_elements=entry.max_elements).value:",
-           SURVIVOR, "_g_coprimary classifies every degree g at g = e; no corpus entry has a g-2a-coprimary "
-           "verdict that differs between degrees until the graded corpus of ROADMAP.md lands"),
+           KILL, "_g_coprimary classifies every degree g at g = e; no standard entry has a g-2a-coprimary "
+           "verdict that differs between degrees, so only the hand-built (Z/12)[x]/(x^2) graded by C2 sees it"),
     Mutant("graded-le", "subobjects.py",
            "    return mask.bit_count() == prod((mask & c).bit_count() for c in ctx.component_masks)",
            "    return mask.bit_count() <= prod((mask & c).bit_count() for c in ctx.component_masks)",
            EQUIVALENT, "equivalent: the S & M_g sum directly inside S, so prod_g |S & M_g| <= |S| always holds"),
     Mutant("char-without-zero-k", "classifiers.py",
-           "    contains = _containing(zmask, sorted(set(zmask)))",
-           "    contains = _containing(zmask, sorted(set(zmask) - {1 << n.ctx.module.zero}))",
+           "    contains = containing(zmask, sorted(set(zmask)))",
+           "    contains = containing(zmask, sorted(set(zmask) - {1 << n.ctx.module.zero}))",
            EQUIVALENT, "equivalent: only the r that annihilate N carry N into K = 0, and _hypothesis zeroes their rows"),
     Mutant("preimage-mask-by-position", "subobjects.py",
            "    return _mask(i for i, v in enumerate(row) if mask >> v & 1)",
@@ -158,6 +158,23 @@ MUTANTS = (
            "    cols, out = np.fromiter(set(a), np.intp, len(a)), set()",
            KILL, "coset_sum reads A through a set, so a sized iterable with repeats is shorter than its count; "
            "no caller passes repeats, so only the coset_sum oracle sees it"),
+    Mutant("hom-check-additivity-only", "core.py",
+           "    linear = _first_mismatch(f[source.action_array], target.action_array[:, f])",
+           "    linear = None",
+           KILL, "first_hom_failure, and so make_hom, checks additivity only; every map the package builds "
+           "is linear, so only the witness oracle's F2-linear map on F2[C9] that does not commute with g sees it"),
+    Mutant("denominators-first-row-only", "constructions.py",
+           "    escape = first_escape(ring.mul_array, [s], [s], ((0,),))",
+           "    escape = first_escape(ring.mul_array, [s[:1]], [s], ((0,),))",
+           KILL, "_check_denominators checks the products of the least denominator only"),
+    Mutant("containing-by-equality", "subobjects.py",
+           "    row = {w: sum(1 << i for i, k in enumerate(ks) if w & k == w) for w in set(ws)}",
+           "    row = {w: sum(1 << i for i, k in enumerate(ks) if w == k) for w in set(ws)}",
+           KILL, "containing tests w == k for w inside k, so each lattice element is contained only in itself"),
+    Mutant("directsum-action-in-uint8", "core.py",
+           "        action = np.zeros((n, 1), np.min_scalar_type(math.prod(ms)))",
+           "        action = np.zeros((n, 1), np.uint8)",
+           KILL, "the direct-sum action is built in uint8 whatever its size, so above 256 elements it wraps"),
     Mutant("entry-never-released", "cli.py",
            "        entry.release()",
            "        entry.release",
