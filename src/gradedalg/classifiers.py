@@ -155,18 +155,18 @@ def _hypothesis(n: SubobjectHandle, contains) -> tuple:
     return tuple(0 if w == zero_mask else bits for w, bits in zip(rn_masks(n), contains))
 
 
-def _contains_bits(n: SubobjectHandle, lattice) -> tuple:
-    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``.  The key
-    leaves out ``lattice``: it is always the carrier's canonical lattice."""
-    return n.ctx.memo(("contains", n.mask), lambda: containing(rn_masks(n), [k.mask for k in lattice]))
+def _contains_bits(n: SubobjectHandle, max_elements: int) -> tuple:
+    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``, the carrier's lattice
+    ``enumerate_graded_subobjects(n.ctx, max_elements)``, read when the bits are built."""
+    return n.ctx.memo(("contains", n.mask), lambda: containing(
+        rn_masks(n), [k.mask for k in enumerate_graded_subobjects(n.ctx, max_elements)]))
 
 
-def _good_bits(n: SubobjectHandle, lattice) -> tuple:
-    """``good[r]``: bit i set iff some power of r carries N into ``lattice[i]``,
-    over the carrier's canonical lattice like ``_contains_bits``.  For
-    homogeneous r (its own decomposition) that is r in Grad(lattice[i] :_R N);
-    every reader looks at homogeneous r only."""
-    return n.ctx.memo(("good", n.mask), lambda: _power_or(n.ctx.gring, _contains_bits(n, lattice)))
+def _good_bits(n: SubobjectHandle, max_elements: int) -> tuple:
+    """``good[r]``: bit i set iff some power of r carries N into ``lattice[i]``
+    of ``_contains_bits``; for homogeneous r (its own decomposition), iff r is
+    in Grad(lattice[i] :_R N).  Every reader looks at homogeneous r only."""
+    return n.ctx.memo(("good", n.mask), lambda: _power_or(n.ctx.gring, _contains_bits(n, max_elements)))
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -235,8 +235,8 @@ def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_el
         return PredicateVerdict(a is None, None if a is None else {"a": a})
     lattice = enumerate_graded_subobjects(gm, max_elements)
     scalars = _reps(gring, g)
-    contains = _contains_bits(n, lattice)
-    esc = contains if predicate == "strong-2a-second" else _good_bits(n, lattice)
+    contains = _contains_bits(n, max_elements)
+    esc = contains if predicate == "strong-2a-second" else _good_bits(n, max_elements)
     hit = _first_violation(scalars, gring.ring.mul, _hypothesis(n, contains), esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]})
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import FiniteModule, FiniteRing, first_escape, first_hom_failure, make_module, make_ring
+from .core import FiniteModule, FiniteRing, first_escape, first_hom_failure, fraction_tables, make_module, make_ring
 from .errors import HomInvalid, InvalidDenominators, PreconditionViolation
 from .grading import GradedModule, GradedRing, attach_grading, product_assignment
 from .subobjects import SUBMODULE, SubobjectHandle, preimage_mask, subobject, zero_subobject
@@ -108,62 +108,47 @@ class Localization:
     base: GradedRing | GradedModule
     denominators: tuple
     reps: tuple  # reps[i] = (numerator index, denominator index) in the base
-    class_of: dict  # (a, s) -> localized element index
+    classes: object  # read-only array: classes[a, j] is the localized index of a / denominators[j]
     localized: GradedRing | GradedModule
     ring_loc: Localization | None = None  # S^{-1}R when the base is a module
 
 
 def _fractions(base, s: tuple, ring_reps=None):
-    """(reps, class_of, labels, add, action, zero, degree assignment) of S^{-1}X
+    """(reps, classes, labels, add, action, zero, degree assignment) of S^{-1}X
     for the graded carrier X = ``base``, a module over ``base.gring`` or that
-    ring acting on itself.  The action's rows are the classes ``ring_reps`` of
-    S^{-1}R, or X's own classes when X is the ring.  The fraction a/d falls in
-    the class of its key c_d * a, in one pass over the pairs in canonical
-    order, so reps[i] is the first pair of class i."""
+    ring acting on itself, by ``core.fraction_tables``: the action's rows are
+    the classes ``ring_reps`` of S^{-1}R, or X's own classes when X is the ring."""
     x, ring = base.grading.carrier, base.gring.ring
-    act, add, mul = x.action, x.add, ring.mul
 
     def times(ts, start):
-        return reduce(lambda u, t: mul[u][t], ts, start)
+        return reduce(lambda u, t: ring.mul[u][t], ts, start)
 
     w = times(s, ring.one)
     # a/d = b/t iff w(ta - db) = 0 (u in S divides w = prod S), iff c_d a = c_t b for c_d = w^2 prod(S - {d}):
     # multiply by the cofactors of d and t in w, or back by dt, since w^3 is in S
-    keyed = {d: act[times((t for t in s if t != d), mul[w][w])] for d in s}
-    reps, class_of, class_at = [], {}, {}
-    for a in range(x.size):
-        for d in s:
-            i = class_of[(a, d)] = class_at.setdefault(keyed[d][a], len(reps))
-            if i == len(reps):
-                reps.append((a, d))
+    cofactors = [times((t for t in s if t != d), ring.mul[w][w]) for d in s]
+    reps, classes, add, action = fraction_tables(x, ring.mul_array, s, cofactors, ring_reps)
     labels = tuple(f"{x.labels[a]}/{ring.labels[d]}" for a, d in reps)
-    ladd = tuple(
-        tuple(class_of[(add[act[t][a]][act[sden][b]], mul[sden][t])] for (b, t) in reps)
-        for (a, sden) in reps
-    )
-    laction = tuple(
-        tuple(class_of[(act[r][a], mul[sden][t])] for (a, t) in reps)
-        for (r, sden) in (reps if ring_reps is None else ring_reps)
-    )
+    columns = classes.T.tolist()  # columns[j][a] is the class of a / s[j]
     group = base.group
     assignment = {g: set() for g in range(group.size)}
     rcomps = base.gring.grading.components
     for g in range(group.size):
         for h in range(group.size):
             d = group.op[h][group.inverse[g]]
-            for sden in s:
+            for column, sden in zip(columns, s):
                 if sden in rcomps[d]:
-                    assignment[g].update(class_of[(a, sden)] for a in base.grading.components[h])
-    return tuple(reps), class_of, labels, ladd, laction, class_of[(x.zero, ring.one)], assignment
+                    assignment[g].update(column[a] for a in base.grading.components[h])
+    return reps, classes, labels, add, action, columns[s.index(ring.one)][x.zero], assignment
 
 
 def localize_ring(gring: GradedRing, s) -> Localization:
     s = _check_denominators(gring, s)
-    reps, class_of, labels, add, mul, zero, assignment = _fractions(gring, s)
+    reps, classes, labels, add, mul, zero, assignment = _fractions(gring, s)
     one = gring.ring.one
-    lring = FiniteRing(labels, add, mul, zero, class_of[(one, one)])
+    lring = FiniteRing(labels, add, mul, zero, int(classes[one, s.index(one)]))
     grading = attach_grading(lring, gring.group, assignment)
-    return Localization(gring, s, reps, class_of, GradedRing(lring, grading))
+    return Localization(gring, s, reps, classes, GradedRing(lring, grading))
 
 
 def localize_module(gm: GradedModule, s, ring_loc: Localization | None = None) -> Localization:
@@ -172,11 +157,11 @@ def localize_module(gm: GradedModule, s, ring_loc: Localization | None = None) -
         ring_loc = localize_ring(gm.gring, s)
     elif ring_loc.base is not gm.gring or ring_loc.denominators != _check_denominators(gm.gring, s):
         raise PreconditionViolation("ring_loc must localize the module's ring at the same set")
-    reps, class_of, labels, add, action, zero, assignment = _fractions(gm, ring_loc.denominators, ring_loc.reps)
+    reps, classes, labels, add, action, zero, assignment = _fractions(gm, ring_loc.denominators, ring_loc.reps)
     gring = ring_loc.localized
     lmodule = FiniteModule(gring.ring, labels, add, zero, action)
     grading = attach_grading(lmodule, gm.group, assignment, ring_grading=gring.grading)
-    return Localization(gm, ring_loc.denominators, reps, class_of, GradedModule(lmodule, gring, grading), ring_loc)
+    return Localization(gm, ring_loc.denominators, reps, classes, GradedModule(lmodule, gring, grading), ring_loc)
 
 
 def localize(base, s):
@@ -189,13 +174,12 @@ def localize(base, s):
 
 
 def localize_subobject(loc, n: SubobjectHandle) -> SubobjectHandle:
-    """S^{-1}N: the classes of N's elements over all denominators."""
+    """S^{-1}N: the classes of N's elements over all denominators, one gather."""
     if not isinstance(loc, Localization):
         raise PreconditionViolation("localize_subobject takes a localized structure")
     if n.ctx is not loc.base:
         raise PreconditionViolation("subobject must live on the localized base")
-    members = {loc.class_of[(x, d)] for x in n.members for d in loc.denominators}
-    return subobject(loc.localized, members)
+    return subobject(loc.localized, loc.classes[list(n.members)].ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every structure is an immutable table object: elements are canonical labels,
 all operations are total lookup tables over element *indices*, and everything
 downstream treats elements as opaque indices.  Structures are validated
 exhaustively by :func:`validate_axioms`.  Every subgroup sum (:func:`coset_sum`),
-:func:`first_escape` and :func:`first_hom_failure` gather on the stored arrays.
+:func:`first_escape`, :func:`first_hom_failure` and :func:`fraction_tables` gather on the stored arrays.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def _store(structure, *fields) -> None:
 class FiniteRing(_Carrier):
     """A finite commutative ring with unity, as addition/multiplication tables.
 
-    The arrays are the stored tables; ``add`` and ``mul`` are their rows as
+    The arrays are the stored tables; ``mul`` is the rows of ``mul_array`` as
     read-only views, built the first time a kernel reads them."""
 
     labels: tuple
@@ -85,10 +85,6 @@ class FiniteRing(_Carrier):
 
     def __post_init__(self):
         _store(self, "add_array", "mul_array")
-
-    @cached_property
-    def add(self) -> tuple:
-        return _rows(self.add_array)
 
     @cached_property
     def mul(self) -> tuple:
@@ -126,7 +122,7 @@ class FiniteRing(_Carrier):
 class FiniteModule(_Carrier):
     """A finite unital module over a :class:`FiniteRing`, as explicit tables
     stored as a ring's are.  The ring acting on itself shares the ring's
-    arrays, and so their row views."""
+    arrays, and so its action's row views."""
 
     ring: FiniteRing
     labels: tuple
@@ -136,11 +132,6 @@ class FiniteModule(_Carrier):
 
     def __post_init__(self):
         _store(self, "add_array", "action_array")
-
-    @cached_property
-    def add(self) -> tuple:
-        ring = self.ring
-        return ring.add if self.add_array is ring.add_array else _rows(self.add_array)
 
     @cached_property
     def action(self) -> tuple:
@@ -339,6 +330,30 @@ def first_escape(table: np.ndarray, row_sets, col_sets, op):
             k = np.lexsort((j, i, degree[j]))[0]  # the first in (h, r, c) order
             return g, int(degree[j[k]]), int(rows[i[k]]), int(cols[j[k]])
     return None
+
+
+def fraction_tables(x, mul: np.ndarray, s, cofactors, ring_reps=None):
+    """(reps, classes, add, action) of S^{-1}X for a ring or module ``x`` over the ring with mul array ``mul``
+    and sorted ``s``.  a/s_j is in the class of its key ``x.action_array[cofactors[j], a]``; read-only
+    ``classes[a, j]`` is that class, numbered by its first pair (a, j) in C order, and reps[i] = (a, s_j).
+    (a/s) + (b/t) = (ta + sb)/st; (r/u)(b/t) = rb/ut, r/u over ``ring_reps`` (S^{-1}R's) or x's own classes."""
+    act, s = x.action_array, np.asarray(s)
+    keys = act[list(cofactors)].T  # keys[a, j] is the key of a/s_j
+    flat = keys.ravel()
+    order = np.argsort(flat, kind="stable")  # equal keys stay in C order; np.unique would import numpy.ma
+    first = np.zeros(keys.shape, dtype=bool)
+    first.reshape(-1)[order[np.append(True, flat[order[1:]] != flat[order[:-1]])]] = True  # a run's first
+    a, j = np.nonzero(first)  # each class's first pair, in C order
+    number = np.zeros(x.size, np.min_scalar_type(len(a) - 1))  # key -> class, in the stored dtype
+    number[keys[a, j]] = np.arange(len(a))
+    classes = number[keys]
+    classes.flags.writeable = False
+    d, pos = s[j], np.zeros(len(mul), np.intp)
+    pos[s] = np.arange(len(s))
+    r, u = (a, d) if ring_reps is None else np.array(ring_reps).T
+    add = classes[x.add_array[act[d, a[:, None]], act[d[:, None], a]], pos[mul[d[:, None], d]]]
+    action = classes[act[r[:, None], a], pos[mul[u[:, None], d]]]
+    return tuple(zip(a.tolist(), d.tolist())), classes, add, action
 
 
 # ---------------------------------------------------------------------------

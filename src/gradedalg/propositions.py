@@ -146,13 +146,12 @@ def _g_coprimary(entry: CorpusEntry, skip: Counter):
     """Yield ``(g, N, good, Ann(N))`` for every degree g and every non-zero
     graded g-2-absorbing coprimary N, where ``good`` is ``_good_bits`` of N
     over the graded submodules; every other (g, N) is tallied."""
-    subs = entry.graded_submodules()
     for g in range(entry.gmodule.group.size):
         for n in _nonzero_subs(entry):
             if not classify_submodule(n, "g-2a-coprimary", g=g, max_elements=entry.max_elements).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
-            yield g, n, _good_bits(n, subs), annihilator(n).members
+            yield g, n, _good_bits(n, entry.max_elements), annihilator(n).members
 
 
 def _hom_family(entry: CorpusEntry):
@@ -267,7 +266,7 @@ def _check_colon_2ap(entry: CorpusEntry, skip: Counter):
     for r, z in enumerate(gring.orbit_min):
         orbits[z] = orbits.get(z, 0) | 1 << r
     for n in _coprimary(_nonzero_subs(entry), skip, weight=len(subs)):
-        contains, colons, verdicts = _contains_bits(n, subs), [0] * len(subs), {}
+        contains, colons, verdicts = _contains_bits(n, entry.max_elements), [0] * len(subs), {}
         for z, members in orbits.items():
             for k in _bits(contains[z]):
                 colons[k] |= members
@@ -380,7 +379,7 @@ def _ideal_pair_checker(key: str, reason: str, second):
             js = second(gm, g, good, rows)
             for i, _, ig, ig_good in rows:
                 in_handle = gm.memo(("IN", i.mask, n.mask), lambda: combine(i, n, "ideal_product"))
-                ixn = _contains_bits(in_handle, subs)  # ixn[y]: the K containing IyN
+                ixn = _contains_bits(in_handle, entry.max_elements)  # ixn[y]: the K containing IyN
                 for j, jm, jg, jg_good in js:
                     hyp = full  # becomes the K containing IJN
                     for y in jm:

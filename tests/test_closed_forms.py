@@ -300,7 +300,7 @@ def _walk_types(gm, ms):
     """The type of each subgroup H the lattice walk finds, read from the
     counts |H[p^j]| of its members whose order, counted in the add table,
     divides p^j: their base-p logarithms are the partial sums of mu'."""
-    add, zero = gm.module.add, gm.module.zero
+    add, zero = gm.module.add_array.tolist(), gm.module.zero
     order = []
     for x in range(gm.module.size):
         k, cur = 1, x

@@ -8,6 +8,7 @@ from gradedalg import (
     InvalidDenominators,
     PreconditionViolation,
     annihilator,
+    enumerate_graded_subobjects,
     hom_image,
     hom_kernel,
     hom_preimage,
@@ -117,9 +118,10 @@ def _oracle_make_hom(source: GradedModule, target: GradedModule, mapping):
     for v in mapping:
         if not (0 <= v < tm.size):
             raise HomInvalid("map-out-of-range", (v,))
+    sadd, tadd = sm.add_array.tolist(), tm.add_array.tolist()
     for a in range(sm.size):
         for b in range(sm.size):
-            if mapping[sm.add[a][b]] != tm.add[mapping[a]][mapping[b]]:
+            if mapping[sadd[a][b]] != tadd[mapping[a]][mapping[b]]:
                 raise HomInvalid("not-additive", (a, b))
     for r in range(source.gring.ring.size):
         for m in range(sm.size):
@@ -364,7 +366,8 @@ def _fraction_classes(pairs, equivalent):
 def _oracle_localize_ring(gring, s):
     s = _check_denominators(gring, s)
     ring = gring.ring
-    mul, add, neg = ring.mul, ring.add, _negation(ring.add, ring.zero)
+    add = ring.add_array.tolist()
+    mul, neg = ring.mul, _negation(add, ring.zero)
 
     def equivalent(p, q):
         a, sden = p
@@ -406,7 +409,8 @@ def _oracle_localize_module(gm, ring_loc):
     s, lgring, ring_reps, _ = ring_loc
     module = gm.module
     ring = gm.gring.ring
-    act, madd, mneg = module.action, module.add, _negation(module.add, module.zero)
+    madd = module.add_array.tolist()
+    act, mneg = module.action, _negation(madd, module.zero)
 
     def equivalent(p, q):
         m, sden = p
@@ -479,11 +483,16 @@ def _localization_cases():
         yield f"F{p}[C2]", gm, tuple(units)
 
 
+def _class_of(loc):
+    """``loc.classes`` as the oracles' map: (a, s_j) -> classes[a, j]."""
+    return {(a, d): i for a, row in enumerate(loc.classes.tolist()) for d, i in zip(loc.denominators, row)}
+
+
 def _assert_same_graded(got, want, table):
     c, w = got.grading.carrier, want.grading.carrier
     assert c.labels == w.labels
-    for name in ("add", table):
-        assert [list(row) for row in getattr(c, name)] == [list(row) for row in getattr(w, name)], name
+    for name in ("add_array", table):
+        assert getattr(c, name).tolist() == getattr(w, name).tolist(), name
     assert c.zero == w.zero
     assert got.grading.components == want.grading.components
 
@@ -495,18 +504,33 @@ def test_localization_builder_matches_the_separate_ring_and_module_code():
         ring_loc = _oracle_localize_ring(gm.gring, s)
         want_s, want_gring, want_ring_reps, want_ring_class_of = ring_loc
         assert loc.ring_loc.denominators == want_s, name
-        _assert_same_graded(loc.ring_loc.localized, want_gring, "mul")
+        _assert_same_graded(loc.ring_loc.localized, want_gring, "mul_array")
         assert loc.ring_loc.localized.ring.one == want_gring.ring.one, (name, s)
         assert loc.ring_loc.reps == want_ring_reps, (name, s)
-        assert loc.ring_loc.class_of == want_ring_class_of, (name, s)
+        assert _class_of(loc.ring_loc) == want_ring_class_of, (name, s)
         want_gm, want_reps, want_class_of = _oracle_localize_module(gm, ring_loc)
-        _assert_same_graded(loc.localized, want_gm, "action")
+        _assert_same_graded(loc.localized, want_gm, "action_array")
         assert loc.reps == want_reps, (name, s)
-        assert loc.class_of == want_class_of, (name, s)
+        assert _class_of(loc) == want_class_of, (name, s)
         seen += 1
         direct_sums += "directsum" in name
     assert seen > 100
     assert direct_sums == 80
+
+
+def test_localize_subobject_is_the_oracle_classes_of_every_graded_submodule():
+    seen = 0
+    for name, gm, s in _localization_cases():
+        loc = localize_module(gm, s)
+        for classes in (loc.classes, loc.ring_loc.classes):
+            with pytest.raises(ValueError):
+                classes[0, 0] = 0
+        want_class_of = _oracle_localize_module(gm, _oracle_localize_ring(gm.gring, s))[2]
+        for n in enumerate_graded_subobjects(gm):
+            want = {want_class_of[(x, d)] for x in n.members for d in loc.denominators}
+            assert localize_subobject(loc, n).members == want, (name, s, n)
+            seen += 1
+    assert seen > 1000
 
 
 def test_localized_structures_pass_validation():

@@ -58,7 +58,7 @@ def test_decomposition_is_unique_sum():
     gr = groupring_natural(ring, c2)
     x = ring.index[(2, 1)]  # 2 + g
     e_part, g_part = gr.grading.components
-    sums = [(ring.labels[a], ring.labels[b]) for a in e_part for b in g_part if ring.add[a][b] == x]
+    sums = [(ring.labels[a], ring.labels[b]) for a in e_part for b in g_part if ring.add_array[a, b] == x]
     assert sums == [((2, 0), (0, 1))]
 
 
@@ -197,7 +197,7 @@ def _oracle_attach_grading(carrier, group, assignment, ring_grading=None):
     whole-array gathers: nested loops over the tuple rows, with the direct
     sum counted by the coset sum.  Returns the components."""
     is_ring = isinstance(carrier, FiniteRing)
-    add, zero, n = carrier.add, carrier.zero, carrier.size
+    add, zero, n = carrier.add_array.tolist(), carrier.zero, carrier.size
     components = []
     for g in range(group.size):
         comp = frozenset(assignment.get(g, ()))

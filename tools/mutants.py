@@ -175,6 +175,15 @@ MUTANTS = (
            "        action = np.zeros((n, 1), np.min_scalar_type(math.prod(ms)))",
            "        action = np.zeros((n, 1), np.uint8)",
            KILL, "the direct-sum action is built in uint8 whatever its size, so above 256 elements it wraps"),
+    Mutant("localization-last-pair", "core.py",
+           '    order = np.argsort(flat, kind="stable")  # equal keys stay in C order; np.unique would import numpy.ma',
+           '    order = np.argsort(flat, kind="stable")[::-1]  # equal keys stay in C order; np.unique would import numpy.ma',
+           KILL, "fraction_tables numbers each class of fractions by its last pair, not its first; the "
+           "localized structures are the same up to renumbering, so only the localization oracle sees it"),
+    Mutant("localization-add-swaps-denominators", "core.py",
+           "    add = classes[x.add_array[act[d, a[:, None]], act[d[:, None], a]], pos[mul[d[:, None], d]]]",
+           "    add = classes[x.add_array[act[d[:, None], a[:, None]], act[d, a]], pos[mul[d[:, None], d]]]",
+           KILL, "fraction_tables adds a/s + b/t as (sa + tb)/st: s_i and t_k swap in the numerator"),
     Mutant("entry-never-released", "cli.py",
            "        entry.release()",
            "        entry.release",
