@@ -34,18 +34,16 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .core import DEFAULT_MAX_ELEMENTS
 from .errors import PreconditionViolation
 from .subobjects import (
     IDEAL,
     SUBMODULE,
     SubobjectHandle,
-    _capped_carrier,
     annihilator,
     colon,
     colon_by_element,
     containing,
-    enumerate_graded_subobjects,
+    graded_lattice,
     graded_radical,
     per_orbit,
     rn_masks,
@@ -155,18 +153,17 @@ def _hypothesis(n: SubobjectHandle, contains) -> tuple:
     return tuple(0 if w == zero_mask else bits for w, bits in zip(rn_masks(n), contains))
 
 
-def _contains_bits(n: SubobjectHandle, max_elements: int) -> tuple:
-    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``, the carrier's lattice
-    ``enumerate_graded_subobjects(n.ctx, max_elements)``, read when the bits are built."""
-    return n.ctx.memo(("contains", n.mask), lambda: containing(
-        rn_masks(n), [k.mask for k in enumerate_graded_subobjects(n.ctx, max_elements)]))
+def _contains_bits(n: SubobjectHandle) -> tuple:
+    """``contains[r]``: bit i set iff rN is inside ``lattice[i]``, the carrier's
+    ``graded_lattice``, read when the bits are built."""
+    return n.ctx.memo(("contains", n.mask), lambda: containing(rn_masks(n), [k.mask for k in graded_lattice(n.ctx)]))
 
 
-def _good_bits(n: SubobjectHandle, max_elements: int) -> tuple:
+def _good_bits(n: SubobjectHandle) -> tuple:
     """``good[r]``: bit i set iff some power of r carries N into ``lattice[i]``
     of ``_contains_bits``; for homogeneous r (its own decomposition), iff r is
     in Grad(lattice[i] :_R N).  Every reader looks at homogeneous r only."""
-    return n.ctx.memo(("good", n.mask), lambda: _power_or(n.ctx.gring, _contains_bits(n, max_elements)))
+    return n.ctx.memo(("good", n.mask), lambda: _power_or(n.ctx.gring, _contains_bits(n)))
 
 
 def _require_classifiable(n: SubobjectHandle):
@@ -191,18 +188,13 @@ def _grad_colon_members(n: SubobjectHandle, k: SubobjectHandle, zmask, zero_mask
 # submodule predicates
 # ---------------------------------------------------------------------------
 
-def classify_submodule(
-    n: SubobjectHandle,
-    predicate: str,
-    g: int | None = None,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> PredicateVerdict:
+def classify_submodule(n: SubobjectHandle, predicate: str, g: int | None = None) -> PredicateVerdict:
     """Definitional classification of a non-zero graded submodule.
 
     Predicates: "second", "strong-2a-second", "2a-coprimary-def", and
     "g-2a-coprimary" (pass the group element ``g``; scalars range over R_g).
-    The K-quantified predicates enumerate the full graded-submodule lattice of
-    the carrier (may raise TooLarge beyond ``max_elements``).
+    The K-quantified predicates read the full graded-submodule lattice of the
+    carrier, which raises TooLarge only past ``subobjects.MAX_LATTICE`` sets.
     """
     _require_classifiable(n)
     if predicate not in SUBMODULE_PREDICATES:
@@ -218,25 +210,20 @@ def classify_submodule(
             predicate, g = "2a-coprimary-def", None
     else:
         g = None
-    if predicate != "second":  # the lattice the other predicates need is capped
-        _capped_carrier(n.ctx, max_elements)
-    return n.ctx.memo(
-        ("submodule_verdict", predicate, g, n.mask),
-        lambda: _submodule_verdict(n, predicate, g, max_elements),
-    )
+    return n.ctx.memo(("submodule_verdict", predicate, g, n.mask), lambda: _submodule_verdict(n, predicate, g))
 
 
-def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None, max_elements: int) -> PredicateVerdict:
+def _submodule_verdict(n: SubobjectHandle, predicate: str, g: int | None) -> PredicateVerdict:
     gm = n.ctx
     gring = gm.gring
     if predicate == "second":
         zmask = rn_masks(n)
         a = next((a for a in _reps(gring) if zmask[a] not in (1 << gm.module.zero, n.mask)), None)
         return PredicateVerdict(a is None, None if a is None else {"a": a})
-    lattice = enumerate_graded_subobjects(gm, max_elements)
+    lattice = graded_lattice(gm)
     scalars = _reps(gring, g)
-    contains = _contains_bits(n, max_elements)
-    esc = contains if predicate == "strong-2a-second" else _good_bits(n, max_elements)
+    contains = _contains_bits(n)
+    esc = contains if predicate == "strong-2a-second" else _good_bits(n)
     hit = _first_violation(scalars, gring.ring.mul, _hypothesis(n, contains), esc, esc)
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1], "K": lattice[hit[2]]})
 
@@ -261,17 +248,16 @@ def _char_verdict(n: SubobjectHandle) -> PredicateVerdict:
     return PredicateVerdict(hit is None, None if hit is None else {"x": hit[0], "y": hit[1]})
 
 
-def is_graded_comultiplication_module(gm, max_elements: int = DEFAULT_MAX_ELEMENTS) -> PredicateVerdict:
+def is_graded_comultiplication_module(gm) -> PredicateVerdict:
     """True iff every graded submodule N equals (0 :_M Ann_R(N))."""
-    _capped_carrier(gm, max_elements)
-    return gm.memo("comultiplication", lambda: _comultiplication_verdict(gm, max_elements))
+    return gm.memo("comultiplication", lambda: _comultiplication_verdict(gm))
 
 
-def _comultiplication_verdict(gm, max_elements: int) -> PredicateVerdict:
+def _comultiplication_verdict(gm) -> PredicateVerdict:
     """(0 :_M Ann(N)) is the meet of the (0 :_M a) over the homogeneous a in
     Ann(N): Ann(N) is graded, so each of its elements is a sum of those a."""
     zero, whole = zero_subobject(gm), whole_subobject(gm).mask
-    for nh in enumerate_graded_subobjects(gm, max_elements):
+    for nh in graded_lattice(gm):
         ann = [a for a in annihilator(nh).sorted_members if a in gm.gring.hom_set]
         back = reduce(and_, (colon_by_element(zero, a).mask for a in ann), whole)
         if back != nh.mask:

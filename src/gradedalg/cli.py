@@ -5,9 +5,9 @@ verdict printed, 1 = violation / unexpected counterexample, 2 = usage or parse
 error.  Machine reports are byte-stable across runs.  ``--threads N`` is
 accepted and ignored: propositions always run serially.  ``classify`` and
 ``search`` name predicates in one vocabulary, resolved by
-``propositions.classify_named``; ``--max-elements`` caps the elements of
-every structure a run builds and of every carrier whose lattice it walks;
-a walk that finds more than ``subobjects.MAX_LATTICE`` subobjects exits 2.
+``propositions.classify_named``; ``--max-elements`` caps each structure's
+elements when it is parsed, which bounds every carrier a run classifies; a
+walk that finds more than ``subobjects.MAX_LATTICE`` subobjects exits 2.
 """
 from __future__ import annotations
 

@@ -539,18 +539,23 @@ def validate_axioms(structure) -> ValidationReport:
     raise TypeError(f"cannot validate {type(structure).__name__}")
 
 
+def is_ring_on_itself(module: FiniteModule, ring: FiniteRing) -> bool:
+    """Whether ``module`` is ``ring`` acting on itself: it shares the ring's arrays and zero."""
+    return (module.ring is ring and module.add_array is ring.add_array
+            and module.action_array is ring.mul_array and module.zero == ring.zero)
+
+
 def first_invalid(group: GradingGroup, ring: FiniteRing, module: FiniteModule):
     """Validate a grading group, ring and module once each; return the first
     failing :class:`ValidationReport`, or None when all three are valid.
 
-    The module is skipped when it is the ring acting on itself (it shares the
-    ring's add and mul arrays): its additive group is the ring's, r(m+m') is
+    The module is skipped when it is the ring acting on itself
+    (:func:`is_ring_on_itself`): its additive group is the ring's, r(m+m') is
     distributivity, (r+r')m is distributivity plus commutativity, (rr')m is
     associativity and the unital action is one-identity.
     """
     structures = [group, ring]
-    if not (module.ring is ring and module.add_array is ring.add_array
-            and module.action_array is ring.mul_array and module.zero == ring.zero):
+    if not is_ring_on_itself(module, ring):
         structures.append(module)
     for structure in structures:
         report = validate_axioms(structure)

@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteModule, FiniteRing, GradingGroup, coset_sum, first_escape, make_group
-from .errors import GradingInvalid
+from .core import FiniteModule, FiniteRing, GradingGroup, coset_sum, first_escape, is_ring_on_itself, make_group
+from .errors import GradingInvalid, PreconditionViolation
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +208,11 @@ def groupring_natural(ring: FiniteRing, group: GradingGroup) -> GradedRing:
 
 
 def module_same_as_ring(module: FiniteModule, gring: GradedRing) -> GradedModule:
-    """Grade a ring-as-module by copying the ring's component sets."""
-    assignment = {g: set(comp) for g, comp in enumerate(gring.grading.components)}
-    grading = attach_grading(module, gring.group, assignment, ring_grading=gring.grading)
-    return GradedModule(module, gring, grading)
+    """Grade the ring acting on itself by the ring's components, which the
+    ring's grading has validated; any other module is refused."""
+    if not is_ring_on_itself(module, gring.ring):
+        raise PreconditionViolation("module_same_as_ring takes the ring acting on itself")
+    return GradedModule(module, gring, Grading(gring.group, module, gring.grading.components))
 
 
 def product_assignment(c1: Grading, c2: Grading, size2: int) -> dict:

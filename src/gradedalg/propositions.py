@@ -5,8 +5,8 @@ A "pass" means no corpus counterexample was found: propositions are checked on
 exhaustively enumerated hypothesis instances, never assumed.  Vacuous
 candidates are tallied under ``skipped`` with a reason, never as passes.
 ``classify_named`` maps a predicate name to its classifier call, for both
-``classify`` and ``search``, under the entry's size cap.  The proposition ids
-are the keys of the checker table, and ``_named`` labels every record.
+``classify`` and ``search``.  The proposition ids are the keys of the checker
+table, and ``_named`` labels every record.
 
 No checker builds an object per instance.  ``closure-lemma`` counts each sum
 against the ``containing`` index of the lattice, built for the call and never
@@ -148,10 +148,10 @@ def _g_coprimary(entry: CorpusEntry, skip: Counter):
     over the graded submodules; every other (g, N) is tallied."""
     for g in range(entry.gmodule.group.size):
         for n in _nonzero_subs(entry):
-            if not classify_submodule(n, "g-2a-coprimary", g=g, max_elements=entry.max_elements).value:
+            if not classify_submodule(n, "g-2a-coprimary", g=g).value:
                 skip["N-not-g-coprimary"] += 1
                 continue
-            yield g, n, _good_bits(n, entry.max_elements), annihilator(n).members
+            yield g, n, _good_bits(n), annihilator(n).members
 
 
 def _hom_family(entry: CorpusEntry):
@@ -266,7 +266,7 @@ def _check_colon_2ap(entry: CorpusEntry, skip: Counter):
     for r, z in enumerate(gring.orbit_min):
         orbits[z] = orbits.get(z, 0) | 1 << r
     for n in _coprimary(_nonzero_subs(entry), skip, weight=len(subs)):
-        contains, colons, verdicts = _contains_bits(n, entry.max_elements), [0] * len(subs), {}
+        contains, colons, verdicts = _contains_bits(n), [0] * len(subs), {}
         for z, members in orbits.items():
             for k in _bits(contains[z]):
                 colons[k] |= members
@@ -341,7 +341,7 @@ def _check_hom_preimage(entry: CorpusEntry, skip: Counter):
 def _check_characterization_equiv(entry: CorpusEntry, skip: Counter):
     skip["zero-submodule"] += 1  # every lattice has one zero submodule
     for n in _nonzero_subs(entry):
-        d = classify_submodule(n, "2a-coprimary-def", max_elements=entry.max_elements)
+        d = classify_submodule(n, "2a-coprimary-def")
         c = coprimary_via_characterization(n)
         yield None if d.value == c.value else {"N": n, "def": d.value, "char": c.value}
 
@@ -379,7 +379,7 @@ def _ideal_pair_checker(key: str, reason: str, second):
             js = second(gm, g, good, rows)
             for i, _, ig, ig_good in rows:
                 in_handle = gm.memo(("IN", i.mask, n.mask), lambda: combine(i, n, "ideal_product"))
-                ixn = _contains_bits(in_handle, entry.max_elements)  # ixn[y]: the K containing IyN
+                ixn = _contains_bits(in_handle)  # ixn[y]: the K containing IyN
                 for j, jm, jg, jg_good in js:
                     hyp = full  # becomes the K containing IJN
                     for y in jm:
@@ -402,8 +402,7 @@ def _degree_singletons(gm, g, good, rows):
 
 
 def _check_comultiplication(entry: CorpusEntry, skip: Counter):
-    cap = entry.max_elements
-    if not is_graded_comultiplication_module(entry.gmodule, max_elements=cap).value:
+    if not is_graded_comultiplication_module(entry.gmodule).value:
         skip["module-not-comultiplication"] += len(_nonzero_subs(entry))
         return
     for n in _coprimary(_nonzero_subs(entry), skip):
@@ -411,7 +410,7 @@ def _check_comultiplication(entry: CorpusEntry, skip: Counter):
         if graded_radical(ann) != ann:
             skip["radical-annihilator-differs"] += 1
             continue
-        yield None if classify_submodule(n, "strong-2a-second", max_elements=cap).value else {"N": n}
+        yield None if classify_submodule(n, "strong-2a-second").value else {"N": n}
 
 
 def _check_product_part1(entry: CorpusEntry, skip: Counter):
@@ -530,9 +529,8 @@ def classify_named(entry: CorpusEntry, target: SubobjectHandle, name: str) -> Pr
     an ideal predicate, "comultiplication" of the entry's module, or a submodule
     predicate, where "2a-coprimary" is the definition and LABEL in
     "g-2a-coprimary:LABEL" is a degree written like an element token."""
-    cap = entry.max_elements
     if name == "comultiplication":
-        return is_graded_comultiplication_module(entry.gmodule, max_elements=cap)
+        return is_graded_comultiplication_module(entry.gmodule)
     if name in IDEAL_PREDICATES:
         if target.kind != IDEAL:
             raise PreconditionViolation(f"predicate {name!r} needs an ideal target")
@@ -548,8 +546,8 @@ def classify_named(entry: CorpusEntry, target: SubobjectHandle, name: str) -> Pr
         g = next((g for g, lab in enumerate(entry.gmodule.group.labels) if element_token(lab) == label), None)
         if g is None:
             raise _NoSuchDegree(f"grading group has no element labeled {label!r}")
-        return classify_submodule(target, "g-2a-coprimary", g=g, max_elements=cap)
-    return classify_submodule(target, "2a-coprimary-def" if name == "2a-coprimary" else name, max_elements=cap)
+        return classify_submodule(target, "g-2a-coprimary", g=g)
+    return classify_submodule(target, "2a-coprimary-def" if name == "2a-coprimary" else name)
 
 
 # ---------------------------------------------------------------------------

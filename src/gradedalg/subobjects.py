@@ -256,11 +256,10 @@ def _capped_carrier(ctx, max_elements: int):
     carrier = ctx.grading.carrier
     if carrier.size > max_elements:
         raise TooLarge(f"carrier has {carrier.size} elements, cap is {max_elements}")
-    return carrier
 
 
-def _enumerate_by_generators(ctx, generators, max_elements: int):
-    carrier = _capped_carrier(ctx, max_elements)
+def _enumerate_by_generators(ctx, generators):
+    carrier = ctx.grading.carrier
     add = carrier.add_array
 
     # distinct cyclic spans of single generators
@@ -298,17 +297,20 @@ def sum_is_graded(lattice, up, a: int, b: int) -> bool:
     return mj.bit_count() * (ma & mb).bit_count() == ma.bit_count() * mb.bit_count()
 
 
-def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):
+def graded_lattice(ctx):
     """All graded subobjects, in canonical order (size, then member list).
 
     Graded subobjects are exactly those generated by homogeneous elements, so
     the lattice is walked by repeatedly joining homogeneous cyclic spans, one
-    per unit orbit (R·ux = R·x).  Results are memoized on the carrier; the cap
-    is checked on every call and only decides whether the lattice may be
-    returned.  The walk stops with ``TooLarge`` past ``MAX_LATTICE`` sets.
+    per unit orbit (R·ux = R·x).  The result is memoized on the carrier.  The
+    walk stops with ``TooLarge`` past ``MAX_LATTICE`` sets; the carrier's size
+    was capped when it was built.
     """
-    _capped_carrier(ctx, max_elements)
+    return ctx.memo("graded_subobjects",
+                    lambda: _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x]))
 
-    def build():
-        return _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x], max_elements)
-    return ctx.memo("graded_subobjects", build)
+
+def enumerate_graded_subobjects(ctx, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    """``graded_lattice(ctx)``, after checking the carrier against the size cap."""
+    _capped_carrier(ctx, max_elements)
+    return graded_lattice(ctx)

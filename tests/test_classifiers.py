@@ -8,7 +8,6 @@ from gradedalg import (
     DEFAULT_MAX_ELEMENTS,
     IDEAL_PREDICATES,
     PreconditionViolation,
-    TooLarge,
     build_standard_corpus,
     classify_ideal,
     annihilator,
@@ -216,32 +215,19 @@ def test_g_form_at_a_proper_component_has_its_own_verdict():
     assert ("submodule_verdict", "g-2a-coprimary", e, whole.mask) in entry.gmodule._caches
 
 
-_CAPPED = {
-    "strong-2a-second": lambda n, cap: classify_submodule(n, "strong-2a-second", max_elements=cap),
-    "2a-coprimary-def": lambda n, cap: classify_submodule(n, "2a-coprimary-def", max_elements=cap),
-    "g-2a-coprimary": lambda n, cap: classify_submodule(n, "g-2a-coprimary", g=0, max_elements=cap),
-    "comultiplication": lambda n, cap: is_graded_comultiplication_module(n.ctx, max_elements=cap),
-}
-
-
-@pytest.mark.parametrize("predicate", sorted(_CAPPED))
-def test_a_cached_verdict_does_not_get_round_the_cap(predicate):
-    # the lattice these verdicts read is capped, so the cap is checked on
-    # every call, before the memo is read
-    _, gm = _self_module(12)
-    n = whole_subobject(gm)
-    check = _CAPPED[predicate]
-    with pytest.raises(TooLarge):
-        check(n, 4)
-    check(n, 512)
-    with pytest.raises(TooLarge):
-        check(n, 4)
-
-
-def test_second_reads_no_lattice_so_takes_no_cap():
-    _, gm = _self_module(12)
-    n = whole_subobject(gm)
-    assert classify_submodule(n, "second", max_elements=4) == classify_submodule(n, "second")
+def test_verdicts_take_no_cap_since_the_carrier_was_capped_when_it_was_built():
+    # Z/521 on itself is above the default cap of 512; built without a parser,
+    # its verdicts are the classifiers' alone, bounded only by MAX_LATTICE
+    ring = make_ring(("zmod", 521))
+    gr = ring_trivial(ring)
+    gm = module_same_as_ring(make_module(("self",), ring), gr)
+    assert ring.size > DEFAULT_MAX_ELEMENTS
+    m = whole_subobject(gm)
+    # a field: its lattice is {0, M}, and M is strongly 2-absorbing second
+    for predicate in ("strong-2a-second", "2a-coprimary-def"):
+        assert classify_submodule(m, predicate).value, predicate
+    assert classify_submodule(m, "g-2a-coprimary", g=gm.group.identity).value
+    assert is_graded_comultiplication_module(gm).value
 
 
 def test_predicates_reject_zero_submodule():
@@ -410,7 +396,7 @@ def _assert_kernel_matches_oracle(gm):
         if not c.value:
             assert recheck_coprimary_violation(n, c.witness["x"], c.witness["y"])
         lattice = enumerate_graded_subobjects(gm)
-        good = _good_bits(n, DEFAULT_MAX_ELEMENTS)
+        good = _good_bits(n)
         for i, k in enumerate(lattice):
             grad = graded_radical(colon(k, n)).members
             assert all((good[r] >> i & 1) == (r in grad) for r in gm.gring.hom), (n, k)

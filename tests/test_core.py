@@ -749,7 +749,7 @@ def test_parsing_the_cap_structure_builds_no_tuple_rows(text):
     assert peak < 2_500_000, f"parsing the cap structure peaked at {peak} bytes"
 
 
-def test_the_row_views_of_every_corpus_table_take_under_0_4_mb():
+def test_the_row_views_of_every_corpus_table_take_under_0_25_mb():
     # fresh copies of every ring and module of the standard corpus and
     # structures/, sharing the stored arrays: their mul and action row views
     # take about 0.17 MB traced (0.2 MB of memoryviews per 1000 rows)
@@ -767,7 +767,7 @@ def test_the_row_views_of_every_corpus_table_take_under_0_4_mb():
     finally:
         tracemalloc.stop()
     assert all(row.obj is getattr(s, f"{name}_array") for (s, name), t in zip(tables, rows) for row in t)
-    assert size < 400_000, f"the corpus's row views take {size} bytes"
+    assert size < 250_000, f"the corpus's row views take {size} bytes"
 
 
 def test_validate_axioms_of_f2_c9_compares_its_slices_in_row_blocks():

@@ -569,7 +569,7 @@ def test_bitset_checker_reports_violations_like_oracle(prop_id, monkeypatch):
     # checkers and violate the conclusion: the violation records and their
     # order must match the naive loops
     monkeypatch.setattr(
-        gradedalg.propositions, "classify_submodule", lambda n, p, g=None, max_elements=None: PredicateVerdict(True)
+        gradedalg.propositions, "classify_submodule", lambda n, p, g=None: PredicateVerdict(True)
     )
     total = 0
     for entry in CORPUS:

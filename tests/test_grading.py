@@ -3,7 +3,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedalg import GradingInvalid, make_group, make_module, make_ring
+import gradedalg.grading as grading
+from gradedalg import (
+    GradingInvalid,
+    PreconditionViolation,
+    build_standard_corpus,
+    make_group,
+    make_module,
+    make_ring,
+    parse_structure_text,
+)
 from gradedalg.core import FiniteRing
 from gradedalg.grading import (
     attach_grading,
@@ -134,6 +143,42 @@ def test_module_same_as_ring_grading():
     gm = module_same_as_ring(make_module(("self",), ring), gr)
     assert gm.grading.components == gr.grading.components
     assert gm.group is c2
+
+
+def test_the_ring_on_itself_takes_the_ring_components_with_no_second_check(monkeypatch):
+    c2 = make_group(("cyclic", 2))
+    ring = make_ring(("groupring", 2, c2))
+    gr = groupring_natural(ring, c2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ring's grading was checked again")
+    monkeypatch.setattr(grading, "attach_grading", refuse)
+    gm = module_same_as_ring(make_module(("self",), ring), gr)
+    assert gm.grading.components is gr.grading.components
+    assert gm.grading.carrier is gm.module and gm.grading.group is c2
+
+
+def test_module_same_as_ring_refuses_a_module_with_its_own_tables():
+    # Z/12 as the direct sum Z/12 is the ring's module up to relabelling, but
+    # it has its own arrays, so the ring's grading says nothing about them
+    ring = make_ring(("zmod", 12))
+    with pytest.raises(PreconditionViolation, match="takes the ring acting on itself"):
+        module_same_as_ring(make_module(("directsum", 12), ring), ring_trivial(ring))
+
+
+def test_a_ring_on_itself_is_graded_once(monkeypatch):
+    graded, original = [], grading.attach_grading
+    monkeypatch.setattr(grading, "attach_grading", lambda c, *a, **k: graded.append(c) or original(c, *a, **k))
+    entry = parse_structure_text("group cyclic 2\nring groupring 2\ngrading natural\nmodule self\n")
+    assert graded == [entry.gring.ring]
+    graded.clear()
+    entry = parse_structure_text("ring product 3 4\nmodule self\n")
+    assert graded == [entry.gring.ring] + [gm.gring.ring for gm in entry.factors]
+    monkeypatch.undo()
+    # every standard entry that is a ring on itself shares its ring's components
+    corpus = build_standard_corpus()
+    shared = {e.name for e in corpus if e.gmodule.grading.components is e.gring.grading.components}
+    assert shared == {e.name for e in corpus} - {"torsion180", "z2-plane"}
 
 
 def test_trivial_module_grading():

@@ -312,7 +312,11 @@ def test_cli_classify_rejects_a_predicate_of_the_other_kind(tmp_path, capsys, ta
 
 def test_every_classifier_call_takes_the_size_cap(tmp_path):
     # a 521-element field is above the default cap of 512 and within --max-elements 600
-    _write(tmp_path, "ring zmod 521\nmodule self\n")
+    path = _write(tmp_path, "ring zmod 521\nmodule self\n")
+    for predicate in ("2a-coprimary", "comultiplication"):
+        code, out = _run(["--max-elements", "600", "classify", "--file", path, "--target", "M",
+                          "--predicate", predicate])
+        assert (code, out) == (0, "true\n"), predicate
     code, out = _run(["--max-elements", "600", "--report", "machine", "verify", "--suite", "all",
                       "--corpus", str(tmp_path)])
     assert code == 0 and out.count("status=pass") == 16

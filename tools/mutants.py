@@ -72,8 +72,8 @@ MUTANTS = (
            "    for comp in gring.grading.components[gring.group.identity:gring.group.identity + 1]:",
            KILL, "graded_radical reads the identity component only"),
     Mutant("walk-drops-last-generator", "subobjects.py",
-           "        return _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x], max_elements)",
-           "        return _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x][:-1], max_elements)",
+           "                    lambda: _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x]))",
+           "                    lambda: _enumerate_by_generators(ctx, [x for x in ctx.hom if ctx.orbit_min[x] == x][:-1]))",
            KILL, "the lattice walk drops its last generator"),
     Mutant("hom-family-drops-first-scalar", "propositions.py",
            "    for r in sorted(gm.gring.grading.components[gm.group.identity]):",
@@ -126,9 +126,8 @@ MUTANTS = (
            "            fams.append((r, multiplication_hom(gm, r)))",
            KILL, "_hom_family pairs each r with its own ×r, not its orbit's first hom; the verdicts are the same"),
     Mutant("g-coprimary-at-e", "propositions.py",
-           '            if not classify_submodule(n, "g-2a-coprimary", g=g, max_elements=entry.max_elements).value:',
-           '            if not classify_submodule(n, "g-2a-coprimary", g=entry.gmodule.group.identity,'
-           " max_elements=entry.max_elements).value:",
+           '            if not classify_submodule(n, "g-2a-coprimary", g=g).value:',
+           '            if not classify_submodule(n, "g-2a-coprimary", g=entry.gmodule.group.identity).value:',
            KILL, "_g_coprimary classifies every degree g at g = e; no standard entry has a g-2a-coprimary "
            "verdict that differs between degrees, so only the hand-built (Z/12)[x]/(x^2) graded by C2 sees it"),
     Mutant("graded-le", "subobjects.py",
@@ -190,6 +189,11 @@ MUTANTS = (
            KILL, "verify never releases the entries it streams, so each memo lives until the cyclic collector "
            "runs; the verdicts are the same, so only the memory-scaling test sees it.  The method is still "
            "named, so the dead-member check does not see it either"),
+    Mutant("self-grading-any-module", "grading.py",
+           "    if not is_ring_on_itself(module, gring.ring):",
+           "    if False:",
+           KILL, "module_same_as_ring grades any module by the ring's components; every module the package "
+           "grades so is the ring on itself, so only the refusal test sees it"),
 )
 
 
