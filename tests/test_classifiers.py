@@ -8,6 +8,7 @@ from gradedalg import (
     DEFAULT_MAX_ELEMENTS,
     IDEAL_PREDICATES,
     PreconditionViolation,
+    TooLarge,
     build_standard_corpus,
     classify_ideal,
     annihilator,
@@ -228,6 +229,36 @@ def test_verdicts_take_no_cap_since_the_carrier_was_capped_when_it_was_built():
         assert classify_submodule(m, predicate).value, predicate
     assert classify_submodule(m, "g-2a-coprimary", g=gm.group.identity).value
     assert is_graded_comultiplication_module(gm).value
+
+
+_LATTICE_READERS = {
+    "strong-2a-second": lambda n: classify_submodule(n, "strong-2a-second"),
+    "2a-coprimary-def": lambda n: classify_submodule(n, "2a-coprimary-def"),
+    "g-2a-coprimary": lambda n: classify_submodule(n, "g-2a-coprimary", g=0),
+    "comultiplication": lambda n: is_graded_comultiplication_module(n.ctx),
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(_LATTICE_READERS))
+def test_a_cached_verdict_does_not_get_round_the_cap(predicate):
+    # a verdict memoizes the uncapped lattice on the carrier; the capped entry
+    # point still checks the cap on every call, before that memo is read
+    _, gm = _self_module(12)
+    with pytest.raises(TooLarge):
+        enumerate_graded_subobjects(gm, 4)
+    _LATTICE_READERS[predicate](whole_subobject(gm))
+    assert "graded_subobjects" in gm._caches
+    with pytest.raises(TooLarge):
+        enumerate_graded_subobjects(gm, 4)
+    assert enumerate_graded_subobjects(gm, 12) is gm._caches["graded_subobjects"]
+
+
+def test_second_reads_no_lattice_so_takes_no_cap():
+    _, gm = _self_module(12)
+    n = whole_subobject(gm)
+    verdict = classify_submodule(n, "second")
+    assert "graded_subobjects" not in gm._caches
+    assert verdict == classify_submodule(n, "second")
 
 
 def test_predicates_reject_zero_submodule():
